@@ -7,6 +7,7 @@ import dataclasses
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,7 +178,8 @@ def emit_outputs(result: RunResult, out_dir: str) -> dict[str, str]:
 
     errors.csv has one row per (method, round, iteration); curves.csv holds
     the per-iteration mean error with one column per method; summary.json
-    mirrors the final-error and timing tables. Returns the file paths.
+    mirrors the final-error and timing tables and holds each method's warning
+    counters summed over rounds. Returns the file paths.
     """
     if not result.methods:
         raise ValueError("experiment result contains no methods")
@@ -220,6 +222,7 @@ def emit_outputs(result: RunResult, out_dir: str) -> dict[str, str]:
                     k: float(np.mean([t.phase_seconds.get(k, 0.0) for t in res.traces]))
                     for k in res.traces[0].phase_seconds
                 },
+                warnings=dict(sum((Counter(t.warnings) for t in res.traces), Counter())),
             )
             if res.pretrain_seconds:
                 entry["pretrain_seconds_mean"] = float(np.mean(res.pretrain_seconds))

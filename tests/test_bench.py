@@ -61,6 +61,22 @@ def test_summary_round_trip_and_mean_consistency(tmp_path):
     for method, finals in per_method_finals.items():
         assert len(finals) == 3
         assert abs(summary["methods"][method]["final_error_mean"] - np.mean(finals)) < 1e-12
+        assert summary["methods"][method]["warnings"] == {}
+
+
+def test_summary_warnings_summed_over_rounds(tmp_path):
+    # the linear-kernel Gram of 300 signals in 16 dimensions is singular, so
+    # every kdl round ridges it once
+    cfg = ExperimentConfig.from_dict(base_config(kernel={"family": "linear"}))
+    result = run_experiment(cfg)
+    summary = json.load(open(emit_outputs(result, str(tmp_path))["summary"]))
+    assert summary["methods"]["kdl"]["warnings"] == {"kdd_ridge": 2}
+    for method in ("rkdl-d", "orkdl-d", "morkdl-d"):
+        expected: dict = {}
+        for trace in result.methods[method].traces:
+            for name, count in trace.warnings.items():
+                expected[name] = expected.get(name, 0) + count
+        assert summary["methods"][method]["warnings"] == expected
 
 
 def test_reruns_are_bit_identical(tmp_path):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rkdl.datasets import synth
 from rkdl.kernel_dl import (
     KdlConfig,
     KernelDictionary,
+    _linear_penalty_products,
     error_metric,
     kdl_train,
     morkdl_train,
@@ -305,6 +308,46 @@ def test_morkdl_mixed_gradient_finite_difference():
             Dm = D.copy(); Dm[i, j] -= eps
             fd[i, j] = (mixed_objective(Dp) - mixed_objective(Dm)) / (2 * eps)
     assert np.linalg.norm(G - fd) <= 1e-5 * np.linalg.norm(fd)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12), N=st.integers(1, 40),
+       n_d=st.integers(1, 8), data=st.data())
+def test_factored_penalty_term_matches_residual_form(seed, m, N, n_d, data):
+    rng = np.random.default_rng(seed)
+    s = data.draw(st.integers(1, n_d))
+    penalty = data.draw(st.floats(0.01, 10.0))
+    Y = rng.standard_normal((m, N))
+    D = rng.standard_normal((m, n_d))
+    X = np.zeros((n_d, N))
+    for ell in range(N):
+        support = rng.choice(n_d, size=rng.integers(0, s + 1), replace=False)
+        X[support, ell] = rng.standard_normal(support.size)
+    YXt, XXt = _linear_penalty_products(Y, X)
+    factored = -2.0 * penalty * (YXt - D @ XXt)
+    reference = -2.0 * penalty * (Y - D @ X) @ X.T
+    # relative to the magnitude of the two terms the factored form subtracts
+    scale = 2.0 * penalty * (np.linalg.norm(Y @ X.T) + np.linalg.norm(D @ (X @ X.T)))
+    assert np.linalg.norm(factored - reference) <= 1e-12 * scale
+
+
+def test_phase_seconds_book_the_cholesky_factor():
+    signals, _, _ = synth(8, 80, 6, 2, seed=3)
+    Y = signals.values
+    vectors = pretrained(Y, 6, 2, seed=0)
+    spec = KernelSpec("rbf", sigma=2.0)
+    cfg = KdlConfig(n_atoms=4, sparsity=2, iters=2, seed=1, grad_steps=1,
+                    learning_rate=1e-4, dl_sparsity=2)
+    traces = {
+        "kdl": kdl_train(Y, spec, cfg)[2],
+        "rkdl-d": rkdl_train(Y, vectors, spec, cfg)[2],
+        "orkdl-d": orkdl_train(Y, vectors, spec, cfg)[2],
+        "morkdl-d": morkdl_train(Y, vectors, spec, cfg)[3],
+    }
+    for trace in traces.values():
+        assert set(trace.phase_seconds) == {"gram_refresh", "coding", "factor", "atom_sweep",
+                                            "gradient", "error_eval"}
+    assert traces["kdl"].phase_seconds["factor"] > 0
 
 
 def test_morkdl_requires_linear_sparsity():

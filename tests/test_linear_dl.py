@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import aksvd_sweep_residual
 from rkdl.datasets import synth
-from rkdl.linear_dl import Dictionary, DLConfig, aksvd_train, init_dictionary
+from rkdl.linear_dl import Dictionary, DLConfig, _aksvd_sweep, aksvd_train, init_dictionary
 from rkdl.sparse_coding import omp_batch
 
 
@@ -133,3 +136,82 @@ def test_dlconfig_validation():
         DLConfig(n_atoms=4, sparsity=5, iters=1)
     with pytest.raises(ValueError):
         DLConfig(n_atoms=0, sparsity=1, iters=1)
+
+
+@st.composite
+def sweep_inputs(draw):
+    """(Y, D, X) for one AK-SVD sweep, with optional planted edge cases:
+    duplicate signals, zero signals (nonzero code), an unused atom (all-zero
+    code row), a degenerate atom (used only by zero signals, alone in their
+    codes, so u = 0) and full codes (sparsity = n_atoms).
+
+    A re-seed takes the worst-represented signal, so the two exact forms agree
+    only where that choice is not a round-off tie: m exceeds n_atoms and N is
+    large enough that most residuals stay well away from zero (an atom used
+    by a single signal fits it exactly), and duplicate signals keep their own
+    codes."""
+    n_atoms = draw(st.integers(1, 8))
+    m = draw(st.integers(n_atoms + 1, 14))
+    N = draw(st.integers(5 * n_atoms + 5, 60))
+    full = draw(st.booleans())
+    sparsity = n_atoms if full else draw(st.integers(1, n_atoms))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Y = rng.standard_normal((m, N))
+    D = rng.standard_normal((m, n_atoms))
+    D /= np.linalg.norm(D, axis=0)
+    X = np.zeros((n_atoms, N))
+    for ell in range(N):
+        support = rng.choice(n_atoms, size=sparsity, replace=False)
+        X[support, ell] = rng.uniform(0.5, 2.0, sparsity) * rng.choice([-1.0, 1.0], sparsity)
+    if draw(st.booleans()):
+        Y[:, 1] = Y[:, 0]
+    if draw(st.booleans()):
+        Y[:, 2] = 0.0
+    if n_atoms > 1 and draw(st.booleans()):
+        X[0] = 0.0
+    if n_atoms > 1 and draw(st.booleans()):
+        cols = [N - 2, N - 1]
+        Y[:, cols] = 0.0
+        X[:, cols] = 0.0
+        X[-1] = 0.0
+        X[-1, cols] = rng.uniform(0.5, 1.5, 2)
+    return Y, D, X
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep_inputs())
+def test_sweep_matches_residual_oracle(inputs):
+    Y, D, X = inputs
+    D_ref, X_ref = D.copy(), X.copy()
+    expected = aksvd_sweep_residual(Y, D_ref, X_ref)
+    assert _aksvd_sweep(Y, D, X) == expected
+    np.testing.assert_allclose(D, D_ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(X, X_ref, rtol=0, atol=1e-10)
+
+
+def test_sweep_counts_planted_degenerate_atom():
+    rng = np.random.default_rng(5)
+    Y = rng.standard_normal((6, 20))
+    D = np.linalg.qr(rng.standard_normal((6, 3)))[0]
+    X = rng.standard_normal((3, 20))
+    X[2] = 0.0
+    Y[:, :2] = 0.0
+    X[:, :2] = 0.0
+    X[2, :2] = [0.7, 1.3]
+    assert _aksvd_sweep(Y, D, X) == (0, 1)
+    assert not np.any(X[2])
+    np.testing.assert_allclose(np.linalg.norm(D, axis=0), 1.0, atol=1e-12)
+
+
+def test_replaced_atom_counts_in_meta():
+    # the last atom is orthogonal to every signal, so OMP never picks it
+    rng = np.random.default_rng(6)
+    Y = rng.standard_normal((8, 60))
+    Y[-1] = 0.0
+    atoms = np.concatenate([init_dictionary(Y, 4, seed=0).atoms, np.eye(8)[:, -1:]], axis=1)
+    dictionary, _ = aksvd_train(Y, DLConfig(n_atoms=5, sparsity=2, iters=1, seed=0),
+                                D_init=Dictionary(atoms=atoms))
+    assert dictionary.meta["replaced_atoms"] == {"unused": 1, "degenerate": 0}
+    assert abs(dictionary.atoms[-1, -1]) < 1e-15
+    clean, _ = aksvd_train(Y, DLConfig(n_atoms=4, sparsity=2, iters=3, seed=0))
+    assert clean.meta["replaced_atoms"] == {"unused": 0, "degenerate": 0}
