@@ -10,16 +10,8 @@ if _threads:
                  "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(_var, _threads)
 
-from .kernels import (  # noqa: E402
-    KernelSpec,
-    dictionary_gradient,
-    gram,
-    kernel_eval,
-    kernel_grad_first,
-    kernel_vector_gradient,
-    self_kernel_diag,
-)
-from .sparse_coding import SparseCode, kernel_omp, kernel_omp_batch, omp, omp_batch  # noqa: E402
+from .kernels import KernelSpec, dictionary_gradient, gram, self_kernel_diag  # noqa: E402
+from .sparse_coding import SparseCode, kernel_omp_batch, omp_batch  # noqa: E402
 from .linear_dl import Dictionary, DLConfig, aksvd_train, init_dictionary  # noqa: E402
 from .kernel_dl import (  # noqa: E402
     KdlConfig,
@@ -48,9 +40,8 @@ from .model_io import ModelBundle, load_model, save_model  # noqa: E402
 __version__ = "0.1.0"
 
 __all__ = [
-    "KernelSpec", "gram", "kernel_eval", "kernel_grad_first", "kernel_vector_gradient",
-    "dictionary_gradient", "self_kernel_diag",
-    "SparseCode", "omp", "omp_batch", "kernel_omp", "kernel_omp_batch",
+    "KernelSpec", "gram", "dictionary_gradient", "self_kernel_diag",
+    "SparseCode", "omp_batch", "kernel_omp_batch",
     "Dictionary", "DLConfig", "aksvd_train", "init_dictionary",
     "KdlConfig", "KernelDictionary", "TrainTrace", "error_metric", "rkdl_atom_sweep",
     "kdl_train", "rkdl_train", "orkdl_train", "morkdl_train",

@@ -12,13 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernel_dl
 from .datasets import DatasetSpec, load_dataset
-from .kernel_dl import KdlConfig, TrainTrace, kdl_train, morkdl_train, orkdl_train, rkdl_train
+from .kernel_dl import METHODS, KdlConfig, TrainTrace
 from .kernels import KernelSpec
-from .linear_dl import DLConfig, aksvd_train
-
-METHODS = ("kdl", "rkdl-d", "orkdl-d", "morkdl-d")
-REDUCED_METHODS = ("rkdl-d", "orkdl-d", "morkdl-d")
+from .linear_dl import Dictionary, DLConfig, aksvd_train
 
 
 @dataclass
@@ -39,7 +37,7 @@ class ExperimentConfig:
             raise ValueError("method list is empty")
         for m in self.methods:
             if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+                raise ValueError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -97,58 +95,65 @@ class RunResult:
         return any(r.failed is not None for r in self.methods.values())
 
 
-def _method_config(method: str, cfg: ExperimentConfig, seed: int) -> KdlConfig:
-    """Per-method effective trainer settings for one round.
+def pretrain(Y: np.ndarray, cfg: ExperimentConfig, seed: int) -> Dictionary:
+    """The AK-SVD dictionary that the pre-trained methods use as kernel vectors."""
+    vectors, _ = aksvd_train(Y, dataclasses.replace(cfg.linear_dl, seed=seed))
+    return vectors
 
-    The non-optimized trainers take no gradient steps; the mixed trainer
-    falls back to the linear-DL sparsity for its linear code when the config
-    does not pin one.
+
+def train_method(method: str, Y: np.ndarray, cfg: ExperimentConfig, seed: int,
+                 vectors: Dictionary | None = None):
+    """Train one method for one round, as ``METHODS`` describes it.
+
+    The effective trainer settings take the round's seed, no gradient steps
+    when the method does not update D, and, for the mixed update, the
+    linear-DL sparsity for the linear code unless the config pins one. A
+    method on pre-trained vectors pretrains here when ``vectors`` is None.
+    The trainer is looked up on ``kernel_dl`` at call time.
+
+    Returns (KernelDictionary, TrainTrace, effective KdlConfig).
     """
+    spec = METHODS[method]
     kd = cfg.kernel_dl
     changes: dict = {"seed": seed}
-    if method in ("kdl", "rkdl-d"):
+    if spec.update is None:
         changes["grad_steps"] = 0
-    if method == "morkdl-d" and kd.dl_sparsity is None:
+    if spec.update == "mixed" and kd.dl_sparsity is None:
         changes["dl_sparsity"] = cfg.linear_dl.sparsity
-    return dataclasses.replace(kd, **changes)
-
-
-def _run_method(method: str, Y: np.ndarray, cfg: ExperimentConfig, seed: int, vectors):
-    kdcfg = _method_config(method, cfg, seed)
-    if method == "kdl":
-        _, _, trace = kdl_train(Y, cfg.kernel, kdcfg, max_gram_signals=cfg.max_gram_signals)
-    elif method == "rkdl-d":
-        _, _, trace = rkdl_train(Y, vectors, cfg.kernel, kdcfg)
-    elif method == "orkdl-d":
-        _, _, trace = orkdl_train(Y, vectors, cfg.kernel, kdcfg)
+    kdcfg = dataclasses.replace(kd, **changes)
+    trainer = getattr(kernel_dl, spec.trainer)
+    if spec.vectors == "signals":
+        out = trainer(Y, cfg.kernel, kdcfg, max_gram_signals=cfg.max_gram_signals)
     else:
-        _, _, _, trace = morkdl_train(Y, vectors, cfg.kernel, kdcfg)
-    return trace
+        if vectors is None:
+            vectors = pretrain(Y, cfg, seed)
+        out = trainer(Y, vectors, cfg.kernel, kdcfg)
+    # every trainer returns the dictionary first and the trace last
+    return out[0], out[-1], kdcfg
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> RunResult:
     """Run every configured method for ``cfg.rounds`` rounds.
 
-    Round r uses seed base_seed + r everywhere; the three reduced methods
-    share the linear dictionary pre-trained once per round, so their error
-    differences isolate the update rules. Rounds execute serially to keep the
-    wall-clock measurements honest. A trainer error aborts that method's
-    remaining rounds but the other methods continue.
+    Round r uses seed base_seed + r everywhere; the methods on pre-trained
+    vectors share the linear dictionary pre-trained once per round, so their
+    error differences isolate the update rules. Rounds execute serially to
+    keep the wall-clock measurements honest. A trainer error aborts that
+    method's remaining rounds but the other methods continue.
     """
     signals = load_dataset(cfg.dataset)
     signals.validate()
     Y = signals.values
     results = {m: MethodResult() for m in cfg.methods}
-    needs_pretrain = any(m in REDUCED_METHODS for m in cfg.methods)
+    pretrained = {m for m in cfg.methods if METHODS[m].vectors == "pretrained"}
 
     for r in range(cfg.rounds):
         seed = cfg.base_seed + r
         vectors = None
         pretrain_seconds = 0.0
-        if needs_pretrain:
-            dl_cfg = dataclasses.replace(cfg.linear_dl, seed=seed)
+        if pretrained:
             t0 = time.perf_counter()
-            vectors, _ = aksvd_train(Y, dl_cfg)
+            vectors = pretrain(Y, cfg, seed)
             pretrain_seconds = time.perf_counter() - t0
         for method in cfg.methods:
             res = results[method]
@@ -158,12 +163,12 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> RunResult:
                 progress(method, r)
             t0 = time.perf_counter()
             try:
-                trace = _run_method(method, Y, cfg, seed, vectors)
+                _, trace, _ = train_method(method, Y, cfg, seed, vectors)
             except Exception as exc:  # noqa: BLE001 - recorded, other methods continue
                 res.failed = f"round {r}: {type(exc).__name__}: {exc}"
                 continue
             res.seconds.append(time.perf_counter() - t0)
-            if method in REDUCED_METHODS:
+            if method in pretrained:
                 res.pretrain_seconds.append(pretrain_seconds)
             res.traces.append(trace)
     return RunResult(config=cfg, methods=results)

@@ -10,9 +10,8 @@ import sys
 from . import bench as bench_mod
 from . import model_io
 from .datasets import load_csv, load_dataset, save_csv
-from .kernel_dl import kdl_train, morkdl_train, orkdl_train, rkdl_train
+from .kernel_dl import METHODS
 from .kernels import gram, self_kernel_diag
-from .linear_dl import aksvd_train
 from .sparse_coding import kernel_omp_batch
 
 
@@ -24,7 +23,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a multi-round benchmark experiment")
     p_bench.add_argument("--config", required=True, help="experiment config (JSON)")
     p_bench.add_argument("--method", action="append", default=None,
-                         choices=list(bench_mod.METHODS),
+                         choices=list(METHODS),
                          help="override the config's method list (repeatable)")
     p_bench.add_argument("--dataset", default=None,
                          help="override the config's dataset block (JSON file or inline JSON)")
@@ -35,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a single method and save the model")
     p_train.add_argument("--config", required=True, help="experiment config (JSON)")
-    p_train.add_argument("--method", required=True, choices=list(bench_mod.METHODS))
+    p_train.add_argument("--method", required=True, choices=list(METHODS))
     p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--out", required=True, help="model file to write (JSON)")
 
@@ -96,20 +95,7 @@ def _cmd_train(args) -> int:
     signals = load_dataset(cfg.dataset)
     signals.validate()
     Y = signals.values
-    kdcfg = bench_mod._method_config(args.method, cfg, seed)
-
-    if args.method == "kdl":
-        kdict, _, trace = kdl_train(Y, cfg.kernel, kdcfg, max_gram_signals=cfg.max_gram_signals)
-    else:
-        dl_cfg = dataclasses.replace(cfg.linear_dl, seed=seed)
-        vectors, _ = aksvd_train(Y, dl_cfg)
-        if args.method == "rkdl-d":
-            kdict, _, trace = rkdl_train(Y, vectors, cfg.kernel, kdcfg)
-        elif args.method == "orkdl-d":
-            kdict, _, trace = orkdl_train(Y, vectors, cfg.kernel, kdcfg)
-        else:
-            kdict, _, _, trace = morkdl_train(Y, vectors, cfg.kernel, kdcfg)
-
+    kdict, trace, kdcfg = bench_mod.train_method(args.method, Y, cfg, seed)
     model_io.save_model(args.out, kdict, args.method,
                         config=dataclasses.asdict(kdcfg), trace=trace)
     print(f"{args.method}: final error {trace.errors[-1]:.6e} after {len(trace.errors) - 1} "

@@ -185,7 +185,6 @@ def synth(m: int, N: int, n_planted: int, sparsity: int, seed: int, noise_sigma:
     D = rng.standard_normal((m, n_planted))
     D /= np.linalg.norm(D, axis=0)
     X = np.zeros((n_planted, N))
-    supports = []
     for ell in range(N):
         support = np.sort(rng.choice(n_planted, size=sparsity, replace=False))
         if coeff_low is None:
@@ -194,13 +193,11 @@ def synth(m: int, N: int, n_planted: int, sparsity: int, seed: int, noise_sigma:
             coeffs = rng.uniform(coeff_low, coeff_high, size=sparsity)
             coeffs *= rng.choice([-1.0, 1.0], size=sparsity)
         X[support, ell] = coeffs
-        supports.append(support)
     Y = D @ X
     if noise_sigma > 0:
         Y = Y + noise_sigma * rng.standard_normal((m, N))
     signals = SignalMatrix(values=Y, provenance=f"synth(m={m},N={N},seed={seed})")
-    return signals, Dictionary(atoms=D, normalized=True), SparseCode(matrix=X, sparsity=sparsity,
-                                                                     supports=supports)
+    return signals, Dictionary(atoms=D, normalized=True), SparseCode(matrix=X, sparsity=sparsity)
 
 
 @dataclass

@@ -1,15 +1,9 @@
 """Kernel dictionary learning: full-kernel baseline and the reduced trainers.
 
-Four trainers share one alternating loop:
-
-* ``kdl_train``        -- every training signal is a kernel vector (D = Y).
-* ``rkdl_train``       -- a small pre-trained D is fixed throughout.
-* ``orkdl_train``      -- D is additionally refined by gradient descent on
-                          the representation objective.
-* ``morkdl_train``     -- gradient refinement of D under a mixed objective
-                          that adds a linear-representation penalty on D.
-
-All trainers work on Gram matrices only; feature vectors are never formed.
+The four methods differ only in where the kernel vectors D come from and how
+D is updated; ``METHODS`` maps each method to both and to its public trainer.
+All trainers run one alternating loop, ``_train``, on Gram matrices only;
+feature vectors are never formed.
 """
 
 from __future__ import annotations
@@ -27,6 +21,31 @@ from .sparse_coding import SparseCode, kernel_omp_batch, omp_batch
 KDD_RIDGE = 1e-10
 
 
+@dataclass(frozen=True)
+class Method:
+    """A method's kernel-vector source, vector-update rule and trainer.
+
+    ``vectors``: ``"signals"`` (D = Y) or ``"pretrained"`` (AK-SVD dictionary).
+    ``update``: ``None`` (D fixed), ``"gradient"`` (descent on the
+    representation objective) or ``"mixed"`` (descent with a linear-
+    representation penalty on D). ``trainer``: the name of the public trainer
+    in this module. Callers look the function up by name when they call it,
+    so a rebinding of the module attribute (as instrumentation does) holds.
+    """
+
+    vectors: str
+    update: str | None
+    trainer: str
+
+
+METHODS = {
+    "kdl": Method("signals", None, "kdl_train"),
+    "rkdl-d": Method("pretrained", None, "rkdl_train"),
+    "orkdl-d": Method("pretrained", "gradient", "orkdl_train"),
+    "morkdl-d": Method("pretrained", "mixed", "morkdl_train"),
+}
+
+
 @dataclass
 class KernelDictionary:
     """Feature-space dictionary phi(D) A: kernel vectors D plus coefficients A."""
@@ -38,11 +57,6 @@ class KernelDictionary:
     @property
     def n_atoms(self) -> int:
         return self.coefficients.shape[1]
-
-    def atom_norms_sq(self) -> np.ndarray:
-        """a_j^T K_DD a_j for every column; 1 for a normalized dictionary."""
-        k_dd = gram(self.vectors.atoms, self.vectors.atoms, self.kernel)
-        return np.einsum("ij,ij->j", self.coefficients, k_dd @ self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -206,23 +220,48 @@ def _init_coefficients(n_vectors: int, n_atoms: int, k_dd_diag: np.ndarray,
     return A
 
 
-def _train(Y, vectors: np.ndarray, kernel: KernelSpec, cfg: KdlConfig, *,
-           optimize_vectors: bool, mixed: bool, callback=None):
+def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
+           update: str | None, callback=None):
+    """The alternating loop of every trainer, under a ``Method.update`` rule.
+
+    Each iteration codes the signals, sweeps the kernel atoms and, when
+    ``update`` is set, takes ``cfg.grad_steps`` gradient steps on D. Returns
+    (KernelDictionary, SparseCode, linear code or None, TrainTrace); D keeps
+    the input's ``normalized`` flag when fixed, and is marked normalized when
+    updated only if the mixed update renormalizes its columns.
+    """
     t_start = time.perf_counter()
     Y = np.asarray(Y, dtype=float)
     m, N = Y.shape
-    D = vectors if vectors is Y else np.array(vectors, dtype=float, copy=True)
+    D = vectors.atoms if vectors.atoms is Y else np.array(vectors.atoms, dtype=float, copy=True)
     phases = {"gram_refresh": 0.0, "coding": 0.0, "factor": 0.0, "atom_sweep": 0.0,
               "gradient": 0.0, "error_eval": 0.0}
     stats: dict = {}
     rng = np.random.default_rng(cfg.seed)
+    descend = update is not None and cfg.grad_steps > 0 and cfg.learning_rate > 0
+    penalized = update == "mixed" and cfg.penalty > 0
+    renormalize = update == "mixed" and cfg.normalize_vectors
+    smaller_step = f"try a smaller learning rate (currently {cfg.learning_rate})"
 
+    def grams(D, when: str):
+        """K_DD and K_YD at D, checked finite. K_YD is K_DD itself when D is
+        Y, so ``kdl`` holds one N x N array, not two."""
+        t0 = time.perf_counter()
+        k_dd = gram(D, D, kernel)
+        k_yd = k_dd if D is Y else gram(Y, D, kernel)
+        phases["gram_refresh"] += time.perf_counter() - t0
+        if not (np.all(np.isfinite(k_dd)) and (k_yd is k_dd or np.all(np.isfinite(k_yd)))):
+            raise FloatingPointError(f"kernel matrices for {kernel} are not finite {when}")
+        return k_dd, k_yd
+
+    at_start = "at start-up; lower beta or alpha, or rescale the signals"
+    k_dd, k_yd = grams(D, at_start)
     t0 = time.perf_counter()
-    k_dd = gram(D, D, kernel)
-    k_yd = k_dd if D is Y else gram(Y, D, kernel)
     kyy = self_kernel_diag(Y, kernel)
     kyy_sum = float(kyy.sum())
     phases["gram_refresh"] += time.perf_counter() - t0
+    if not np.isfinite(kyy_sum):
+        raise FloatingPointError(f"signal self-kernels for {kernel} are not finite {at_start}")
 
     t0 = time.perf_counter()
     chol = _chol_with_ridge(k_dd, stats)
@@ -236,11 +275,10 @@ def _train(Y, vectors: np.ndarray, kernel: KernelSpec, cfg: KdlConfig, *,
     errors = [_trace_error(kyy_sum, k_yd, k_dd, A, Z, m, N)]
     phases["error_eval"] += time.perf_counter() - t0
 
-    do_gradients = optimize_vectors and cfg.grad_steps > 0 and cfg.learning_rate > 0
     for it in range(cfg.iters):
         t0 = time.perf_counter()
         Z = kernel_omp_batch(k_yd, kyy, k_dd, A, cfg.sparsity, stats).matrix
-        if mixed:
+        if update == "mixed":
             X_code = omp_batch(D, Y, cfg.dl_sparsity,
                                require_normalized=cfg.normalize_vectors, stats=stats)
         phases["coding"] += time.perf_counter() - t0
@@ -249,32 +287,26 @@ def _train(Y, vectors: np.ndarray, kernel: KernelSpec, cfg: KdlConfig, *,
         A, Z = rkdl_atom_sweep(k_dd, k_yd, A, Z, chol=chol, stats=stats)
         phases["atom_sweep"] += time.perf_counter() - t0
 
-        if do_gradients:
+        if descend:
             t0 = time.perf_counter()
-            penalized = mixed and cfg.penalty > 0
             if penalized:
                 YXt, XXt = _linear_penalty_products(Y, X_code.matrix)
             phases["gradient"] += time.perf_counter() - t0
-            for _ in range(cfg.grad_steps):
+            for step in range(cfg.grad_steps):
                 t0 = time.perf_counter()
                 G = dictionary_gradient(Y, D, A, Z, kernel, k_yd=k_yd, k_dd=k_dd)
                 if penalized:
                     G = G - 2.0 * cfg.penalty * (YXt - D @ XXt)
                 if not np.all(np.isfinite(G)):
                     raise FloatingPointError(
-                        f"non-finite kernel-vector gradient at iteration {it}; "
-                        f"try a smaller learning rate (currently {cfg.learning_rate})")
+                        f"non-finite kernel-vector gradient at iteration {it}; {smaller_step}")
                 D = D - cfg.learning_rate * G
                 phases["gradient"] += time.perf_counter() - t0
-                t0 = time.perf_counter()
-                k_dd = gram(D, D, kernel)
-                k_yd = gram(Y, D, kernel)
-                phases["gram_refresh"] += time.perf_counter() - t0
-                if not (np.all(np.isfinite(k_dd)) and np.all(np.isfinite(k_yd))):
-                    raise FloatingPointError(
-                        f"kernel matrices overflowed after the gradient step at iteration "
-                        f"{it}; try a smaller learning rate (currently {cfg.learning_rate})")
-            if mixed and cfg.normalize_vectors:
+                # the renormalization below replaces the last step's Grams unread
+                if step < cfg.grad_steps - 1 or not renormalize:
+                    k_dd, k_yd = grams(D, f"after a gradient step at iteration {it}; "
+                                          f"{smaller_step}")
+            if renormalize:
                 t0 = time.perf_counter()
                 norms = np.linalg.norm(D, axis=0)
                 if np.any(norms < 1e-14):
@@ -282,10 +314,7 @@ def _train(Y, vectors: np.ndarray, kernel: KernelSpec, cfg: KdlConfig, *,
                     norms = np.maximum(norms, 1e-14)
                 D = D / norms
                 phases["gradient"] += time.perf_counter() - t0
-                t0 = time.perf_counter()
-                k_dd = gram(D, D, kernel)
-                k_yd = gram(Y, D, kernel)
-                phases["gram_refresh"] += time.perf_counter() - t0
+                k_dd, k_yd = grams(D, f"after renormalizing D at iteration {it}; {smaller_step}")
             t0 = time.perf_counter()
             chol = _chol_with_ridge(k_dd, stats)
             phases["factor"] += time.perf_counter() - t0
@@ -304,11 +333,12 @@ def _train(Y, vectors: np.ndarray, kernel: KernelSpec, cfg: KdlConfig, *,
         if callback is not None:
             callback(it, D, A, Z, k_dd)
 
-    supports = [np.flatnonzero(Z[:, ell]) for ell in range(N)]
-    code = SparseCode(matrix=Z, sparsity=cfg.sparsity, supports=supports)
+    normalized = vectors.normalized if update is None else renormalize
+    kdict = KernelDictionary(coefficients=A, vectors=Dictionary(atoms=D, normalized=normalized),
+                             kernel=kernel)
     trace = TrainTrace(errors=errors, phase_seconds=phases, warnings=stats,
                        total_seconds=time.perf_counter() - t_start)
-    return D, A, code, X_code, trace
+    return kdict, SparseCode(matrix=Z, sparsity=cfg.sparsity), X_code, trace
 
 
 def kdl_train(Y: np.ndarray, kernel: KernelSpec, cfg: KdlConfig,
@@ -323,21 +353,15 @@ def kdl_train(Y: np.ndarray, kernel: KernelSpec, cfg: KdlConfig,
         raise ValueError(
             f"{Y.shape[1]} signals would need a {Y.shape[1]}x{Y.shape[1]} Gram; "
             f"cap is {max_gram_signals} (raise max_gram_signals to override)")
-    D, A, code, _, trace = _train(Y, Y, kernel, cfg, optimize_vectors=False, mixed=False,
-                                  callback=callback)
-    kdict = KernelDictionary(coefficients=A, vectors=Dictionary(atoms=D, normalized=False),
-                             kernel=kernel)
+    kdict, code, _, trace = _train(Y, Dictionary(atoms=Y, normalized=False), kernel, cfg,
+                                   update=None, callback=callback)
     return kdict, code, trace
 
 
 def rkdl_train(Y: np.ndarray, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig,
                callback=None):
     """Reduced kernel dictionary learning over a fixed pre-trained D."""
-    D, A, code, _, trace = _train(Y, vectors.atoms, kernel, cfg,
-                                  optimize_vectors=False, mixed=False, callback=callback)
-    kdict = KernelDictionary(coefficients=A,
-                             vectors=Dictionary(atoms=D, normalized=vectors.normalized),
-                             kernel=kernel)
+    kdict, code, _, trace = _train(Y, vectors, kernel, cfg, update=None, callback=callback)
     return kdict, code, trace
 
 
@@ -350,10 +374,8 @@ def orkdl_train(Y: np.ndarray, vectors: Dictionary, kernel: KernelSpec, cfg: Kdl
     columns use gradients evaluated at the step-start D (Jacobi style); Gram
     matrices are recomputed between steps.
     """
-    D, A, code, _, trace = _train(Y, vectors.atoms, kernel, cfg,
-                                  optimize_vectors=True, mixed=False, callback=callback)
-    kdict = KernelDictionary(coefficients=A, vectors=Dictionary(atoms=D, normalized=False),
-                             kernel=kernel)
+    kdict, code, _, trace = _train(Y, vectors, kernel, cfg, update="gradient",
+                                   callback=callback)
     return kdict, code, trace
 
 
@@ -370,11 +392,7 @@ def morkdl_train(Y: np.ndarray, vectors: Dictionary, kernel: KernelSpec, cfg: Kd
     gradient steps. Returns (KernelDictionary, Z, X, TrainTrace); the trace
     records the nonlinear representation error only.
     """
-    if cfg.dl_sparsity is None:
-        raise ValueError("morkdl_train needs cfg.dl_sparsity (linear code sparsity)")
-    D, A, code, X_code, trace = _train(Y, vectors.atoms, kernel, cfg,
-                                       optimize_vectors=True, mixed=True, callback=callback)
-    kdict = KernelDictionary(coefficients=A,
-                             vectors=Dictionary(atoms=D, normalized=cfg.normalize_vectors),
-                             kernel=kernel)
-    return kdict, code, X_code, trace
+    if cfg.dl_sparsity is None or not 1 <= cfg.dl_sparsity <= vectors.n_atoms:
+        raise ValueError(f"morkdl_train needs cfg.dl_sparsity (linear code sparsity) in "
+                         f"[1, {vectors.n_atoms}], got {cfg.dl_sparsity}")
+    return _train(Y, vectors, kernel, cfg, update="mixed", callback=callback)

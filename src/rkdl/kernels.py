@@ -1,4 +1,4 @@
-"""Kernel functions, Gram matrices, and analytic kernel-matrix derivatives.
+"""Kernel specs, Gram matrices, and the analytic kernel-vector gradient.
 
 All signal sets follow column-major semantics: an (m, N) array holds one
 signal per column, and the Gram matrix of two sets X, Y has entry
@@ -65,20 +65,6 @@ class KernelSpec:
         return cls(**{k: d[k] for k in ("family", "sigma", "denom_factor", "alpha", "beta") if k in d})
 
 
-def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
-    """Evaluate k(x, y) for two single signals."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"signal lengths differ: {x.shape[0]} vs {y.shape[0]}")
-    if spec.family == RBF:
-        d = x - y
-        return float(np.exp(-(d @ d) / spec.rbf_scale))
-    if spec.family == POLYNOMIAL:
-        return float((x @ y + spec.alpha) ** spec.beta)
-    return float(x @ y)
-
-
 def _sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Pairwise squared distances between columns, clamped at 0.
 
@@ -132,21 +118,6 @@ def self_kernel_diag(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return sq
 
 
-def kernel_grad_first(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
-    """Gradient of k(x, y) with respect to the first argument x."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"signal lengths differ: {x.shape[0]} vs {y.shape[0]}")
-    if spec.family == RBF:
-        d = x - y
-        k = np.exp(-(d @ d) / spec.rbf_scale)
-        return -k * 2.0 * d / spec.rbf_scale
-    if spec.family == POLYNOMIAL:
-        return spec.beta * (x @ y + spec.alpha) ** (spec.beta - 1) * y
-    return y.copy()
-
-
 def _check_shapes(Y, D, A, Z):
     m, N = Y.shape
     md, n_d = D.shape
@@ -160,61 +131,6 @@ def _check_shapes(Y, D, A, Z):
         raise ValueError(f"code matrix is {Z.shape}, expected ({n_a}, {N})")
 
 
-def kernel_vector_gradient(
-    Y: np.ndarray,
-    D: np.ndarray,
-    A: np.ndarray,
-    Z: np.ndarray,
-    j: int,
-    spec: KernelSpec,
-    k_yd: np.ndarray | None = None,
-    k_dd: np.ndarray | None = None,
-) -> np.ndarray:
-    """Gradient of ||phi(Y) - phi(D) A Z||_F^2 with respect to column j of D.
-
-    The derivative Gram matrices are never materialized: with W = A Z and
-    M = W W^T the gradient contracts the analytic per-pair kernel gradients
-    against row j of M (vector-vector pairs within D) and row j of W (pairs
-    against the signals), which costs O(m (N + n_d)) per column once W is
-    available.
-
-    ``k_yd`` / ``k_dd`` optionally supply precomputed Gram matrices for the
-    current D (they must be fresh; stale matrices give wrong gradients).
-    """
-    Y = np.asarray(Y, dtype=float)
-    D = np.asarray(D, dtype=float)
-    A = np.asarray(A, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    _check_shapes(Y, D, A, Z)
-    n_d = D.shape[1]
-    if not 0 <= j < n_d:
-        raise IndexError(f"vector index {j} out of range [0, {n_d})")
-
-    W = A @ Z
-    w = W[j]            # per-signal weight of vector j in the reconstruction
-    m_row = W @ w       # row j of M = W W^T
-    d = D[:, j]
-
-    if spec.family == RBF:
-        scale = spec.rbf_scale
-        kd = k_dd[j] if k_dd is not None else np.exp(-_sq_distances(D, d[:, None]).ravel() / scale)
-        ky = k_yd[:, j] if k_yd is not None else np.exp(-_sq_distances(Y, d[:, None]).ravel() / scale)
-        c = m_row * kd
-        e = w * ky
-        term_dd = (-4.0 / scale) * (d * c.sum() - D @ c)
-        term_yd = (4.0 / scale) * (d * e.sum() - Y @ e)
-    elif spec.family == POLYNOMIAL:
-        b = spec.beta
-        pd = (D.T @ d + spec.alpha) ** (b - 1)
-        py = (Y.T @ d + spec.alpha) ** (b - 1)
-        term_dd = 2.0 * b * (D @ (m_row * pd))
-        term_yd = -2.0 * b * (Y @ (w * py))
-    else:
-        term_dd = 2.0 * (D @ m_row)
-        term_yd = -2.0 * (Y @ w)
-    return term_dd + term_yd
-
-
 def dictionary_gradient(
     Y: np.ndarray,
     D: np.ndarray,
@@ -224,11 +140,11 @@ def dictionary_gradient(
     k_yd: np.ndarray | None = None,
     k_dd: np.ndarray | None = None,
 ) -> np.ndarray:
-    """All kernel-vector gradients at once, as an (m, n_d) matrix.
+    """Gradient of ||phi(Y) - phi(D) A Z||_F^2 in every kernel vector, (m, n_d).
 
-    Column j equals ``kernel_vector_gradient(Y, D, A, Z, j, spec)``; every
-    column is evaluated at the same D, so one call gives a full Jacobi-style
-    gradient round.
+    Every column is evaluated at the same D (one Jacobi-style round), and the
+    derivative Gram matrices are never formed. ``k_yd`` / ``k_dd`` may supply
+    the Grams at the current D; stale ones give wrong gradients.
     """
     Y = np.asarray(Y, dtype=float)
     D = np.asarray(D, dtype=float)

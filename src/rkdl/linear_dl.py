@@ -171,7 +171,6 @@ def aksvd_train(Y: np.ndarray, cfg: DLConfig, D_init: Dictionary | None = None,
         if callback is not None:
             callback(it, D, X)
 
-    supports = [np.flatnonzero(X[:, ell]) for ell in range(N)]
-    code = SparseCode(matrix=X, sparsity=cfg.sparsity, supports=supports)
     meta = {**dictionary.meta, "replaced_atoms": replaced}
+    code = SparseCode(matrix=X, sparsity=cfg.sparsity)
     return Dictionary(atoms=D, normalized=True, meta=meta), code

@@ -1,13 +1,14 @@
-"""Greedy sparse approximation: OMP in signal space and Kernel OMP on Grams.
+"""Greedy sparse approximation: batch OMP in signal space and batch Kernel OMP
+on Grams.
 
-The per-signal functions are the reference contract; the ``*_batch`` variants
-apply the same per-column computation to a whole signal set at once (columns
-are independent, so vectorizing over them changes nothing but speed).
+Both run one vectorized greedy pursuit, ``_gram_omp_batch``, over all
+columns at once; columns are independent, so the result for each column is
+the single-signal OMP result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,31 +23,17 @@ RIDGE = 1e-10
 
 @dataclass
 class SparseCode:
-    """Column-sparse code matrix with per-column supports.
-
-    ``matrix`` is the dense (n_rows, n_cols) representation; ``supports``
-    keeps the sorted selected indices per column (a coefficient may be zero
-    while its index is still in the support).
-    """
+    """Dense code ``matrix`` with at most ``sparsity`` nonzeros per column."""
 
     matrix: np.ndarray
     sparsity: int
-    supports: list[np.ndarray] = field(default_factory=list)
-
-    @property
-    def n_rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.matrix.shape[1]
 
     def validate(self) -> None:
-        for s in self.supports:
-            if s.size > self.sparsity:
-                raise ValueError(f"support size {s.size} exceeds sparsity bound {self.sparsity}")
-            if s.size and (s.min() < 0 or s.max() >= self.n_rows or np.unique(s).size != s.size):
-                raise ValueError("support indices must be unique and within range")
+        nnz = np.count_nonzero(self.matrix, axis=0)
+        if nnz.size and nnz.max() > self.sparsity:
+            col = int(np.argmax(nnz))
+            raise ValueError(f"code column {col} has {nnz[col]} nonzeros, "
+                             f"above the sparsity bound {self.sparsity}")
 
 
 def _check_unit_columns(D: np.ndarray, tol: float = 1e-8) -> None:
@@ -57,124 +44,18 @@ def _check_unit_columns(D: np.ndarray, tol: float = 1e-8) -> None:
         raise ValueError(f"dictionary column {j} is not unit-norm (norm={norms[j]:.6g})")
 
 
-def omp(D: np.ndarray, y: np.ndarray, sparsity: int, require_normalized: bool = True):
-    """Orthogonal matching pursuit for a single signal.
-
-    Greedy selection of at most ``sparsity`` atoms by largest |d_j . r| on the
-    current residual, with a least-squares refit over the selected support
-    after every pick. Stops early once the residual norm drops below
-    ``OMP_RESIDUAL_TOL``. A singular support system drops the offending atom
-    and stops.
-
-    Returns (support, coefficients) with the support sorted ascending.
-    """
-    D = np.asarray(D, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    m, n = D.shape
-    if y.shape[0] != m:
-        raise ValueError(f"signal length {y.shape[0]} does not match dictionary rows {m}")
-    if not 1 <= sparsity <= min(m, n):
-        raise ValueError(f"sparsity must be in [1, {min(m, n)}], got {sparsity}")
-    if require_normalized:
-        _check_unit_columns(D)
-
-    support: list[int] = []
-    coeffs = np.zeros(0)
-    residual = y.copy()
-    for _ in range(sparsity):
-        if np.linalg.norm(residual) < OMP_RESIDUAL_TOL:
-            break
-        corr = np.abs(D.T @ residual)
-        corr[support] = -np.inf
-        pick = int(np.argmax(corr))
-        support.append(pick)
-        sub = D[:, support]
-        sol, _, rank, _ = np.linalg.lstsq(sub, y, rcond=None)
-        if rank < len(support):
-            support.pop()
-            break
-        coeffs = sol
-        residual = y - sub @ coeffs
-    order = np.argsort(support)
-    return np.asarray(support, dtype=int)[order], coeffs[order] if coeffs.size else coeffs
-
-
-def _greedy_gram_select(proj, G, norm_sq, sparsity, stop_sq, stats=None):
-    """Shared greedy loop on precomputed Gram quantities (single column).
-
-    ``proj`` holds the atom/signal inner products, ``G`` the atom Gram, and
-    ``norm_sq`` the signal's squared norm. The support least-squares is the
-    normal-equation solve on the support Gram; a singular system is retried
-    with a small ridge (counted in ``stats['ridge']``).
-    """
-    n = proj.shape[0]
-    support: list[int] = []
-    coeffs = np.zeros(0)
-    res_sq = norm_sq
-    for _ in range(sparsity):
-        if res_sq < stop_sq:
-            break
-        corr = proj - (G[:, support] @ coeffs if support else 0.0)
-        corr = np.abs(corr)
-        corr[support] = -np.inf
-        pick = int(np.argmax(corr))
-        support.append(pick)
-        sub = G[np.ix_(support, support)]
-        rhs = proj[support]
-        try:
-            coeffs = np.linalg.solve(sub, rhs)
-        except np.linalg.LinAlgError:
-            coeffs = np.linalg.solve(sub + RIDGE * np.eye(len(support)), rhs)
-            if stats is not None:
-                stats["ridge"] = stats.get("ridge", 0) + 1
-        res_sq = norm_sq - 2.0 * (coeffs @ rhs) + coeffs @ (sub @ coeffs)
-    order = np.argsort(support)
-    return np.asarray(support, dtype=int)[order], coeffs[order] if coeffs.size else coeffs
-
-
-def kernel_omp(k_yd_row, k_yy, k_dd, A, sparsity, stats=None):
-    """Kernel OMP for a single signal, entirely on Gram quantities.
-
-    Parameters
-    ----------
-    k_yd_row : (n_d,) kernel values between the signal and the kernel vectors.
-    k_yy : float, the signal's self-kernel.
-    k_dd : (n_d, n_d) kernel-vector Gram.
-    A : (n_d, n_a) coefficient dictionary, columns normalized so that
-        a_j^T k_dd a_j = 1 (checked to 1e-8).
-    sparsity : max number of selected kernel atoms.
-
-    Greedy selection maximizes |A^T (k_yd_row - k_dd A z)| over unselected
-    atoms; the support coefficients solve the support's normal equations.
-    Stops when the feature-space residual squared norm falls below
-    ``KOMP_RESIDUAL_SQ_TOL``. Returns (support, coefficients).
-    """
-    A = np.asarray(A, dtype=float)
-    k_yd_row = np.asarray(k_yd_row, dtype=float).ravel()
-    k_dd = np.asarray(k_dd, dtype=float)
-    n_d, n_a = A.shape
-    if k_yd_row.shape[0] != n_d or k_dd.shape != (n_d, n_d):
-        raise ValueError("Gram shapes do not match the coefficient dictionary")
-    if not 1 <= sparsity <= n_a:
-        raise ValueError(f"sparsity must be in [1, {n_a}], got {sparsity}")
-    G = A.T @ (k_dd @ A)
-    norms = np.diag(G)
-    if np.any(np.abs(norms - 1.0) > 1e-8):
-        j = int(np.argmax(np.abs(norms - 1.0)))
-        raise ValueError(f"kernel atom {j} is not Gram-normalized (a^T K a = {norms[j]:.6g})")
-    proj = A.T @ k_yd_row
-    return _greedy_gram_select(proj, G, float(k_yy), sparsity, KOMP_RESIDUAL_SQ_TOL, stats)
-
-
 def _gram_omp_batch(G, proj, norms_sq, sparsity, stop_sq, stats=None):
     """Vectorized greedy pursuit over all columns of ``proj`` at once.
 
     Per round: correlations for every still-active column come from one
     matrix product, then all support systems of the round are solved with one
     stacked ``np.linalg.solve``. Column results are identical to running the
-    single-column loop independently.
+    single-column loop independently. A singular support system is retried
+    with a small ridge (counted in ``stats['ridge']``).
     """
     n, N = proj.shape
+    if not 1 <= sparsity <= n:
+        raise ValueError(f"sparsity must be in [1, {n}] (the atom count), got {sparsity}")
     codes = np.zeros((N, sparsity))
     supports = np.zeros((N, sparsity), dtype=int)
     counts = np.zeros(N, dtype=int)
@@ -216,21 +97,18 @@ def _gram_omp_batch(G, proj, norms_sq, sparsity, stop_sq, stats=None):
         active[idx] = res_sq[idx] >= stop_sq
         active &= counts < sparsity
 
+    # a column's picks are distinct, so one scatter places every coefficient
+    filled = np.arange(sparsity) < counts[:, None]
     matrix = np.zeros((n, N))
-    out_supports = []
-    for ell in range(N):
-        k = counts[ell]
-        s = supports[ell, :k]
-        order = np.argsort(s)
-        s = s[order]
-        matrix[s, ell] = codes[ell, :k][order]
-        out_supports.append(s.copy())
-    return SparseCode(matrix=matrix, sparsity=sparsity, supports=out_supports)
+    matrix[supports[filled], np.nonzero(filled)[0]] = codes[filled]
+    return SparseCode(matrix=matrix, sparsity=sparsity)
 
 
 def omp_batch(D: np.ndarray, Y: np.ndarray, sparsity: int, require_normalized: bool = True,
               stats: dict | None = None) -> SparseCode:
-    """OMP over every column of Y. See ``omp`` for the per-column contract."""
+    """OMP of every column of Y on the unit-norm atoms of D: up to ``sparsity``
+    greedy picks by largest |d_j . r|, a least-squares refit after each, and
+    an early stop once the residual norm drops below ``OMP_RESIDUAL_TOL``."""
     D = np.asarray(D, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if D.shape[0] != Y.shape[0]:
@@ -244,7 +122,10 @@ def omp_batch(D: np.ndarray, Y: np.ndarray, sparsity: int, require_normalized: b
 
 
 def kernel_omp_batch(k_yd, k_yy_diag, k_dd, A, sparsity, stats: dict | None = None) -> SparseCode:
-    """Kernel OMP over all signals given the cross Gram ``k_yd`` (N, n_d)."""
+    """Kernel OMP of all signals from the cross Gram ``k_yd`` (N, n_d), with
+    atoms A normalized so that a_j^T k_dd a_j = 1 (checked to 1e-8); the
+    pursuit stops once the feature-space residual falls below
+    ``KOMP_RESIDUAL_SQ_TOL``."""
     A = np.asarray(A, dtype=float)
     k_yd = np.asarray(k_yd, dtype=float)
     k_dd = np.asarray(k_dd, dtype=float)

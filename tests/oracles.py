@@ -1,6 +1,14 @@
-"""Reference implementations that only the tests use."""
+"""Reference implementations that only the tests use.
+
+The per-signal pursuits and kernel functions here are the contracts that the
+library's batch kernels (``omp_batch``, ``kernel_omp_batch``, ``gram``,
+``dictionary_gradient``) are checked against.
+"""
 
 import numpy as np
+
+from rkdl.kernels import POLYNOMIAL, RBF, KernelSpec, _check_shapes, _sq_distances
+from rkdl.sparse_coding import KOMP_RESIDUAL_SQ_TOL, OMP_RESIDUAL_TOL, RIDGE, _check_unit_columns
 
 
 def aksvd_sweep_residual(Y, D, X):
@@ -46,3 +54,196 @@ def aksvd_sweep_residual(Y, D, X):
         X[j, used_by] = x_new
         E[:, used_by] = F - np.outer(d, x_new)
     return tuple(counts)
+
+
+def omp(D: np.ndarray, y: np.ndarray, sparsity: int, require_normalized: bool = True):
+    """Orthogonal matching pursuit for a single signal.
+
+    Greedy selection of at most ``sparsity`` atoms by largest |d_j . r| on the
+    current residual, with a least-squares refit over the selected support
+    after every pick. Stops early once the residual norm drops below
+    ``OMP_RESIDUAL_TOL``. A singular support system drops the offending atom
+    and stops.
+
+    Returns (support, coefficients) with the support sorted ascending.
+    """
+    D = np.asarray(D, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    m, n = D.shape
+    if y.shape[0] != m:
+        raise ValueError(f"signal length {y.shape[0]} does not match dictionary rows {m}")
+    if not 1 <= sparsity <= min(m, n):
+        raise ValueError(f"sparsity must be in [1, {min(m, n)}], got {sparsity}")
+    if require_normalized:
+        _check_unit_columns(D)
+
+    support: list[int] = []
+    coeffs = np.zeros(0)
+    residual = y.copy()
+    for _ in range(sparsity):
+        if np.linalg.norm(residual) < OMP_RESIDUAL_TOL:
+            break
+        corr = np.abs(D.T @ residual)
+        corr[support] = -np.inf
+        pick = int(np.argmax(corr))
+        support.append(pick)
+        sub = D[:, support]
+        sol, _, rank, _ = np.linalg.lstsq(sub, y, rcond=None)
+        if rank < len(support):
+            support.pop()
+            break
+        coeffs = sol
+        residual = y - sub @ coeffs
+    order = np.argsort(support)
+    return np.asarray(support, dtype=int)[order], coeffs[order] if coeffs.size else coeffs
+
+
+def _greedy_gram_select(proj, G, norm_sq, sparsity, stop_sq, stats=None):
+    """Shared greedy loop on precomputed Gram quantities (single column).
+
+    ``proj`` holds the atom/signal inner products, ``G`` the atom Gram, and
+    ``norm_sq`` the signal's squared norm. The support least-squares is the
+    normal-equation solve on the support Gram; a singular system is retried
+    with a small ridge (counted in ``stats['ridge']``).
+    """
+    n = proj.shape[0]
+    support: list[int] = []
+    coeffs = np.zeros(0)
+    res_sq = norm_sq
+    for _ in range(sparsity):
+        if res_sq < stop_sq:
+            break
+        corr = proj - (G[:, support] @ coeffs if support else 0.0)
+        corr = np.abs(corr)
+        corr[support] = -np.inf
+        pick = int(np.argmax(corr))
+        support.append(pick)
+        sub = G[np.ix_(support, support)]
+        rhs = proj[support]
+        try:
+            coeffs = np.linalg.solve(sub, rhs)
+        except np.linalg.LinAlgError:
+            coeffs = np.linalg.solve(sub + RIDGE * np.eye(len(support)), rhs)
+            if stats is not None:
+                stats["ridge"] = stats.get("ridge", 0) + 1
+        res_sq = norm_sq - 2.0 * (coeffs @ rhs) + coeffs @ (sub @ coeffs)
+    order = np.argsort(support)
+    return np.asarray(support, dtype=int)[order], coeffs[order] if coeffs.size else coeffs
+
+
+def kernel_omp(k_yd_row, k_yy, k_dd, A, sparsity, stats=None):
+    """Kernel OMP for a single signal, entirely on Gram quantities.
+
+    Parameters
+    ----------
+    k_yd_row : (n_d,) kernel values between the signal and the kernel vectors.
+    k_yy : float, the signal's self-kernel.
+    k_dd : (n_d, n_d) kernel-vector Gram.
+    A : (n_d, n_a) coefficient dictionary, columns normalized so that
+        a_j^T k_dd a_j = 1 (checked to 1e-8).
+    sparsity : max number of selected kernel atoms.
+
+    Greedy selection maximizes |A^T (k_yd_row - k_dd A z)| over unselected
+    atoms; the support coefficients solve the support's normal equations.
+    Stops when the feature-space residual squared norm falls below
+    ``KOMP_RESIDUAL_SQ_TOL``. Returns (support, coefficients).
+    """
+    A = np.asarray(A, dtype=float)
+    k_yd_row = np.asarray(k_yd_row, dtype=float).ravel()
+    k_dd = np.asarray(k_dd, dtype=float)
+    n_d, n_a = A.shape
+    if k_yd_row.shape[0] != n_d or k_dd.shape != (n_d, n_d):
+        raise ValueError("Gram shapes do not match the coefficient dictionary")
+    if not 1 <= sparsity <= n_a:
+        raise ValueError(f"sparsity must be in [1, {n_a}], got {sparsity}")
+    G = A.T @ (k_dd @ A)
+    norms = np.diag(G)
+    if np.any(np.abs(norms - 1.0) > 1e-8):
+        j = int(np.argmax(np.abs(norms - 1.0)))
+        raise ValueError(f"kernel atom {j} is not Gram-normalized (a^T K a = {norms[j]:.6g})")
+    proj = A.T @ k_yd_row
+    return _greedy_gram_select(proj, G, float(k_yy), sparsity, KOMP_RESIDUAL_SQ_TOL, stats)
+
+
+def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
+    """Evaluate k(x, y) for two single signals."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.shape != y.shape:
+        raise ValueError(f"signal lengths differ: {x.shape[0]} vs {y.shape[0]}")
+    if spec.family == RBF:
+        d = x - y
+        return float(np.exp(-(d @ d) / spec.rbf_scale))
+    if spec.family == POLYNOMIAL:
+        return float((x @ y + spec.alpha) ** spec.beta)
+    return float(x @ y)
+
+
+def kernel_grad_first(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> np.ndarray:
+    """Gradient of k(x, y) with respect to the first argument x."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.shape != y.shape:
+        raise ValueError(f"signal lengths differ: {x.shape[0]} vs {y.shape[0]}")
+    if spec.family == RBF:
+        d = x - y
+        k = np.exp(-(d @ d) / spec.rbf_scale)
+        return -k * 2.0 * d / spec.rbf_scale
+    if spec.family == POLYNOMIAL:
+        return spec.beta * (x @ y + spec.alpha) ** (spec.beta - 1) * y
+    return y.copy()
+
+
+def kernel_vector_gradient(
+    Y: np.ndarray,
+    D: np.ndarray,
+    A: np.ndarray,
+    Z: np.ndarray,
+    j: int,
+    spec: KernelSpec,
+    k_yd: np.ndarray | None = None,
+    k_dd: np.ndarray | None = None,
+) -> np.ndarray:
+    """Gradient of ||phi(Y) - phi(D) A Z||_F^2 with respect to column j of D.
+
+    The derivative Gram matrices are never materialized: with W = A Z and
+    M = W W^T the gradient contracts the analytic per-pair kernel gradients
+    against row j of M (vector-vector pairs within D) and row j of W (pairs
+    against the signals), which costs O(m (N + n_d)) per column once W is
+    available.
+
+    ``k_yd`` / ``k_dd`` optionally supply precomputed Gram matrices for the
+    current D (they must be fresh; stale matrices give wrong gradients).
+    """
+    Y = np.asarray(Y, dtype=float)
+    D = np.asarray(D, dtype=float)
+    A = np.asarray(A, dtype=float)
+    Z = np.asarray(Z, dtype=float)
+    _check_shapes(Y, D, A, Z)
+    n_d = D.shape[1]
+    if not 0 <= j < n_d:
+        raise IndexError(f"vector index {j} out of range [0, {n_d})")
+
+    W = A @ Z
+    w = W[j]            # per-signal weight of vector j in the reconstruction
+    m_row = W @ w       # row j of M = W W^T
+    d = D[:, j]
+
+    if spec.family == RBF:
+        scale = spec.rbf_scale
+        kd = k_dd[j] if k_dd is not None else np.exp(-_sq_distances(D, d[:, None]).ravel() / scale)
+        ky = k_yd[:, j] if k_yd is not None else np.exp(-_sq_distances(Y, d[:, None]).ravel() / scale)
+        c = m_row * kd
+        e = w * ky
+        term_dd = (-4.0 / scale) * (d * c.sum() - D @ c)
+        term_yd = (4.0 / scale) * (d * e.sum() - Y @ e)
+    elif spec.family == POLYNOMIAL:
+        b = spec.beta
+        pd = (D.T @ d + spec.alpha) ** (b - 1)
+        py = (Y.T @ d + spec.alpha) ** (b - 1)
+        term_dd = 2.0 * b * (D @ (m_row * pd))
+        term_yd = -2.0 * b * (Y @ (w * py))
+    else:
+        term_dd = 2.0 * (D @ m_row)
+        term_yd = -2.0 * (Y @ w)
+    return term_dd + term_yd

@@ -23,10 +23,9 @@ from rkdl.kernel_dl import (
     rkdl_atom_sweep,
     rkdl_train,
 )
-from rkdl.kernels import KernelSpec, dictionary_gradient, gram, kernel_vector_gradient, \
-    self_kernel_diag
+from oracles import kernel_omp, kernel_vector_gradient, omp
+from rkdl.kernels import KernelSpec, dictionary_gradient, gram, self_kernel_diag
 from rkdl.linear_dl import Dictionary, DLConfig, aksvd_train
-from rkdl.sparse_coding import kernel_omp, omp
 
 LINEAR = KernelSpec("linear")
 

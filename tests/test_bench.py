@@ -1,11 +1,14 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from rkdl import kernel_dl
 from rkdl.bench import ExperimentConfig, emit_outputs, run_experiment
 from rkdl.cli import main as cli_main
 from rkdl.datasets import save_csv, synth
+from rkdl.kernel_dl import METHODS
 from rkdl.model_io import load_model
 
 
@@ -207,3 +210,51 @@ def test_cli_code_dimension_mismatch(tmp_path, capsys):
     with pytest.raises(SystemExit):
         cli_main(["code", "--model", model_path, "--input", bad,
                   "--output", str(tmp_path / "c.csv")])
+
+
+# ------------------------------------------------------------- method table
+
+def swap_trainers(monkeypatch, seen: list) -> None:
+    """Replace every binding of the four trainers in the loaded rkdl modules
+    by a recording wrapper, matched by identity, the way the benchmark's
+    tracer instruments them."""
+    wrappers = {}
+    for method, spec in METHODS.items():
+        def wrapper(*args, _fn=getattr(kernel_dl, spec.trainer), _method=method, **kwargs):
+            seen.append(_method)
+            return _fn(*args, **kwargs)
+        wrappers[id(getattr(kernel_dl, spec.trainer))] = wrapper
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "rkdl" or name.startswith("rkdl.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if id(value) in wrappers:
+                monkeypatch.setattr(module, attr, wrappers[id(value)])
+
+
+def test_trainers_reached_through_kernel_dl_bindings(tmp_path, monkeypatch, capsys):
+    seen: list = []
+    swap_trainers(monkeypatch, seen)
+    run_experiment(ExperimentConfig.from_dict(base_config(rounds=1)))
+    assert seen == list(METHODS)
+    seen.clear()
+    cfg_path = write_config(tmp_path, rounds=1)
+    for method in METHODS:
+        rc = cli_main(["train", "--config", cfg_path, "--method", method,
+                       "--out", str(tmp_path / f"{method}.json")])
+        assert rc == 0
+    assert seen == list(METHODS)
+
+
+def test_cli_train_matches_run_experiment_round(tmp_path, capsys):
+    result = run_experiment(ExperimentConfig.from_dict(base_config(rounds=1)))
+    cfg_path = write_config(tmp_path, rounds=1)
+    for method in METHODS:
+        model_path = str(tmp_path / f"{method}.json")
+        assert cli_main(["train", "--config", cfg_path, "--method", method,
+                         "--out", model_path]) == 0
+        bundle = load_model(model_path)
+        assert bundle.trace.errors[-1] == result.methods[method].errors[0, -1]
+        # methods that keep D fixed record that they took no gradient steps
+        expected_steps = 0 if method in ("kdl", "rkdl-d") else 2
+        assert bundle.config["grad_steps"] == expected_steps

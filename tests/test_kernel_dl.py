@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rkdl import kernel_dl
 from rkdl.datasets import synth
 from rkdl.kernel_dl import (
+    METHODS,
     KdlConfig,
     KernelDictionary,
     _linear_penalty_products,
@@ -353,8 +355,10 @@ def test_phase_seconds_book_the_cholesky_factor():
 def test_morkdl_requires_linear_sparsity():
     signals, _, _ = synth(8, 60, 6, 2, seed=5)
     vectors = pretrained(signals.values, 6, 2, seed=0)
-    with pytest.raises(ValueError, match="dl_sparsity"):
-        morkdl_train(signals.values, vectors, KernelSpec("rbf"), KdlConfig(3, 2, 2, seed=0))
+    for dl_sparsity in (None, 7):  # unset, or above the 6 kernel vectors
+        with pytest.raises(ValueError, match="dl_sparsity"):
+            morkdl_train(signals.values, vectors, KernelSpec("rbf"),
+                         KdlConfig(3, 2, 2, seed=0, dl_sparsity=dl_sparsity))
 
 
 def test_morkdl_normalizes_vectors_by_default():
@@ -414,6 +418,44 @@ def test_orkdl_aborts_on_gradient_overflow():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FloatingPointError, match="learning rate"):
             orkdl_train(Y, vectors, spec, cfg)
+
+
+def test_initial_gram_overflow_names_the_kernel():
+    # signals of norm ~30 against unit-norm vectors: (x.y + 1)^400 overflows
+    # in every Gram, (x.y + 1)^150 only in the signals' self-kernels
+    Y = 10.0 * np.random.default_rng(0).standard_normal((8, 40))
+    vectors = Dictionary(atoms=Y[:, :5] / np.linalg.norm(Y[:, :5], axis=0))
+    cfg = KdlConfig(n_atoms=3, sparsity=2, iters=2, seed=0)
+    with np.errstate(over="ignore"):
+        for beta in (400, 150):
+            spec = KernelSpec("polynomial", alpha=1.0, beta=beta)
+            with pytest.raises(FloatingPointError, match=f"beta={beta}.*not finite at start-up"):
+                rkdl_train(Y, vectors, spec, cfg)
+        with pytest.raises(FloatingPointError, match="beta=400.*not finite at start-up"):
+            kdl_train(Y, KernelSpec("polynomial", alpha=1.0, beta=400), cfg)
+
+
+def test_method_table_matches_trainers(monkeypatch):
+    # each method's trainer runs the loop on the table's vector source and
+    # under the table's update rule
+    seen = {}
+
+    def fake_train(Y, vectors, kernel, cfg, *, update, callback=None):
+        seen["source"] = "signals" if vectors.atoms is Y else "pretrained"
+        seen["update"] = update
+        return None, None, None, None
+
+    monkeypatch.setattr(kernel_dl, "_train", fake_train)
+    Y = np.random.default_rng(0).standard_normal((4, 12))
+    vectors = Dictionary(atoms=Y[:, :3] / np.linalg.norm(Y[:, :3], axis=0))
+    cfg = KdlConfig(n_atoms=2, sparsity=1, iters=1, dl_sparsity=1)
+    for method, spec in METHODS.items():
+        trainer = getattr(kernel_dl, spec.trainer)
+        if spec.vectors == "signals":
+            trainer(Y, LINEAR, cfg)
+        else:
+            trainer(Y, vectors, LINEAR, cfg)
+        assert seen == {"source": spec.vectors, "update": spec.update}, method
 
 
 def test_kdl_config_validation():

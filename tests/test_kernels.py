@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from rkdl.kernels import (
-    KernelSpec,
-    dictionary_gradient,
-    gram,
-    kernel_eval,
-    kernel_grad_first,
-    kernel_vector_gradient,
-    self_kernel_diag,
-)
+from oracles import kernel_eval, kernel_grad_first, kernel_vector_gradient
+from rkdl.kernels import KernelSpec, dictionary_gradient, gram, self_kernel_diag
 
 RBF = KernelSpec("rbf", sigma=1.0, denom_factor=2.0)
 

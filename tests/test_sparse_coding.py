@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import kernel_omp, omp
 from rkdl.kernels import KernelSpec, gram
-from rkdl.sparse_coding import kernel_omp, kernel_omp_batch, omp, omp_batch
+from rkdl.sparse_coding import SparseCode, kernel_omp_batch, omp_batch
 
 
 def unit_dictionary(m, n, seed):
@@ -101,7 +102,25 @@ def test_omp_batch_matches_per_signal():
         x = np.zeros(12)
         x[support] = coeffs
         np.testing.assert_allclose(code.matrix[:, ell], x, atol=1e-9)
-        np.testing.assert_array_equal(code.supports[ell], support)
+
+
+def test_sparse_code_validate_rejects_overfull_column():
+    matrix = np.zeros((5, 3))
+    matrix[:2, 0] = [1.0, -1.0]
+    matrix[[0, 2, 4], 2] = [1.0, -2.0, 0.5]
+    SparseCode(matrix=matrix, sparsity=3).validate()
+    with pytest.raises(ValueError, match="column 2 has 3 nonzeros"):
+        SparseCode(matrix=matrix, sparsity=2).validate()
+
+
+def test_batch_coders_reject_sparsity_above_atom_count():
+    D = unit_dictionary(8, 4, 3)
+    Y = np.random.default_rng(4).standard_normal((8, 5))
+    with pytest.raises(ValueError, match="sparsity must be in"):
+        omp_batch(D, Y, 5)
+    spec = KernelSpec("linear")
+    with pytest.raises(ValueError, match="sparsity must be in"):
+        kernel_omp_batch(gram(Y, D, spec), np.ones(5), gram(D, D, spec), np.eye(4), 0)
 
 
 def kernel_setup(m, n_d, n_a, seed, spec):
