@@ -3,12 +3,13 @@
 import os as _os
 
 # Honor the thread cap before the numeric stack loads; BLAS pools read these
-# at import time.
+# at import time. RKDL_THREADS overrides values already set, including those
+# a parent process wrote when it imported rkdl.
 _threads = _os.environ.get("RKDL_THREADS")
 if _threads:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                  "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
+        _os.environ[_var] = _threads
 
 from .kernels import KernelSpec, dictionary_gradient, gram, self_kernel_diag  # noqa: E402
 from .sparse_coding import SparseCode, kernel_omp_batch, omp_batch  # noqa: E402

@@ -77,6 +77,7 @@ class MethodResult:
     traces: list[TrainTrace] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
     pretrain_seconds: list[float] = field(default_factory=list)
+    replaced_atoms: list[dict] = field(default_factory=list)  # per round, from the pretrain
     failed: str | None = None
 
     @property
@@ -170,6 +171,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> RunResult:
             res.seconds.append(time.perf_counter() - t0)
             if method in pretrained:
                 res.pretrain_seconds.append(pretrain_seconds)
+                res.replaced_atoms.append(vectors.meta["replaced_atoms"])
             res.traces.append(trace)
     return RunResult(config=cfg, methods=results)
 
@@ -184,7 +186,9 @@ def emit_outputs(result: RunResult, out_dir: str) -> dict[str, str]:
     errors.csv has one row per (method, round, iteration); curves.csv holds
     the per-iteration mean error with one column per method; summary.json
     mirrors the final-error and timing tables and holds each method's warning
-    counters summed over rounds. Returns the file paths.
+    counters summed over rounds, and for the methods on pre-trained vectors the
+    AK-SVD atoms re-seeded in pretraining (``replaced_atoms``), also summed
+    over rounds. Returns the file paths.
     """
     if not result.methods:
         raise ValueError("experiment result contains no methods")
@@ -231,6 +235,9 @@ def emit_outputs(result: RunResult, out_dir: str) -> dict[str, str]:
             )
             if res.pretrain_seconds:
                 entry["pretrain_seconds_mean"] = float(np.mean(res.pretrain_seconds))
+                entry["replaced_atoms"] = {
+                    kind: sum(r[kind] for r in res.replaced_atoms)
+                    for kind in res.replaced_atoms[0]}
         summary["methods"][method] = entry
     with open(paths["summary"], "w") as f:
         json.dump(summary, f, indent=2)

@@ -119,17 +119,22 @@ def _chol_with_ridge(K: np.ndarray, stats: dict) -> tuple:
     raise np.linalg.LinAlgError("kernel-vector Gram is not positive definite even after ridging")
 
 
-def _trace_error(kyy_sum: float, k_yd, k_dd, A, Z, m: int, N: int) -> float:
+def _trace_error(kyy_sum: float, k_yd, k_dd, A, Z, m: int, N: int,
+                 stats: dict | None = None) -> float:
     """Normalized representation error from Gram quantities.
 
     sqrt(max(0, Tr[K_YY] - 2 Tr[K_YD A Z] + Tr[Z^T A^T K_DD A Z])) / sqrt(mN);
-    only the diagonal of K_YY enters through ``kyy_sum``.
+    only the diagonal of K_YY enters through ``kyy_sum``. Each clamp of a
+    negative squared residual is counted in ``stats["residual_clamp"]``.
     """
     P = k_yd @ A
     t2 = float(np.einsum("la,al->", P, Z))
     G = A.T @ (k_dd @ A)
     t3 = float(np.einsum("al,al->", Z, G @ Z))
-    return float(np.sqrt(max(0.0, kyy_sum - 2.0 * t2 + t3)) / np.sqrt(m * N))
+    res_sq = kyy_sum - 2.0 * t2 + t3
+    if res_sq < 0.0 and stats is not None:
+        stats["residual_clamp"] = stats.get("residual_clamp", 0) + 1
+    return float(np.sqrt(max(0.0, res_sq)) / np.sqrt(m * N))
 
 
 def error_metric(Y: np.ndarray, kdict: KernelDictionary, Z) -> float:
@@ -272,7 +277,7 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
     X_code = None
 
     t0 = time.perf_counter()
-    errors = [_trace_error(kyy_sum, k_yd, k_dd, A, Z, m, N)]
+    errors = [_trace_error(kyy_sum, k_yd, k_dd, A, Z, m, N, stats)]
     phases["error_eval"] += time.perf_counter() - t0
 
     for it in range(cfg.iters):
@@ -328,7 +333,7 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
             phases["atom_sweep"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        errors.append(_trace_error(kyy_sum, k_yd, k_dd, A, Z, m, N))
+        errors.append(_trace_error(kyy_sum, k_yd, k_dd, A, Z, m, N, stats))
         phases["error_eval"] += time.perf_counter() - t0
         if callback is not None:
             callback(it, D, A, Z, k_dd)

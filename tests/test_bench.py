@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from rkdl import kernel_dl
-from rkdl.bench import ExperimentConfig, emit_outputs, run_experiment
+from rkdl.bench import ExperimentConfig, emit_outputs, pretrain, run_experiment
 from rkdl.cli import main as cli_main
-from rkdl.datasets import save_csv, synth
+from rkdl.datasets import load_dataset, save_csv, synth
 from rkdl.kernel_dl import METHODS
 from rkdl.model_io import load_model
 
@@ -80,6 +80,27 @@ def test_summary_warnings_summed_over_rounds(tmp_path):
             for name, count in trace.warnings.items():
                 expected[name] = expected.get(name, 0) + count
         assert summary["methods"][method]["warnings"] == expected
+
+
+def test_summary_replaced_atoms_summed_over_rounds(tmp_path):
+    # ten copies of each of 12 signals: the AK-SVD initial atoms repeat, and
+    # the repeats go unused and are re-seeded
+    signals, _, _ = synth(16, 12, 12, 3, seed=5)
+    path = str(tmp_path / "repeated.csv")
+    save_csv(np.tile(signals.values, (1, 10)), path)
+    cfg = ExperimentConfig.from_dict(base_config(dataset={"source": "csv", "path": path},
+                                                 methods=["kdl", "rkdl-d", "morkdl-d"]))
+    result = run_experiment(cfg)
+    summary = json.load(open(emit_outputs(result, str(tmp_path / "out"))["summary"]))
+    Y = load_dataset(cfg.dataset).values
+    expected = {"unused": 0, "degenerate": 0}
+    for r in range(cfg.rounds):
+        for kind, count in pretrain(Y, cfg, cfg.base_seed + r).meta["replaced_atoms"].items():
+            expected[kind] += count
+    assert expected["unused"] > 0
+    assert "replaced_atoms" not in summary["methods"]["kdl"]
+    for method in ("rkdl-d", "morkdl-d"):
+        assert summary["methods"][method]["replaced_atoms"] == expected
 
 
 def test_reruns_are_bit_identical(tmp_path):

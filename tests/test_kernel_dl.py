@@ -74,6 +74,23 @@ def test_error_metric_exact_linear_representation():
     assert error_metric(Y, kdict, Z) < 1e-7
 
 
+def test_trace_error_counts_residual_clamps():
+    # an exact representation leaves a squared residual of round-off size;
+    # 1e-6 below zero it clamps to 0 and is counted, above zero it is not
+    rng = np.random.default_rng(1)
+    D = rng.standard_normal((6, 4))
+    A = rng.standard_normal((4, 3))
+    Z = rng.standard_normal((3, 10))
+    Y = D @ A @ Z
+    k_yd, k_dd = gram(Y, D, LINEAR), gram(D, D, LINEAR)
+    kyy_sum = float(np.sum(Y * Y))
+    stats: dict = {}
+    assert kernel_dl._trace_error(kyy_sum - 1e-6, k_yd, k_dd, A, Z, 6, 10, stats) == 0.0
+    assert stats == {"residual_clamp": 1}
+    assert kernel_dl._trace_error(kyy_sum + 1e-6, k_yd, k_dd, A, Z, 6, 10, stats) > 0.0
+    assert stats == {"residual_clamp": 1}
+
+
 def test_error_metric_matches_explicit_linear_residual():
     rng = np.random.default_rng(2)
     Y = rng.standard_normal((8, 12))
@@ -312,7 +329,7 @@ def test_morkdl_mixed_gradient_finite_difference():
     assert np.linalg.norm(G - fd) <= 1e-5 * np.linalg.norm(fd)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12), N=st.integers(1, 40),
        n_d=st.integers(1, 8), data=st.data())
 def test_factored_penalty_term_matches_residual_form(seed, m, N, n_d, data):
@@ -359,6 +376,20 @@ def test_morkdl_requires_linear_sparsity():
         with pytest.raises(ValueError, match="dl_sparsity"):
             morkdl_train(signals.values, vectors, KernelSpec("rbf"),
                          KdlConfig(3, 2, 2, seed=0, dl_sparsity=dl_sparsity))
+
+
+def test_morkdl_counts_linear_ridges_apart_from_kernel_ridges():
+    # vector 5 repeats vector 0 and the linear code uses every vector, so each
+    # signal's linear OMP ridges once per iteration; one kernel pick never does
+    signals, _, _ = synth(10, 40, 8, 3, seed=7)
+    Y = signals.values
+    D = np.random.default_rng(8).standard_normal((10, 6))
+    D[:, 5] = D[:, 0]
+    D /= np.linalg.norm(D, axis=0)
+    cfg = KdlConfig(n_atoms=3, sparsity=1, iters=2, seed=0, grad_steps=0, dl_sparsity=6)
+    trace = morkdl_train(Y, Dictionary(D), KernelSpec("rbf", sigma=3.0), cfg)[3]
+    assert trace.warnings["linear_ridge"] == 2 * 40
+    assert "ridge" not in trace.warnings
 
 
 def test_morkdl_normalizes_vectors_by_default():

@@ -178,7 +178,7 @@ def sweep_inputs(draw):
     return Y, D, X
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(sweep_inputs())
 def test_sweep_matches_residual_oracle(inputs):
     Y, D, X = inputs

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import kernel_omp, omp
-from rkdl.kernels import KernelSpec, gram
+from rkdl.kernels import KernelSpec, gram, self_kernel_diag
 from rkdl.sparse_coding import SparseCode, kernel_omp_batch, omp_batch
 
 
@@ -200,6 +202,28 @@ def test_kernel_omp_batch_matches_per_signal():
         np.testing.assert_allclose(code.matrix[:, ell], x, atol=1e-10)
 
 
+def test_batch_coders_stop_when_every_signal_is_nearly_exact():
+    # every signal is one atom's image plus a trace of another, below the
+    # residual tolerance, so every signal stops after one pick
+    spec = KernelSpec("rbf", sigma=1.5)
+    _, A, k_dd = kernel_setup(6, 8, 5, 10, spec)
+    picks, traces = np.array([2, 0, 4, 2]), np.array([1, 3, 0, 4])
+    W = A[:, picks] + 1e-6 * A[:, traces]
+    k_yd, kyy = (k_dd @ W).T, np.einsum("ij,ij->j", W, k_dd @ W)
+    code = kernel_omp_batch(k_yd, kyy, k_dd, A, 3).matrix
+    assert np.count_nonzero(code) == 4
+    for ell in range(4):
+        support, coeffs = kernel_omp(k_yd[ell], kyy[ell], k_dd, A, 3)
+        assert support.tolist() == [picks[ell]]
+        assert code[picks[ell], ell] == pytest.approx(coeffs[0], abs=1e-12)
+    D = unit_dictionary(8, 6, 23)
+    Y = 1e-3 * D[:, picks] + 1e-12 * D[:, traces]
+    code = omp_batch(D, Y, 3).matrix
+    assert np.count_nonzero(code) == 4
+    np.testing.assert_allclose(code[picks, range(4)], 1e-3 + 1e-12 * np.einsum(
+        "ij,ij->j", D[:, picks], D[:, traces]), rtol=1e-12)
+
+
 def test_kernel_omp_ridge_counter_on_redundant_atoms():
     # two coefficient columns map to the same feature-space atom, so a full
     # support has a singular Gram and the solve falls back to the ridge
@@ -229,3 +253,150 @@ def test_kernel_omp_residual_sq_nonnegative():
         sub = G[np.ix_(support, support)]
         res_sq = 1.0 - 2.0 * coeffs @ proj + coeffs @ (sub @ coeffs)
         assert res_sq >= -1e-9
+
+
+# ------------------------------------------------- batch coder against oracles
+
+def fold_twin(code, twin):
+    """Codes with an exact duplicate atom's row (last) added onto its original
+    (row 0): the pursuit may pick either of two identical atoms."""
+    code = code.copy()
+    if twin:
+        code[0] += code[-1]
+        code[-1] = 0.0
+    return code
+
+
+def plant_twin(M, plant, rng):
+    """Make the last column of M a copy (``"duplicate"``) or a 1e-6
+    perturbation (``"near-duplicate"``) of column 0, in place. At 1e-6 the
+    twins' squared pivot (about 1e-12) is ridged, while their correlations
+    with a signal still differ by far more than round-off."""
+    if plant != "none":
+        noise = 1e-6 * rng.standard_normal(M.shape[0]) if plant == "near-duplicate" else 0.0
+        M[:, -1] = M[:, 0] + noise
+
+
+def check_ridged_codes(code, prev_code, residual_sq):
+    """A ridged pursuit's codes are finite, and its last pick does not raise
+    any signal's residual."""
+    assert np.all(np.isfinite(code))
+    if prev_code is not None:
+        assert np.all(residual_sq(code) <= residual_sq(prev_code) + 1e-9)
+
+
+twin_plants = st.sampled_from(["none", "duplicate", "near-duplicate"])
+signal_kinds = st.sampled_from(["random", "zero", "exact"])
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), extra_rows=st.integers(2, 5),
+       plant=twin_plants, unit=st.booleans(), data=st.data())
+def test_omp_batch_matches_oracle_or_counts_ridges(seed, n, extra_rows, plant, unit, data):
+    # m >= n + 2 keeps random atoms well conditioned, so without a ridged
+    # pick the normal-equation coder and the lstsq oracle agree to 1e-10
+    m = n + extra_rows
+    s = data.draw(st.one_of(st.just(n), st.integers(1, n)), label="sparsity")
+    kinds = data.draw(st.lists(signal_kinds, min_size=1, max_size=10), label="signals")
+    plant = plant if n >= 2 else "none"
+    rng = np.random.default_rng(seed)
+    D = rng.standard_normal((m, n))
+    plant_twin(D, plant, rng)
+    D /= np.linalg.norm(D, axis=0)
+    if not unit:
+        D *= rng.uniform(0.25, 4.0, n)
+    Y = np.zeros((m, len(kinds)))
+    for ell, kind in enumerate(kinds):
+        if kind == "random":
+            Y[:, ell] = rng.standard_normal(m)
+        elif kind == "exact":
+            support = rng.choice(n, size=rng.integers(1, s + 1), replace=False)
+            Y[:, ell] = D[:, support] @ rng.uniform(0.5, 2.0, support.size)
+    stats: dict = {}
+    code = omp_batch(D, Y, s, require_normalized=unit, stats=stats).matrix
+    assert "ridge" not in stats
+    if stats.get("linear_ridge", 0) == 0:
+        expected = np.zeros_like(code)
+        for ell in range(len(kinds)):
+            support, coeffs = omp(D, Y[:, ell], s, require_normalized=unit)
+            expected[support, ell] = coeffs
+        twin = plant == "duplicate"
+        np.testing.assert_allclose(fold_twin(code, twin), fold_twin(expected, twin), atol=1e-10)
+    else:
+        prev = omp_batch(D, Y, s - 1, require_normalized=unit).matrix if s > 1 else None
+        check_ridged_codes(code, prev, lambda X: np.sum((Y - D @ X) ** 2, axis=0))
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 6), extra_vectors=st.integers(2, 4),
+       family=st.sampled_from(["rbf", "linear"]), plant=twin_plants, data=st.data())
+def test_kernel_omp_batch_matches_oracle_or_counts_ridges(seed, n_a, extra_vectors, family,
+                                                          plant, data):
+    # n_d >= n_a + 2 vectors in m >= n_d dimensions keep K_DD and the atom
+    # Gram well conditioned unless a twin is planted
+    n_d = n_a + extra_vectors
+    m = n_d + 1
+    spec = KernelSpec("rbf", sigma=2.0) if family == "rbf" else KernelSpec("linear")
+    s = data.draw(st.one_of(st.just(n_a), st.integers(1, n_a)), label="sparsity")
+    kinds = data.draw(st.lists(signal_kinds, min_size=1, max_size=10), label="signals")
+    plant = plant if n_a >= 2 else "none"
+    rng = np.random.default_rng(seed)
+    D = rng.standard_normal((m, n_d))
+    k_dd = gram(D, D, spec)
+    A = rng.standard_normal((n_d, n_a))
+    plant_twin(A, plant, rng)
+    A /= np.sqrt(np.einsum("ij,ij->j", A, k_dd @ A))
+    G = A.T @ k_dd @ A
+    Y = rng.standard_normal((m, len(kinds)))
+    k_yd = gram(Y, D, spec)
+    kyy = self_kernel_diag(Y, spec)
+    for ell, kind in enumerate(kinds):
+        if kind == "zero":   # the zero vector of feature space
+            k_yd[ell], kyy[ell] = 0.0, 0.0
+        elif kind == "exact":
+            c = np.zeros(n_a)
+            support = rng.choice(n_a, size=rng.integers(1, s + 1), replace=False)
+            c[support] = rng.uniform(0.5, 2.0, support.size)
+            k_yd[ell], kyy[ell] = k_dd @ (A @ c), c @ G @ c
+    stats: dict = {}
+    code = kernel_omp_batch(k_yd, kyy, k_dd, A, s, stats=stats).matrix
+    if stats.get("ridge", 0) == 0:
+        expected = np.zeros_like(code)
+        for ell in range(len(kinds)):
+            support, coeffs = kernel_omp(k_yd[ell], kyy[ell], k_dd, A, s)
+            expected[support, ell] = coeffs
+        twin = plant == "duplicate"
+        np.testing.assert_allclose(fold_twin(code, twin), fold_twin(expected, twin), atol=1e-10)
+    else:
+        prev = kernel_omp_batch(k_yd, kyy, k_dd, A, s - 1).matrix if s > 1 else None
+        P = k_yd @ A
+        check_ridged_codes(code, prev, lambda Z: kyy - 2.0 * np.einsum("la,al->l", P, Z)
+                           + np.einsum("al,al->l", Z, G @ Z))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-7])
+def test_batch_coders_ridge_near_singular_picks(offset):
+    # atom 3 repeats atom 0 (exactly, or 1e-7 off), and s = atom count forces
+    # both into every support: the pick is counted, and its coefficient stays
+    # small instead of exploding on a vanishing pivot
+    rng = np.random.default_rng(22)
+    D = unit_dictionary(6, 4, 21)
+    D[:, 3] = D[:, 0] + offset * rng.standard_normal(6)
+    D /= np.linalg.norm(D, axis=0)
+    Y = rng.standard_normal((6, 12))
+    stats: dict = {}
+    X = omp_batch(D, Y, 4, stats=stats).matrix
+    assert stats == {"linear_ridge": 12}
+    check_ridged_codes(X, omp_batch(D, Y, 3).matrix,
+                       lambda X: np.sum((Y - D @ X) ** 2, axis=0))
+    assert np.abs(X).max() < 10.0 * np.abs(Y).max()
+
+    # the same dictionary as kernel atoms: linear kernel, identity coefficients
+    spec = KernelSpec("linear")
+    k_dd, k_yd, kyy = gram(D, D, spec), gram(Y, D, spec), self_kernel_diag(Y, spec)
+    stats = {}
+    Z = kernel_omp_batch(k_yd, kyy, k_dd, np.eye(4), 4, stats=stats).matrix
+    assert stats == {"ridge": 12}
+    check_ridged_codes(Z, kernel_omp_batch(k_yd, kyy, k_dd, np.eye(4), 3).matrix,
+                       lambda Z: np.sum((Y - D @ Z) ** 2, axis=0))
+    np.testing.assert_allclose(Z, X, atol=1e-9)
