@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernels import KernelSpec, dictionary_gradient, gram, self_kernel_diag
+from .kernels import KernelSpec, dictionary_gradient, gram, inner_products, self_kernel_diag
 from .linear_dl import Dictionary
 from .sparse_coding import SparseCode, kernel_omp_batch, omp_batch
 
@@ -182,13 +182,15 @@ def rkdl_atom_sweep(k_dd: np.ndarray, k_yd: np.ndarray, A: np.ndarray, Z: np.nda
             continue
         z = Z[j, support]
         R = S[:, support] - np.outer(A[:, j], z)
-        u = scipy.linalg.cho_solve(chol, k_yd[support, :].T @ z, check_finite=False) - R @ z
+        k_sd = k_yd[support]
+        u = scipy.linalg.cho_solve(chol, k_sd.T @ z, check_finite=False) - R @ z
         norm_sq = float(u @ (k_dd @ u))
         if norm_sq <= 1e-24:
             stats["degenerate_kernel_atom"] = stats.get("degenerate_kernel_atom", 0) + 1
             continue
         a = u / np.sqrt(norm_sq)
-        z_new = k_yd[support, :] @ a - R.T @ (k_dd @ a)
+        z_new = k_sd @ a - R.T @ (k_dd @ a)
+        del k_sd   # not held into the next atom's gathers, which would raise the peak
         A[:, j] = a
         Z[j, support] = z_new
         S[:, support] = R + np.outer(a, z_new)
@@ -204,7 +206,7 @@ def _linear_penalty_products(Y: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, 
     dense code matrix: at n_d = 50 the BLAS products measured faster than
     sparse ones (0.03 s against 0.06 s at m = 784, N = 8000, 2 cores).
     """
-    return Y @ X.T, X @ X.T
+    return inner_products(Y.T, X.T), X @ X.T
 
 
 def _init_coefficients(n_vectors: int, n_atoms: int, k_dd_diag: np.ndarray,
@@ -248,12 +250,16 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
     renormalize = update == "mixed" and cfg.normalize_vectors
     smaller_step = f"try a smaller learning rate (currently {cfg.learning_rate})"
 
+    t0 = time.perf_counter()
+    y_sq = np.einsum("ij,ij->j", Y, Y)    # Y is fixed: its norms serve every Gram and code
+    phases["gram_refresh"] += time.perf_counter() - t0
+
     def grams(D, when: str):
         """K_DD and K_YD at D, checked finite. K_YD is K_DD itself when D is
         Y, so ``kdl`` holds one N x N array, not two."""
         t0 = time.perf_counter()
         k_dd = gram(D, D, kernel)
-        k_yd = k_dd if D is Y else gram(Y, D, kernel)
+        k_yd = k_dd if D is Y else gram(Y, D, kernel, x_sq=y_sq)
         phases["gram_refresh"] += time.perf_counter() - t0
         if not (np.all(np.isfinite(k_dd)) and (k_yd is k_dd or np.all(np.isfinite(k_yd)))):
             raise FloatingPointError(f"kernel matrices for {kernel} are not finite {when}")
@@ -284,8 +290,8 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
         t0 = time.perf_counter()
         Z = kernel_omp_batch(k_yd, kyy, k_dd, A, cfg.sparsity, stats).matrix
         if update == "mixed":
-            X_code = omp_batch(D, Y, cfg.dl_sparsity,
-                               require_normalized=cfg.normalize_vectors, stats=stats)
+            X_code = omp_batch(D, Y, cfg.dl_sparsity, require_normalized=cfg.normalize_vectors,
+                               stats=stats, norms_sq=y_sq)
         phases["coding"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()

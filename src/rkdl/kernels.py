@@ -65,23 +65,41 @@ class KernelSpec:
         return cls(**{k: d[k] for k in ("family", "sigma", "denom_factor", "alpha", "beta") if k in d})
 
 
-def _sq_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def inner_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X^T Y, with the operand of fewer columns on the left of the product.
+
+    For a tall signal block Y (m x N) and a few vectors D (m x n), OpenBLAS
+    forms (D^T Y)^T in about half the time of Y^T D with the same numbers
+    (9 against 16 ms at m = 784, N = 8000, n = 50, 2 cores). The result may
+    be a transposed (F-ordered) view.
+    """
+    if Y.shape[1] < X.shape[1]:
+        return (Y.T @ X).T
+    return X.T @ Y
+
+
+def _sq_distances(X: np.ndarray, Y: np.ndarray, x_sq: np.ndarray | None = None) -> np.ndarray:
     """Pairwise squared distances between columns, clamped at 0.
 
-    Uses the expansion ||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y; round-off can
-    make the result slightly negative, hence the clamp. When both arguments
-    are the same data the diagonal is forced to exact zero.
+    Uses the expansion ||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y, assembled in
+    place on the product; round-off can make the result slightly negative,
+    hence the clamp. When both arguments are the same data the diagonal is
+    forced to exact zero. ``x_sq`` may supply the squared column norms of X.
     """
-    xx = np.einsum("ij,ij->j", X, X)
+    xx = np.einsum("ij,ij->j", X, X) if x_sq is None else x_sq
     yy = xx if Y is X else np.einsum("ij,ij->j", Y, Y)
-    sq = xx[:, None] + yy[None, :] - 2.0 * (X.T @ Y)
+    sq = inner_products(X, Y)
+    sq *= -2.0
+    sq += xx[:, None]
+    sq += yy[None, :]
     np.maximum(sq, 0.0, out=sq)
     if Y is X or (X.shape == Y.shape and np.array_equal(X, Y)):
         np.fill_diagonal(sq, 0.0)
     return sq
 
 
-def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> np.ndarray:
+def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
+         x_sq: np.ndarray | None = None) -> np.ndarray:
     """Gram matrix of kernel evaluations between the columns of X and Y.
 
     Parameters
@@ -89,10 +107,13 @@ def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> np.ndarray:
     X : (m, a) array
     Y : (m, b) array
     spec : KernelSpec
+    x_sq : (a,) array, optional
+        Squared column norms of X, for callers that hold them across calls
+        (the RBF kernel reads them; the others do not need them).
 
     Returns
     -------
-    (a, b) array with entry [i, j] = k(X[:, i], Y[:, j]).
+    C-contiguous (a, b) array with entry [i, j] = k(X[:, i], Y[:, j]).
     """
     X = np.asarray(X, dtype=float)
     Y = X if Y is X else np.asarray(Y, dtype=float)
@@ -100,11 +121,17 @@ def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec) -> np.ndarray:
         raise ValueError("gram expects 2-D column-major signal matrices")
     if X.shape[0] != Y.shape[0]:
         raise ValueError(f"row counts differ: {X.shape[0]} vs {Y.shape[0]}")
+    if spec.family == LINEAR:
+        return np.ascontiguousarray(inner_products(X, Y))
     if spec.family == RBF:
-        return np.exp(-_sq_distances(X, Y) / spec.rbf_scale)
-    if spec.family == POLYNOMIAL:
-        return (X.T @ Y + spec.alpha) ** spec.beta
-    return X.T @ Y
+        sq = _sq_distances(X, Y, x_sq)
+        sq /= -spec.rbf_scale
+        # rows of K_YD are gathered per atom, so the output is C-ordered
+        return np.exp(sq, out=sq if sq.flags.c_contiguous else np.empty(sq.shape))
+    out = np.empty((X.shape[1], Y.shape[1]))
+    np.add(inner_products(X, Y), spec.alpha, out=out)
+    out **= spec.beta
+    return out
 
 
 def self_kernel_diag(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
@@ -163,11 +190,11 @@ def dictionary_gradient(
         C = M * k_dd
         E = W * k_yd.T
         term_dd = (-4.0 / scale) * (D * C.sum(axis=1) - D @ C)
-        term_yd = (4.0 / scale) * (D * E.sum(axis=1) - Y @ E.T)
+        term_yd = (4.0 / scale) * (D * E.sum(axis=1) - inner_products(Y.T, E.T))
         return term_dd + term_yd
     if spec.family == POLYNOMIAL:
         b = spec.beta
         pd = (D.T @ D + spec.alpha) ** (b - 1)
-        py = (Y.T @ D + spec.alpha) ** (b - 1)
-        return 2.0 * b * (D @ (M * pd)) - 2.0 * b * (Y @ (W.T * py))
-    return 2.0 * (D @ M - Y @ W.T)
+        py = (inner_products(Y, D) + spec.alpha) ** (b - 1)
+        return 2.0 * b * (D @ (M * pd)) - 2.0 * b * inner_products(Y.T, W.T * py)
+    return 2.0 * (D @ M - inner_products(Y.T, W.T))

@@ -18,6 +18,13 @@ import numpy as np
 OMP_RESIDUAL_TOL = 1e-10
 KOMP_RESIDUAL_SQ_TOL = 1e-10
 
+# Both coders also stop a signal y at a pick whose gain, the drop in its
+# squared residual, is at most (OMP_GAIN_TOL ||y||)^2 through an unridged
+# pivot: such a pick is chosen by round-off. The residual floors cannot see
+# this, since norms_sq - y.y carries a cancellation error of a few 1e-15
+# norms_sq, above OMP_RESIDUAL_TOL**2 at any usual signal scale.
+OMP_GAIN_TOL = 1e-13
+
 # Near-singular picks in the batch coder: a squared Cholesky pivot at or
 # below PIVOT_TOL times the atom's squared norm is ridged with RIDGE.
 RIDGE = 1e-10
@@ -54,6 +61,10 @@ def _gram_omp_batch(G, proj, norms_sq, sparsity, stop_sq, stats, counter):
 
     ``G`` is the (n, n) atom Gram, ``proj`` the (N, n) atom/signal inner
     products, one row per signal, and ``norms_sq`` the signals' squared norms.
+    A signal stops once its squared residual falls below ``stop_sq`` or at a
+    pick whose gain is below ``OMP_GAIN_TOL`` (see there); that last pick
+    gets a zero coefficient.
+
     For a signal with support S, factor L of G[S, S] and y = L^-1 proj[S], a
     pick k appends the row w = L^-1 G[S, k] with pivot sqrt(G[k, k] - w.w)
     to L and (proj[k] - w.y) / pivot to y. The squared residual is then
@@ -79,6 +90,7 @@ def _gram_omp_batch(G, proj, norms_sq, sparsity, stop_sq, stats, counter):
     cols = np.flatnonzero(norms_sq >= stop_sq)
     P = proj if cols.size == N else proj[cols]
     res_sq = norms_sq[cols]
+    idle_sq = OMP_GAIN_TOL**2 * res_sq
     X = np.zeros((cols.size, n))                          # codes, one row per signal
     S = np.zeros((sparsity, cols.size), dtype=np.intp)    # supports in pick order
     L = np.zeros((sparsity, sparsity, cols.size))         # lower-triangular factors
@@ -110,19 +122,25 @@ def _gram_omp_batch(G, proj, norms_sq, sparsity, stop_sq, stats, counter):
             ridged += int(np.count_nonzero(weak))
         w[t] = np.sqrt(pivot_sq)
         y[t] = (P[at, k] - np.einsum("ij,ij->j", w[:t], y[:t])) / w[t]
-        res_sq -= y[t] ** 2
+        gain = y[t] ** 2
+        idle = gain <= idle_sq
+        if np.any(idle):
+            idle &= ~weak
+            y[t, idle] = gain[idle] = 0.0    # the back substitution keeps the last code
+        res_sq -= gain
         x = np.empty((t + 1, cols.size))
         for i in range(t, -1, -1):
             x[i] = (y[i] - np.einsum("ij,ij->j", L[i + 1:t + 1, i], x[i + 1:])) / L[i, i]
         X[at, S[:t + 1]] = x
-        done = (res_sq < stop_sq) | (t + 1 == sparsity)
+        done = (res_sq < stop_sq) | idle | (t + 1 == sparsity)
         if np.all(done) and cols.size == N:   # one transpose instead of a scatter
             matrix = np.ascontiguousarray(X.T)
             break
         if np.any(done):
             matrix[:, cols[done]] = X[done].T
             keep = ~done
-            cols, P, res_sq, X = cols[keep], P[keep], res_sq[keep], X[keep]
+            cols, P, X = cols[keep], P[keep], X[keep]
+            res_sq, idle_sq = res_sq[keep], idle_sq[keep]
             S, L, y, corr = S[:, keep], L[..., keep], y[:, keep], corr[keep]
     if ridged and stats is not None:
         stats[counter] = stats.get(counter, 0) + ridged
@@ -130,11 +148,13 @@ def _gram_omp_batch(G, proj, norms_sq, sparsity, stop_sq, stats, counter):
 
 
 def omp_batch(D: np.ndarray, Y: np.ndarray, sparsity: int, require_normalized: bool = True,
-              stats: dict | None = None) -> SparseCode:
+              stats: dict | None = None, norms_sq: np.ndarray | None = None) -> SparseCode:
     """OMP of every column of Y on the unit-norm atoms of D: up to ``sparsity``
     greedy picks by largest |d_j . r|, a least-squares refit after each, and
     an early stop once the residual norm drops below ``OMP_RESIDUAL_TOL``.
-    Near-singular picks are counted in ``stats["linear_ridge"]``."""
+    ``norms_sq`` may supply the signals' squared norms, for callers that code
+    the same Y repeatedly. Near-singular picks are counted in
+    ``stats["linear_ridge"]``."""
     D = np.asarray(D, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if D.shape[0] != Y.shape[0]:
@@ -143,7 +163,8 @@ def omp_batch(D: np.ndarray, Y: np.ndarray, sparsity: int, require_normalized: b
         _check_unit_columns(D)
     G = D.T @ D
     proj = (D.T @ Y).T
-    norms_sq = np.einsum("ij,ij->j", Y, Y)
+    if norms_sq is None:
+        norms_sq = np.einsum("ij,ij->j", Y, Y)
     return _gram_omp_batch(G, proj, norms_sq, sparsity, OMP_RESIDUAL_TOL**2, stats,
                            "linear_ridge")
 

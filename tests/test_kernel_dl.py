@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rkdl import kernel_dl
+from rkdl import kernel_dl, linear_dl
 from rkdl.datasets import synth
 from rkdl.kernel_dl import (
     METHODS,
@@ -464,6 +464,42 @@ def test_initial_gram_overflow_names_the_kernel():
                 rkdl_train(Y, vectors, spec, cfg)
         with pytest.raises(FloatingPointError, match="beta=400.*not finite at start-up"):
             kdl_train(Y, KernelSpec("polynomial", alpha=1.0, beta=400), cfg)
+
+
+def test_signal_norms_formed_once_reach_every_gram_and_code(monkeypatch):
+    # Y is fixed for a whole run: the trainers hand its squared norms to
+    # every cross Gram K_YD and every linear OMP call, and AK-SVD to every
+    # OMP call. The spies rebind the module attributes, as the benchmark's
+    # tracer does.
+    signals, _, _ = synth(10, 120, 8, 3, seed=7)
+    Y = signals.values
+    y_sq = np.einsum("ij,ij->j", Y, Y)
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, args, kwargs))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(linear_dl, "omp_batch", spy("aksvd", linear_dl.omp_batch))
+    monkeypatch.setattr(kernel_dl, "omp_batch", spy("mixed", kernel_dl.omp_batch))
+    monkeypatch.setattr(kernel_dl, "gram", spy("gram", kernel_dl.gram))
+    vectors = pretrained(Y, 8, 3, seed=2)
+    spec = KernelSpec("rbf", sigma=2.0)
+    cfg = KdlConfig(n_atoms=4, sparsity=2, iters=3, seed=3, grad_steps=2,
+                    learning_rate=1e-4, penalty=1.0, dl_sparsity=3)
+    for train in (rkdl_train, orkdl_train, morkdl_train):
+        train(Y, vectors, spec, cfg)
+
+    cross = [kwargs for name, args, kwargs in calls if name == "gram" and args[0] is Y]
+    codes = [kwargs for name, _, kwargs in calls if name != "gram"]
+    assert len(cross) == 1 + 7 + 7        # start-up, plus one per gradient step
+    assert [name for name, _, _ in calls if name != "gram"] == ["aksvd"] * 5 + ["mixed"] * 3
+    for kwargs in cross:
+        assert np.array_equal(kwargs["x_sq"], y_sq)
+    for kwargs in codes:
+        assert np.array_equal(kwargs["norms_sq"], y_sq)
 
 
 def test_method_table_matches_trainers(monkeypatch):

@@ -74,6 +74,29 @@ def test_gram_matches_entrywise_loop():
         np.testing.assert_allclose(K, expected, atol=1e-12)
 
 
+GRAM_SHAPES = {"a<b": (20, 90), "a>b": (90, 20), "a=b": (30, 30), "Y is X": (30, 30)}
+
+
+@pytest.mark.parametrize("shape", GRAM_SHAPES)
+@pytest.mark.parametrize("spec", [RBF, KernelSpec("polynomial", alpha=0.5, beta=3),
+                                  KernelSpec("linear")], ids=lambda spec: spec.family)
+def test_gram_matches_kernel_eval_in_both_product_orientations(spec, shape):
+    # a > b puts Y on the left of the BLAS product, a <= b puts X there; the
+    # optional squared norms of X give the same bits, and rows of the result
+    # are contiguous either way
+    a, b = GRAM_SHAPES[shape]
+    rng = np.random.default_rng(4)
+    X = 0.4 * rng.standard_normal((16, a))
+    Y = X if shape == "Y is X" else 0.4 * rng.standard_normal((16, b))
+    expected = np.array([[kernel_eval(X[:, i], Y[:, j], spec) for j in range(b)]
+                         for i in range(a)])
+    K = gram(X, Y, spec)
+    K_sq = gram(X, Y, spec, x_sq=np.einsum("ij,ij->j", X, X))
+    np.testing.assert_allclose(K, expected, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(K_sq, K)
+    assert K.flags.c_contiguous and K_sq.flags.c_contiguous
+
+
 def test_gram_row_count_mismatch():
     with pytest.raises(ValueError):
         gram(np.zeros((3, 2)), np.zeros((4, 2)), RBF)

@@ -106,6 +106,33 @@ def test_omp_batch_matches_per_signal():
         np.testing.assert_allclose(code.matrix[:, ell], x, atol=1e-9)
 
 
+def test_omp_batch_given_norms_is_bit_identical():
+    D = unit_dictionary(12, 20, 24)
+    rng = np.random.default_rng(25)
+    Y = rng.standard_normal((12, 300))
+    Y[:, :20] = 2.0 * D
+    norms_sq = np.einsum("ij,ij->j", Y, Y)
+    kept = norms_sq.copy()
+    code = omp_batch(D, Y, 4, norms_sq=norms_sq).matrix
+    assert np.array_equal(code, omp_batch(D, Y, 4).matrix)
+    assert np.array_equal(norms_sq, kept)   # callers reuse them for the next call
+
+
+@pytest.mark.parametrize("m, n", [(16, 8), (32, 16)])
+def test_omp_batch_returns_exact_supports_at_unit_scale(m, n):
+    # every atom at 2.5 and every atom pair at (1.5, -0.75) is fit exactly;
+    # a further pick would be chosen by round-off, since the squared residual
+    # then carries a cancellation error near 1e-15 ||y||^2
+    D = unit_dictionary(m, n, 0)
+    pairs = list(itertools.combinations(range(n), 2))
+    singles = [(j,) for j in range(n)]
+    Y2 = np.column_stack([1.5 * D[:, i] - 0.75 * D[:, j] for i, j in pairs])
+    for Y, supports in ((2.5 * D, singles), (Y2, pairs)):
+        code = omp_batch(D, Y, 5).matrix
+        assert [tuple(np.flatnonzero(col)) for col in code.T] == supports
+        np.testing.assert_allclose(D @ code, Y, atol=1e-12)
+
+
 def test_sparse_code_validate_rejects_overfull_column():
     matrix = np.zeros((5, 3))
     matrix[:2, 0] = [1.0, -1.0]
