@@ -104,18 +104,16 @@ class TrainTrace:
 
 def _chol_with_ridge(K: np.ndarray, stats: dict) -> tuple:
     """Cholesky factor of K, adding an escalating ridge if not numerically PD."""
-    try:
-        return scipy.linalg.cho_factor(K)
-    except scipy.linalg.LinAlgError:
-        pass
-    ridge = KDD_RIDGE
-    eye = np.eye(K.shape[0])
+    Kr = np.empty_like(K, order="F")    # LAPACK's order: every attempt factors Kr in place
+    ridge = 0.0
     while ridge <= 1e-2:
-        stats["kdd_ridge"] = stats.get("kdd_ridge", 0) + 1
+        Kr[...] = K
+        Kr.flat[:: K.shape[0] + 1] += ridge
         try:
-            return scipy.linalg.cho_factor(K + ridge * eye)
+            return scipy.linalg.cho_factor(Kr, overwrite_a=True)
         except scipy.linalg.LinAlgError:
-            ridge *= 100.0
+            ridge = max(100.0 * ridge, KDD_RIDGE)
+            stats["kdd_ridge"] = stats.get("kdd_ridge", 0) + 1
     raise np.linalg.LinAlgError("kernel-vector Gram is not positive definite even after ridging")
 
 
@@ -153,12 +151,14 @@ def rkdl_atom_sweep(k_dd: np.ndarray, k_yd: np.ndarray, A: np.ndarray, Z: np.nda
                     chol=None, stats: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One pass of sequential kernel-atom updates with code refits.
 
-    For each atom j (ascending), restricted to the signals whose code uses it:
-    the unconstrained optimum of the representation objective in a_j is
-    K_DD^{-1} K_DY z_j - R z_j (R being the reconstruction without atom j);
-    the atom is then Gram-normalized and its code row refit as
-    (K_YD - R^T K_DD) a_j on the same support. The running sum S = A Z is
-    maintained incrementally. Atoms used by no signal are left untouched.
+    For each atom j (ascending), restricted to the signals S whose code uses
+    it: the unconstrained optimum of the representation objective in a_j is
+    u = K_DD^{-1} K_DY z - R z, where z = Z[j, S] and R = A Z_S - a_j z^T is
+    the reconstruction without atom j; the atom becomes a = u / ||u||_K and
+    its code row is refit as K_YD[S] a - R^T K_DD a. R is never formed:
+    R z = A (Z_S z) - a_j (z.z) and R^T K a = Z_S^T (A^T K a) - z (a_j.K a),
+    with K a = K u / ||u||_K from the product that gives ||u||_K. Atoms used
+    by no signal are left untouched.
 
     Returns updated copies of (A, Z).
     """
@@ -174,26 +174,26 @@ def rkdl_atom_sweep(k_dd: np.ndarray, k_yd: np.ndarray, A: np.ndarray, Z: np.nda
     if chol is None:
         chol = _chol_with_ridge(k_dd, stats)
 
-    S = A @ Z
     for j in range(n_a):
         support = np.flatnonzero(Z[j])
         if support.size == 0:
             stats["unused_kernel_atom"] = stats.get("unused_kernel_atom", 0) + 1
             continue
-        z = Z[j, support]
-        R = S[:, support] - np.outer(A[:, j], z)
+        Z_S = Z[:, support]
+        z = Z_S[j]
         k_sd = k_yd[support]
-        u = scipy.linalg.cho_solve(chol, k_sd.T @ z, check_finite=False) - R @ z
-        norm_sq = float(u @ (k_dd @ u))
+        u = (scipy.linalg.cho_solve(chol, k_sd.T @ z, check_finite=False)
+             - A @ (Z_S @ z) + A[:, j] * (z @ z))
+        Ku = k_dd @ u
+        norm_sq = float(u @ Ku)
         if norm_sq <= 1e-24:
             stats["degenerate_kernel_atom"] = stats.get("degenerate_kernel_atom", 0) + 1
             continue
-        a = u / np.sqrt(norm_sq)
-        z_new = k_sd @ a - R.T @ (k_dd @ a)
+        a, Ka = u / np.sqrt(norm_sq), Ku / np.sqrt(norm_sq)
+        z_new = k_sd @ a - Z_S.T @ (A.T @ Ka) + z * (A[:, j] @ Ka)
         del k_sd   # not held into the next atom's gathers, which would raise the peak
         A[:, j] = a
         Z[j, support] = z_new
-        S[:, support] = R + np.outer(a, z_new)
     return A, Z
 
 

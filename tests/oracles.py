@@ -2,11 +2,14 @@
 
 The per-signal pursuits and kernel functions here are the contracts that the
 library's batch kernels (``omp_batch``, ``kernel_omp_batch``, ``gram``,
-``dictionary_gradient``) are checked against.
+``dictionary_gradient``) are checked against, and the running-sum atom sweep
+is the one the factored ``rkdl_atom_sweep`` is checked against.
 """
 
 import numpy as np
+import scipy.linalg
 
+from rkdl.kernel_dl import _chol_with_ridge
 from rkdl.kernels import POLYNOMIAL, RBF, KernelSpec, _check_shapes, _sq_distances
 from rkdl.sparse_coding import KOMP_RESIDUAL_SQ_TOL, OMP_RESIDUAL_TOL, RIDGE, _check_unit_columns
 
@@ -54,6 +57,53 @@ def aksvd_sweep_residual(Y, D, X):
         X[j, used_by] = x_new
         E[:, used_by] = F - np.outer(d, x_new)
     return tuple(counts)
+
+
+def rkdl_atom_sweep_running_sum(k_dd, k_yd, A, Z, chol=None, stats=None):
+    """Reference kernel atom sweep over an explicit running sum S = A Z.
+
+    For each atom j (ascending), restricted to the signals whose code uses it:
+    the unconstrained optimum of the representation objective in a_j is
+    K_DD^{-1} K_DY z_j - R z_j (R being the reconstruction without atom j);
+    the atom is then Gram-normalized and its code row refit as
+    (K_YD - R^T K_DD) a_j on the same support. The running sum S = A Z is
+    maintained incrementally. Atoms used by no signal are left untouched.
+
+    Returns updated copies of (A, Z).
+    """
+    k_dd = np.asarray(k_dd, dtype=float)
+    k_yd = np.asarray(k_yd, dtype=float)
+    A = np.array(A, dtype=float, copy=True)
+    Z = np.array(Z, dtype=float, copy=True)
+    n_d, n_a = A.shape
+    if k_yd.shape[1] != n_d or k_dd.shape != (n_d, n_d) or Z.shape[0] != n_a:
+        raise ValueError("Gram/coefficient/code shapes are inconsistent")
+    if stats is None:
+        stats = {}
+    if chol is None:
+        chol = _chol_with_ridge(k_dd, stats)
+
+    S = A @ Z
+    for j in range(n_a):
+        support = np.flatnonzero(Z[j])
+        if support.size == 0:
+            stats["unused_kernel_atom"] = stats.get("unused_kernel_atom", 0) + 1
+            continue
+        z = Z[j, support]
+        R = S[:, support] - np.outer(A[:, j], z)
+        k_sd = k_yd[support]
+        u = scipy.linalg.cho_solve(chol, k_sd.T @ z, check_finite=False) - R @ z
+        norm_sq = float(u @ (k_dd @ u))
+        if norm_sq <= 1e-24:
+            stats["degenerate_kernel_atom"] = stats.get("degenerate_kernel_atom", 0) + 1
+            continue
+        a = u / np.sqrt(norm_sq)
+        z_new = k_sd @ a - R.T @ (k_dd @ a)
+        del k_sd   # not held into the next atom's gathers, which would raise the peak
+        A[:, j] = a
+        Z[j, support] = z_new
+        S[:, support] = R + np.outer(a, z_new)
+    return A, Z
 
 
 def omp(D: np.ndarray, y: np.ndarray, sparsity: int, require_normalized: bool = True):

@@ -1,14 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import rkdl_atom_sweep_running_sum
 from rkdl import kernel_dl, linear_dl
 from rkdl.datasets import synth
 from rkdl.kernel_dl import (
+    KDD_RIDGE,
     METHODS,
     KdlConfig,
     KernelDictionary,
+    _chol_with_ridge,
     _linear_penalty_products,
     error_metric,
     kdl_train,
@@ -158,6 +164,110 @@ def test_sweep_single_atom_reaches_projection_residual():
         achieved = objective(y, D, A2, Z2, LINEAR)
         lstsq_residual = y[:, 0] - D @ np.linalg.lstsq(D, y[:, 0], rcond=None)[0]
         assert achieved == pytest.approx(lstsq_residual @ lstsq_residual, abs=1e-9)
+
+
+SWEEP_KERNELS = [LINEAR, KernelSpec("rbf", sigma=2.0), KernelSpec("polynomial", alpha=0.5, beta=3)]
+
+
+@st.composite
+def sweep_oracle_inputs(draw):
+    """(k_dd, k_yd, A, Z) for a sweep, ``k_yd is k_dd`` in the ``kdl`` shape.
+
+    The ``kdl`` shape has more signals than dimensions, so its linear Gram is
+    rank-deficient: its Cholesky factor is ridged, or unridged and
+    ill-conditioned. Duplicate signals get
+    bit-equal Gram rows. The planted degenerate atom 0 is used by one
+    duplicate pair only, with the same code elsewhere and opposite weights,
+    so its update direction u is zero.
+    """
+    spec = draw(st.sampled_from(SWEEP_KERNELS))
+    kdl_shape = draw(st.booleans())
+    m, N, n_a = draw(st.integers(2, 6)), draw(st.integers(8, 24)), draw(st.integers(1, 5))
+    n_d = N if kdl_shape else draw(st.integers(1, 8))
+    full = draw(st.booleans())
+    sparsity = n_a if full else draw(st.integers(1, n_a))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Y = rng.standard_normal((m, N))
+    D = Y if kdl_shape else rng.standard_normal((m, n_d))
+    k_dd = gram(D, D, spec)
+    k_yd = k_dd if kdl_shape else gram(Y, D, spec)
+    pairs = [(1, 0)] if draw(st.booleans()) else []
+    degenerate = n_a > 1 and draw(st.booleans())
+    if degenerate:
+        pairs.append((N - 1, N - 2))
+    for copy, source in pairs:
+        k_yd[copy] = k_yd[source]
+        if kdl_shape:
+            k_dd[:, copy] = k_dd[:, source]
+    A = rng.standard_normal((n_d, n_a))
+    A /= np.sqrt(np.maximum(np.einsum("ij,ij->j", A, k_dd @ A), 1e-3))
+    Z = np.zeros((n_a, N))
+    for ell in range(N):
+        support = rng.choice(n_a, size=sparsity, replace=False)
+        Z[support, ell] = rng.uniform(0.5, 2.0, sparsity) * rng.choice([-1.0, 1.0], sparsity)
+    for copy, source in pairs:
+        Z[:, copy] = Z[:, source]
+    if degenerate:
+        Z[0] = 0.0
+        Z[0, [N - 2, N - 1]] = [1.0, -1.0]
+    if n_a > 1 and draw(st.booleans()):
+        Z[-1] = 0.0
+    return k_dd, k_yd, A, Z
+
+
+@settings(max_examples=300)
+@given(sweep_oracle_inputs())
+def test_sweep_matches_running_sum_oracle(inputs):
+    k_dd, k_yd, A, Z = inputs
+    stats, expected_stats = {}, {}
+    A_ref, Z_ref = rkdl_atom_sweep_running_sum(k_dd, k_yd, A, Z, stats=expected_stats)
+    A2, Z2 = rkdl_atom_sweep(k_dd, k_yd, A, Z, stats=stats)
+    assert stats == expected_stats
+    assert np.linalg.norm(Z2 - Z_ref) <= 1e-10 * np.linalg.norm(Z_ref)
+    # the objective sees A only through K_DD A; where K_DD is numerically
+    # singular, the Cholesky solve sets A's null-space part from round-off,
+    # in the reference as much as in the factored sweep
+    assert np.linalg.norm(k_dd @ (A2 - A_ref)) <= 1e-10 * np.linalg.norm(k_dd @ A_ref)
+    if np.linalg.cond(k_dd) < 1e5:
+        assert np.linalg.norm(A2 - A_ref) <= 1e-10 * np.linalg.norm(A_ref)
+
+
+def test_sweep_peak_allocation_stays_below_half_an_n_by_n_array():
+    # kdl shape at N = 800, each atom used by about N/5 signals: the sweep
+    # builds no N x N array such as A Z and no N x |S| residual R; its
+    # largest allocation is the |S| x N gather of K's rows
+    rng = np.random.default_rng(0)
+    N, n_a = 800, 10
+    Y = rng.standard_normal((8, N))
+    k_dd = gram(Y, Y, KernelSpec("rbf", sigma=2.0))
+    chol = _chol_with_ridge(k_dd, {})
+    A = kernel_dl._init_coefficients(N, n_a, np.diag(k_dd).copy(), rng)
+    Z = np.zeros((n_a, N))
+    for ell in range(N):
+        Z[rng.choice(n_a, size=2, replace=False), ell] = rng.standard_normal(2)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rkdl_atom_sweep(k_dd, k_dd, A, Z, chol=chol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * k_dd.nbytes
+
+
+@pytest.mark.parametrize("m", [30, 5])
+def test_chol_ridge_matches_explicit_identity_ridge(m):
+    # m = 5 signals of 20 give a rank-deficient linear Gram, factored at the
+    # first ridge; m = 30 a positive definite one, factored unridged
+    Y = np.random.default_rng(m).standard_normal((m, 20))
+    K = gram(Y, Y, LINEAR)
+    stats: dict = {}
+    c, lower = _chol_with_ridge(K, stats)
+    ridge = KDD_RIDGE if m < 20 else 0.0
+    c_ref, lower_ref = scipy.linalg.cho_factor(K + ridge * np.eye(20))
+    assert lower == lower_ref
+    np.testing.assert_array_equal(c, c_ref)
+    assert stats == ({"kdd_ridge": 1} if m < 20 else {})
 
 
 # -------------------------------------------------------------------- trainers
