@@ -78,6 +78,7 @@ class MethodResult:
     seconds: list[float] = field(default_factory=list)
     pretrain_seconds: list[float] = field(default_factory=list)
     replaced_atoms: list[dict] = field(default_factory=list)  # per round, from the pretrain
+    pretrain_phase_seconds: list[dict] = field(default_factory=list)  # per round, likewise
     failed: str | None = None
 
     @property
@@ -172,6 +173,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> RunResult:
             if method in pretrained:
                 res.pretrain_seconds.append(pretrain_seconds)
                 res.replaced_atoms.append(vectors.meta["replaced_atoms"])
+                res.pretrain_phase_seconds.append(vectors.meta["phase_seconds"])
             res.traces.append(trace)
     return RunResult(config=cfg, methods=results)
 
@@ -188,7 +190,9 @@ def emit_outputs(result: RunResult, out_dir: str) -> dict[str, str]:
     mirrors the final-error and timing tables and holds each method's warning
     counters summed over rounds, and for the methods on pre-trained vectors the
     AK-SVD atoms re-seeded in pretraining (``replaced_atoms``), also summed
-    over rounds. Returns the file paths.
+    over rounds, and the mean seconds of the pretraining's ``coding`` and
+    ``sweep`` phases (``pretrain_phase_seconds_mean``). Returns the file
+    paths.
     """
     if not result.methods:
         raise ValueError("experiment result contains no methods")
@@ -235,6 +239,9 @@ def emit_outputs(result: RunResult, out_dir: str) -> dict[str, str]:
             )
             if res.pretrain_seconds:
                 entry["pretrain_seconds_mean"] = float(np.mean(res.pretrain_seconds))
+                entry["pretrain_phase_seconds_mean"] = {
+                    k: float(np.mean([p[k] for p in res.pretrain_phase_seconds]))
+                    for k in res.pretrain_phase_seconds[0]}
                 entry["replaced_atoms"] = {
                     kind: sum(r[kind] for r in res.replaced_atoms)
                     for kind in res.replaced_atoms[0]}

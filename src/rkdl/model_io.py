@@ -42,8 +42,9 @@ def save_model(path: str, kdict: KernelDictionary, method: str, config: dict,
             "total_seconds": trace.total_seconds,
         },
     }
+    # dumps runs the C encoder; dump streams through the pure-Python one
     with open(path, "w") as f:
-        json.dump(doc, f)
+        f.write(json.dumps(doc))
 
 
 def load_model(path: str) -> ModelBundle:

@@ -103,6 +103,22 @@ def test_summary_replaced_atoms_summed_over_rounds(tmp_path):
         assert summary["methods"][method]["replaced_atoms"] == expected
 
 
+def test_summary_pretrain_phases_are_round_means(tmp_path):
+    cfg = ExperimentConfig.from_dict(base_config(methods=["kdl", "rkdl-d", "orkdl-d"]))
+    result = run_experiment(cfg)
+    summary = json.load(open(emit_outputs(result, str(tmp_path))["summary"]))
+    assert "pretrain_phase_seconds_mean" not in summary["methods"]["kdl"]
+    for method in ("rkdl-d", "orkdl-d"):
+        rounds = result.methods[method].pretrain_phase_seconds
+        assert len(rounds) == cfg.rounds
+        for phases, total in zip(rounds, result.methods[method].pretrain_seconds):
+            assert sum(phases.values()) <= total
+        means = summary["methods"][method]["pretrain_phase_seconds_mean"]
+        assert set(means) == {"coding", "sweep"}
+        for phase, mean in means.items():
+            assert mean == float(np.mean([r[phase] for r in rounds])) > 0.0
+
+
 def test_reruns_are_bit_identical(tmp_path):
     cfg = ExperimentConfig.from_dict(base_config())
     emit_outputs(run_experiment(cfg), str(tmp_path / "a"))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,51 @@ def test_sweep_matches_residual_oracle(inputs):
     assert _aksvd_sweep(Y, D, X) == expected
     np.testing.assert_allclose(D, D_ref, rtol=0, atol=1e-10)
     np.testing.assert_allclose(X, X_ref, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=200)
+@given(sweep_inputs())
+def test_sweep_matches_residual_oracle_on_signal_major_y(inputs):
+    # aksvd_train hands the sweep an F-ordered Y, whose signals are
+    # contiguous rows of Y^T
+    Y, D, X = inputs
+    Y = np.asfortranarray(Y)
+    D_ref, X_ref = D.copy(), X.copy()
+    expected = aksvd_sweep_residual(Y, D_ref, X_ref)
+    assert _aksvd_sweep(Y, D, X) == expected
+    np.testing.assert_allclose(D, D_ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(X, X_ref, rtol=0, atol=1e-10)
+
+
+def test_reseeding_sweep_allocates_no_signal_sized_array():
+    # the re-seed ranks residuals in factored form and the refit gathers
+    # blocks of an atom's signals, so no m x N array is formed
+    rng = np.random.default_rng(8)
+    m, N, n = 400, 2000, 10
+    Y = np.asfortranarray(rng.standard_normal((m, N)))
+    D = rng.standard_normal((m, n))
+    D /= np.linalg.norm(D, axis=0)
+    X = np.zeros((n, N))
+    for ell in range(N):
+        X[rng.choice(n, size=2, replace=False), ell] = rng.standard_normal(2)
+    X[0] = 0.0
+    tracemalloc.start()
+    try:
+        assert _aksvd_sweep(Y, D, X) == (1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * Y.nbytes
+
+
+def test_pretraining_phases_in_meta():
+    signals, _, _ = synth(12, 150, 10, 3, seed=5)
+    dictionary, _ = aksvd_train(signals.values, DLConfig(n_atoms=10, sparsity=3, iters=4, seed=4))
+    phases = dictionary.meta["phase_seconds"]
+    assert set(phases) == {"coding", "sweep"}
+    assert all(v > 0.0 for v in phases.values())
+    idle, _ = aksvd_train(signals.values, DLConfig(n_atoms=10, sparsity=3, iters=0, seed=4))
+    assert idle.meta["phase_seconds"]["sweep"] == 0.0
 
 
 def test_sweep_counts_planted_degenerate_atom():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,21 @@ def test_model_round_trip(tmp_path):
     assert bundle.config == {"sparsity": 2}
     assert bundle.trace.errors == trace.errors
     assert bundle.trace.total_seconds == trace.total_seconds
+
+
+def test_saved_bytes_are_the_json_text_and_arrays_round_trip(tmp_path):
+    kdict, trace = trained_model()
+    kdict.coefficients[0, 0] = np.nan
+    kdict.coefficients[1, 0] = -0.0
+    kdict.coefficients[2, 0] = 1e-300
+    path = tmp_path / "model.json"
+    save_model(str(path), kdict, "rkdl-d", config={"sparsity": 2}, trace=trace)
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text))   # compact, as the C encoder writes it
+    bundle = load_model(str(path))
+    np.testing.assert_array_equal(bundle.kdict.coefficients, kdict.coefficients)
+    assert np.signbit(bundle.kdict.coefficients[1, 0])
+    np.testing.assert_array_equal(bundle.kdict.vectors.atoms, kdict.vectors.atoms)
 
 
 def test_model_without_trace(tmp_path):

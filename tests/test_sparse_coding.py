@@ -118,6 +118,17 @@ def test_omp_batch_given_norms_is_bit_identical():
     assert np.array_equal(norms_sq, kept)   # callers reuse them for the next call
 
 
+def test_omp_batch_codes_f_ordered_signals_bit_identically():
+    # aksvd_train codes an F-ordered copy of Y with the norms of the input
+    D = unit_dictionary(64, 30, 26)
+    rng = np.random.default_rng(27)
+    Y = rng.standard_normal((64, 500))
+    Y[:, :30] = 2.0 * D
+    norms_sq = np.einsum("ij,ij->j", Y, Y)
+    code = omp_batch(D, Y, 5, norms_sq=norms_sq).matrix
+    assert np.array_equal(omp_batch(D, np.asfortranarray(Y), 5, norms_sq=norms_sq).matrix, code)
+
+
 @pytest.mark.parametrize("m, n", [(16, 8), (32, 16)])
 def test_omp_batch_returns_exact_supports_at_unit_scale(m, n):
     # every atom at 2.5 and every atom pair at (1.5, -0.75) is fit exactly;
