@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from .kernels import KernelSpec, dictionary_gradient, gram, inner_products, self_kernel_diag
-from .linear_dl import Dictionary
+from .linear_dl import Dictionary, atom_sweep
 from .sparse_coding import SparseCode, kernel_omp_batch, omp_batch
 
 KDD_RIDGE = 1e-10
@@ -149,16 +149,11 @@ def error_metric(Y: np.ndarray, kdict: KernelDictionary, Z) -> float:
 
 def rkdl_atom_sweep(k_dd: np.ndarray, k_yd: np.ndarray, A: np.ndarray, Z: np.ndarray,
                     chol=None, stats: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One pass of sequential kernel-atom updates with code refits.
+    """``linear_dl.atom_sweep`` on the kernel vectors' Gram, with a Cholesky
+    solve (``chol``, factored here when not given), on copies of A and Z.
 
-    For each atom j (ascending), restricted to the signals S whose code uses
-    it: the unconstrained optimum of the representation objective in a_j is
-    u = K_DD^{-1} K_DY z - R z, where z = Z[j, S] and R = A Z_S - a_j z^T is
-    the reconstruction without atom j; the atom becomes a = u / ||u||_K and
-    its code row is refit as K_YD[S] a - R^T K_DD a. R is never formed:
-    R z = A (Z_S z) - a_j (z.z) and R^T K a = Z_S^T (A^T K a) - z (a_j.K a),
-    with K a = K u / ||u||_K from the product that gives ||u||_K. Atoms used
-    by no signal are left untouched.
+    Unused and degenerate atoms are left untouched and counted in
+    ``stats["unused_kernel_atom"]`` and ``stats["degenerate_kernel_atom"]``.
 
     Returns updated copies of (A, Z).
     """
@@ -174,26 +169,11 @@ def rkdl_atom_sweep(k_dd: np.ndarray, k_yd: np.ndarray, A: np.ndarray, Z: np.nda
     if chol is None:
         chol = _chol_with_ridge(k_dd, stats)
 
-    for j in range(n_a):
-        support = np.flatnonzero(Z[j])
-        if support.size == 0:
-            stats["unused_kernel_atom"] = stats.get("unused_kernel_atom", 0) + 1
-            continue
-        Z_S = Z[:, support]
-        z = Z_S[j]
-        k_sd = k_yd[support]
-        u = (scipy.linalg.cho_solve(chol, k_sd.T @ z, check_finite=False)
-             - A @ (Z_S @ z) + A[:, j] * (z @ z))
-        Ku = k_dd @ u
-        norm_sq = float(u @ Ku)
-        if norm_sq <= 1e-24:
-            stats["degenerate_kernel_atom"] = stats.get("degenerate_kernel_atom", 0) + 1
-            continue
-        a, Ka = u / np.sqrt(norm_sq), Ku / np.sqrt(norm_sq)
-        z_new = k_sd @ a - Z_S.T @ (A.T @ Ka) + z * (A[:, j] @ Ka)
-        del k_sd   # not held into the next atom's gathers, which would raise the peak
-        A[:, j] = a
-        Z[j, support] = z_new
+    counts = atom_sweep(k_yd, A, Z, k_dd=k_dd,
+                        solve=lambda v: scipy.linalg.cho_solve(chol, v, check_finite=False))
+    for key, count in zip(("unused_kernel_atom", "degenerate_kernel_atom"), counts):
+        if count:
+            stats[key] = stats.get(key, 0) + count
     return A, Z
 
 

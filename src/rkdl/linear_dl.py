@@ -60,7 +60,7 @@ def init_dictionary(Y: np.ndarray, n_atoms: int, seed: int) -> Dictionary:
     if N < n_atoms:
         raise ValueError(f"cannot draw {n_atoms} atoms from {N} signals")
     rng = np.random.default_rng(seed)
-    norms = np.linalg.norm(Y, axis=0)
+    norms = np.sqrt(np.einsum("ij,ij->j", Y, Y))    # no m x N temporary, unlike norm(axis=0)
     candidates = np.flatnonzero(norms > 0)
     if candidates.size < n_atoms:
         raise ValueError("not enough nonzero signals to initialize the dictionary")
@@ -99,78 +99,100 @@ def _reseed_atom(Y, D, XT, norms_sq, used: set) -> np.ndarray:
 GATHER_BYTES = 1 << 19
 
 
-def _gathered_dot(YT: np.ndarray, rows: np.ndarray, d: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """``YT[rows] @ d``, gathering the rows block by block into ``block``."""
+def _gathered_dot(M: np.ndarray, rows: np.ndarray, d: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``M[rows] @ d``, gathering the rows block by block into ``block``."""
     out = np.empty(rows.size)
     step = block.shape[0]
     for a in range(0, rows.size, step):
         part = block[:min(step, rows.size - a)]
-        np.take(YT, rows[a:a + step], axis=0, out=part, mode="clip")
+        np.take(M, rows[a:a + step], axis=0, out=part, mode="clip")
         np.matmul(part, d, out=out[a:a + part.shape[0]])
     return out
 
 
+def atom_sweep(k_yd: np.ndarray, A: np.ndarray, Z: np.ndarray, solve=None,
+               k_dd: np.ndarray | None = None, reseed=None) -> tuple[int, int]:
+    """One approximate K-SVD pass over the atoms in ascending order, in place
+    on A and Z.
+
+    Atom j is phi(D) a_j over n_d vectors D with Gram K = K_DD; ``k_yd`` is
+    K_YD, signal-major (N x n_d). On the signals S that use atom j, with
+    z = Z[j, S], the atom and its code row become
+
+        u     = K^-1 K_DY z - A (Z_S z) + a_j (z.z),   a = u / ||u||_K
+        z_new = K_YD[S] a - Z_S^T (A^T K a) + z (a_j.K a)
+
+    that is, the residual without atom j is read off A and Z, never formed.
+    The formula has three solves K^-1, one per vector source:
+      * pre-trained vectors: a Cholesky solve (``solve``), with ``k_dd`` for
+        the products K u;
+      * D = Y: z scattered onto S (not used yet: ``kdl`` takes the Cholesky
+        solve);
+      * linear AK-SVD: the identity, with ``k_yd`` = Y^T and A the dictionary
+        itself. ``solve`` and ``k_dd`` are then None: no solve, no K u.
+
+    K_DY Z^T is formed once per sweep: row j of Z changes only at atom j's
+    own turn, so its column j is exact when it is read. For the same reason
+    every atom's support is found once per sweep. Z_S is gathered from a
+    signal-major copy of Z kept in step with Z, and K_YD[S] a from the |S|
+    rows of ``k_yd``, block by block.
+
+    An atom used by no signal (unused), or with ||u||_K^2 <= 1e-24
+    (degenerate), is counted. With ``reseed`` it becomes ``reseed(ZT)``, ZT
+    the signal-major code, and a degenerate atom's code row is cleared;
+    without, it is left untouched.
+
+    Returns the counts of (unused, degenerate) atoms.
+    """
+    unused = degenerate = 0
+    Q = inner_products(k_yd, Z.T)
+    ZT = Z.T.copy()
+    atoms, signals = np.nonzero(Z)
+    bounds = np.searchsorted(atoms, np.arange(A.shape[1] + 1))
+    width = k_yd.shape[1]
+    block = np.empty((max(1, min(np.diff(bounds).max(), GATHER_BYTES // (8 * width))), width))
+    for j in range(A.shape[1]):
+        support = signals[bounds[j]:bounds[j + 1]]
+        if support.size == 0:
+            unused += 1
+            if reseed is not None:
+                A[:, j] = reseed(ZT)
+            continue
+        z = Z[j, support]
+        Z_S = ZT[support]
+        a_j = A[:, j]
+        u = (Q[:, j] if solve is None else solve(Q[:, j])) - A @ (z @ Z_S) + a_j * (z @ z)
+        Ku = u if k_dd is None else k_dd @ u
+        norm_sq = float(u @ Ku)
+        if norm_sq <= 1e-24:
+            degenerate += 1
+            if reseed is not None:
+                A[:, j] = reseed(ZT)
+                Z[j, support] = ZT[support, j] = 0.0
+            continue
+        norm = np.sqrt(norm_sq)
+        a = u / norm
+        Ka = a if k_dd is None else Ku / norm
+        Z[j, support] = ZT[support, j] = (_gathered_dot(k_yd, support, a, block)
+                                          - Z_S @ (A.T @ Ka) + z * (a_j @ Ka))
+        A[:, j] = a
+    return unused, degenerate
+
+
 def _aksvd_sweep(Y: np.ndarray, D: np.ndarray, X: np.ndarray,
                  norms_sq: np.ndarray | None = None) -> tuple[int, int]:
-    """One AK-SVD pass over the atoms in ascending order, in place on D and X.
+    """``atom_sweep`` on the identity Gram, in place on D and X.
 
-    For atom j on its support S, with x = X[j, S] and the residual
-    E = Y - D X, the approximate K-SVD update is d = F x / ||F x|| and
-    x_new = F^T d with F = E_S + d_j x^T. Neither E nor F is formed; both
-    products are expanded against the current D and X:
-
-        u     = Y_S x - D (X_S x) + d_j (x.x)
-        x_new = Y_S^T d - X_S^T (D^T d) + x (d_j.d)
-
-    Y_S x is column j of Y X^T, formed once per sweep: row j of X changes
-    only at atom j's own turn, so that column is exact when it is read. For
-    the same reason every atom's support is found once per sweep. The sweep
-    reads Y signal-major: Y_S^T d is a product with the |S| rows ``Y.T[S]``,
-    gathered block by block (``_gathered_dot``), instead of a pass over all
-    of Y. Those rows are contiguous when Y is F-ordered, as ``aksvd_train``
-    passes it; a C-ordered Y gives the same numbers to round-off, slower.
-    X_S is gathered from a signal-major copy of X made once per sweep and
-    kept in step with X.
-
-    An atom used by no signal, or whose u vanishes (degenerate), is re-seeded
-    from the currently worst-represented nonzero signal; a degenerate atom's
-    code row is then cleared. The residuals are ranked in factored form from
-    ``norms_sq``, the signals' squared norms (formed here when not given).
-
-    Returns the number of atoms re-seeded as (unused, degenerate).
+    Its signal rows are those of Y^T, contiguous when Y is F-ordered; a
+    C-ordered Y gives the same numbers, slower. Unused and degenerate atoms
+    are re-seeded from the currently worst-represented nonzero signal, ranked
+    in factored form from ``norms_sq``, the signals' squared norms (formed
+    here when not given). Returns the re-seed counts as (unused, degenerate).
     """
     if norms_sq is None:
         norms_sq = np.einsum("ij,ij->j", Y, Y)
     replaced: set = set()
-    unused = degenerate = 0
-    YXt = inner_products(Y.T, X.T)
-    XT = X.T.copy()
-    atoms, signals = np.nonzero(X)
-    bounds = np.searchsorted(atoms, np.arange(D.shape[1] + 1))
-    m = Y.shape[0]
-    block = np.empty((max(1, min(np.diff(bounds).max(), GATHER_BYTES // (8 * m))), m))
-    YT = Y.T
-    for j in range(D.shape[1]):
-        used_by = signals[bounds[j]:bounds[j + 1]]
-        if used_by.size == 0:
-            unused += 1
-            D[:, j] = _reseed_atom(Y, D, XT, norms_sq, replaced)
-            continue
-        x = X[j, used_by]
-        X_S = XT[used_by]
-        d_j = D[:, j]
-        u = YXt[:, j] - D @ (x @ X_S) + d_j * (x @ x)
-        norm = np.linalg.norm(u)
-        if norm < 1e-14:
-            degenerate += 1
-            D[:, j] = _reseed_atom(Y, D, XT, norms_sq, replaced)
-            X[j, used_by] = XT[used_by, j] = 0.0
-            continue
-        d = u / norm
-        x_new = _gathered_dot(YT, used_by, d, block) - X_S @ (D.T @ d) + x * (d_j @ d)
-        X[j, used_by] = XT[used_by, j] = x_new
-        D[:, j] = d
-    return unused, degenerate
+    return atom_sweep(Y.T, D, X, reseed=lambda XT: _reseed_atom(Y, D, XT, norms_sq, replaced))
 
 
 def aksvd_train(Y: np.ndarray, cfg: DLConfig, D_init: Dictionary | None = None,
@@ -178,17 +200,10 @@ def aksvd_train(Y: np.ndarray, cfg: DLConfig, D_init: Dictionary | None = None,
     """Train a linear dictionary with alternating OMP / AK-SVD sweeps.
 
     Each iteration recodes all signals with OMP, then runs one approximate
-    K-SVD sweep (``_aksvd_sweep``): atom j becomes the normalized residual
-    product F x_j and its code row is refit as F^T d_j on its support, with
-    F the residual over the signals using atom j plus atom j's own
-    contribution. The sweep works in factored form from Y, D and X and never
-    builds the m x N residual or F. Unused and degenerate atoms are re-seeded
-    from the currently worst-represented signal; ``meta["replaced_atoms"]``
-    counts them over all iterations as ``{"unused": u, "degenerate": g}``.
-
-    Y is taken F-ordered once per run (a copy unless it already is), so the
-    sweep gathers each atom's signals as contiguous rows of Y^T; the squared
-    signal norms are formed once and serve every OMP call and every re-seed.
+    K-SVD sweep (``_aksvd_sweep``). Y is taken F-ordered once per run (a copy
+    unless it already is), and its squared norms are formed once and serve
+    every OMP call and every re-seed. ``meta["replaced_atoms"]`` counts the
+    re-seeded atoms over all iterations as ``{"unused": u, "degenerate": g}``;
     ``meta["phase_seconds"]`` holds the seconds spent in OMP (``coding``) and
     in the sweeps, re-seeds included (``sweep``).
 

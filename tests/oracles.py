@@ -2,8 +2,11 @@
 
 The per-signal pursuits and kernel functions here are the contracts that the
 library's batch kernels (``omp_batch``, ``kernel_omp_batch``, ``gram``,
-``dictionary_gradient``) are checked against, and the running-sum atom sweep
-is the one the factored ``rkdl_atom_sweep`` is checked against.
+``dictionary_gradient``) are checked against. The two explicit atom sweeps,
+over a residual E = Y - D X and over a running sum S = A Z, are the
+references for the one factored sweep, ``linear_dl.atom_sweep``, on the
+identity Gram (``_aksvd_sweep``, and ``rkdl_atom_sweep`` on K_DD = I) and on
+a kernel Gram (``rkdl_atom_sweep``).
 """
 
 import numpy as np

@@ -234,8 +234,8 @@ def test_sweep_matches_running_sum_oracle(inputs):
 
 def test_sweep_peak_allocation_stays_below_half_an_n_by_n_array():
     # kdl shape at N = 800, each atom used by about N/5 signals: the sweep
-    # builds no N x N array such as A Z and no N x |S| residual R; its
-    # largest allocation is the |S| x N gather of K's rows
+    # builds no N x N array such as A Z and no N x |S| residual R, and
+    # gathers K's rows in fixed-size blocks
     rng = np.random.default_rng(0)
     N, n_a = 800, 10
     Y = rng.standard_normal((8, N))
@@ -253,6 +253,55 @@ def test_sweep_peak_allocation_stays_below_half_an_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * k_dd.nbytes
+
+
+def test_kdl_sweep_peak_allocation_stays_below_a_tenth_of_an_n_by_n_array():
+    # kdl shape at N = 2000, n_a = 20, sparsity 4, so each atom is used by
+    # about N/5 signals: K's rows are gathered in fixed-size blocks, so the
+    # peak is copies of A and Z plus N x n_a products, not |S| x N rows
+    rng = np.random.default_rng(1)
+    N, n_a = 2000, 20
+    Y = rng.standard_normal((8, N))
+    k_dd = gram(Y, Y, KernelSpec("rbf", sigma=2.0))
+    chol = _chol_with_ridge(k_dd, {})
+    A = kernel_dl._init_coefficients(N, n_a, np.diag(k_dd).copy(), rng)
+    Z = np.zeros((n_a, N))
+    for ell in range(N):
+        Z[rng.choice(n_a, size=4, replace=False), ell] = rng.standard_normal(4)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        rkdl_atom_sweep(k_dd, k_dd, A, Z, chol=chol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * k_dd.nbytes
+
+
+def test_train_reaches_the_sweep_through_its_module_binding(monkeypatch):
+    # the benchmark's tracer rebinds kernel_dl.rkdl_atom_sweep for its
+    # per-layer span, so every trainer must call the sweep through it
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return rkdl_atom_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(kernel_dl, "rkdl_atom_sweep", spy)
+    signals, _, _ = synth(10, 60, 8, 3, seed=7)
+    Y = signals.values
+    vectors = pretrained(Y, 8, 3, seed=2)
+    spec = KernelSpec("rbf", sigma=2.0)
+    cfg = KdlConfig(n_atoms=4, sparsity=2, iters=3, seed=3, grad_steps=1,
+                    learning_rate=1e-4, dl_sparsity=3)
+    for method, table in METHODS.items():
+        calls.clear()
+        trainer = getattr(kernel_dl, table.trainer)
+        if table.vectors == "signals":
+            trainer(Y, spec, cfg)
+        else:
+            trainer(Y, vectors, spec, cfg)
+        assert len(calls) == cfg.iters, method
 
 
 @pytest.mark.parametrize("m", [30, 5])

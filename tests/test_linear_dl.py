@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import aksvd_sweep_residual
 from rkdl.datasets import synth
+from rkdl.kernel_dl import rkdl_atom_sweep
 from rkdl.linear_dl import Dictionary, DLConfig, _aksvd_sweep, aksvd_train, init_dictionary
 from rkdl.sparse_coding import omp_batch
 
@@ -203,6 +204,32 @@ def test_sweep_matches_residual_oracle_on_signal_major_y(inputs):
     assert _aksvd_sweep(Y, D, X) == expected
     np.testing.assert_allclose(D, D_ref, rtol=0, atol=1e-10)
     np.testing.assert_allclose(X, X_ref, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=200)
+@given(sweep_inputs())
+def test_kernel_sweep_on_identity_gram_is_the_aksvd_sweep(inputs):
+    # one formula, different solves: the kernel sweep over the m coordinate
+    # vectors (K_DD = I, K_YD = Y^T, A = D) is the AK-SVD sweep; the kernel
+    # sweep re-seeds nothing, so draws with unused or degenerate atoms are out
+    Y, D, X = inputs
+    D_ref, X_ref = D.copy(), X.copy()
+    assume(aksvd_sweep_residual(Y, D_ref, X_ref) == (0, 0))
+    D2, X2 = rkdl_atom_sweep(np.eye(Y.shape[0]), Y.T, D, X)
+    np.testing.assert_allclose(D2, D_ref, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(X2, X_ref, rtol=0, atol=1e-10)
+
+
+def test_init_dictionary_allocates_no_signal_sized_array():
+    rng = np.random.default_rng(9)
+    Y = rng.standard_normal((400, 2000))
+    tracemalloc.start()
+    try:
+        init_dictionary(Y, 10, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * Y.nbytes
 
 
 def test_reseeding_sweep_allocates_no_signal_sized_array():
