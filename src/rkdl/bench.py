@@ -15,7 +15,7 @@ import numpy as np
 from . import kernel_dl
 from .datasets import DatasetSpec, load_dataset
 from .kernel_dl import METHODS, KdlConfig, TrainTrace
-from .kernels import KernelSpec
+from .kernels import KernelSpec, from_fields
 from .linear_dl import Dictionary, DLConfig, aksvd_train
 
 
@@ -31,6 +31,9 @@ class ExperimentConfig:
     max_gram_signals: int = 20000
 
     def __post_init__(self):
+        for name in ("rounds", "base_seed", "max_gram_signals"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if not self.methods:
@@ -41,18 +44,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        kd = dict(d.get("kernel_dl", {}))
-        ld = dict(d.get("linear_dl", {}))
-        return cls(
-            dataset=DatasetSpec.from_dict(d["dataset"]),
-            methods=list(d.get("methods", list(METHODS))),
-            kernel=KernelSpec.from_dict(d.get("kernel", {})),
-            kernel_dl=KdlConfig(**kd),
-            linear_dl=DLConfig(**ld),
-            rounds=int(d.get("rounds", 10)),
-            base_seed=int(d.get("base_seed", 0)),
-            max_gram_signals=int(d.get("max_gram_signals", 20000)),
-        )
+        """Each block read by ``from_fields``; ``methods`` defaults to all, ``kernel`` to {}."""
+        return from_fields(cls, {"methods": list(METHODS), "kernel": {}, **d}, "config",
+                           dataset=DatasetSpec.from_dict, kernel=KernelSpec.from_dict,
+                           kernel_dl=lambda b: from_fields(KdlConfig, b, "kernel_dl"),
+                           linear_dl=lambda b: from_fields(DLConfig, b, "linear_dl"))
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -60,16 +56,8 @@ class ExperimentConfig:
             return cls.from_dict(json.load(f))
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset.to_dict(),
-            "methods": list(self.methods),
-            "kernel": self.kernel.to_dict(),
-            "kernel_dl": dataclasses.asdict(self.kernel_dl),
-            "linear_dl": dataclasses.asdict(self.linear_dl),
-            "rounds": self.rounds,
-            "base_seed": self.base_seed,
-            "max_gram_signals": self.max_gram_signals,
-        }
+        # the dataset block holds only the fields its source reads
+        return {**dataclasses.asdict(self), "dataset": self.dataset.to_dict()}
 
 
 @dataclass

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import from_fields
 from .linear_dl import Dictionary
 from .sparse_coding import SparseCode
 
@@ -252,11 +253,7 @@ class DatasetSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown dataset fields: {sorted(unknown)}")
-        return cls(**d)
+        return from_fields(cls, d, "dataset")
 
 
 def load_dataset(spec: DatasetSpec) -> SignalMatrix:

@@ -262,9 +262,8 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
     Z = np.zeros((cfg.n_atoms, N))
     X_code = None
 
-    t0 = time.perf_counter()
-    errors = [_trace_error(kyy_sum, k_yd, k_dd, A, Z, m, N, stats)]
-    phases["error_eval"] += time.perf_counter() - t0
+    # the empty code's error: its two trace terms are 0, so take them over no atoms
+    errors = [_trace_error(kyy_sum, k_yd, k_dd, A[:, :0], Z[:0], m, N, stats)]
 
     for it in range(cfg.iters):
         t0 = time.perf_counter()
@@ -284,6 +283,9 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
                 YXt, XXt = _linear_penalty_products(Y, X_code.matrix)
             phases["gradient"] += time.perf_counter() - t0
             for step in range(cfg.grad_steps):
+                if step > 0:
+                    k_dd, k_yd = grams(D, f"after a gradient step at iteration {it}; "
+                                          f"{smaller_step}")
                 t0 = time.perf_counter()
                 G = dictionary_gradient(Y, D, A, Z, kernel, k_yd=k_yd, k_dd=k_dd)
                 if penalized:
@@ -293,10 +295,6 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
                         f"non-finite kernel-vector gradient at iteration {it}; {smaller_step}")
                 D = D - cfg.learning_rate * G
                 phases["gradient"] += time.perf_counter() - t0
-                # the renormalization below replaces the last step's Grams unread
-                if step < cfg.grad_steps - 1 or not renormalize:
-                    k_dd, k_yd = grams(D, f"after a gradient step at iteration {it}; "
-                                          f"{smaller_step}")
             if renormalize:
                 t0 = time.perf_counter()
                 norms = np.linalg.norm(D, axis=0)
@@ -305,7 +303,8 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
                     norms = np.maximum(norms, 1e-14)
                 D = D / norms
                 phases["gradient"] += time.perf_counter() - t0
-                k_dd, k_yd = grams(D, f"after renormalizing D at iteration {it}; {smaller_step}")
+            last = "renormalizing D" if renormalize else "a gradient step"
+            k_dd, k_yd = grams(D, f"after {last} at iteration {it}; {smaller_step}")
             t0 = time.perf_counter()
             chol = _chol_with_ridge(k_dd, stats)
             phases["factor"] += time.perf_counter() - t0

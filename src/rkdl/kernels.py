@@ -7,6 +7,7 @@ signal per column, and the Gram matrix of two sets X, Y has entry
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,17 +53,26 @@ class KernelSpec:
         return self.denom_factor * self.sigma**2
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "sigma": self.sigma,
-            "denom_factor": self.denom_factor,
-            "alpha": self.alpha,
-            "beta": self.beta,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSpec":
-        return cls(**{k: d[k] for k in ("family", "sigma", "denom_factor", "alpha", "beta") if k in d})
+        return from_fields(cls, d, "kernel")
+
+
+def from_fields(cls, d: dict, block: str, **readers):
+    """The config dataclass ``cls`` from the dict ``d`` of its fields, each built by
+    ``readers[field]`` when given. Unknown keys and missing required fields are
+    a ValueError that names them and the config ``block``."""
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(d) - {f.name for f in fields})
+    if unknown:
+        raise ValueError(f"unknown {block} fields: {unknown}")
+    missing = [f.name for f in fields if f.name not in d and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"missing {block} fields: {missing}")
+    return cls(**{k: readers[k](v) if k in readers else v for k, v in d.items()})
 
 
 def inner_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

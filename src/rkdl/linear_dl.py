@@ -211,17 +211,16 @@ def aksvd_train(Y: np.ndarray, cfg: DLConfig, D_init: Dictionary | None = None,
     pass (updated in place by the atom sweeps).
     """
     Y = np.asarray(Y, dtype=float)
-    m, N = Y.shape
-    if N < cfg.n_atoms:
-        raise ValueError(f"need at least {cfg.n_atoms} signals, got {N}")
-    if not np.any(Y):
-        raise ValueError("training signals are all zero")
-    if cfg.sparsity > m:
+    norms_sq = np.einsum("ij,ij->j", Y, Y)
+    # one sweep re-seeds at most n_atoms atoms, each from a distinct nonzero signal
+    nonzero = int(np.count_nonzero(norms_sq))
+    if nonzero < cfg.n_atoms:
+        raise ValueError(f"need at least n_atoms = {cfg.n_atoms} nonzero signals, got {nonzero}")
+    if cfg.sparsity > Y.shape[0]:
         raise ValueError("sparsity cannot exceed the signal dimension")
 
     dictionary = D_init if D_init is not None else init_dictionary(Y, cfg.n_atoms, cfg.seed)
     D = dictionary.atoms.copy()
-    norms_sq = np.einsum("ij,ij->j", Y, Y)
     Y = np.asfortranarray(Y)
     t0 = time.perf_counter()
     X = omp_batch(D, Y, cfg.sparsity, norms_sq=norms_sq).matrix

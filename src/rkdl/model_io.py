@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -35,12 +36,7 @@ def save_model(path: str, kdict: KernelDictionary, method: str, config: dict,
         "vectors_normalized": bool(kdict.vectors.normalized),
         "coefficients": kdict.coefficients.tolist(),
         "config": config,
-        "trace": None if trace is None else {
-            "errors": [float(e) for e in trace.errors],
-            "phase_seconds": dict(trace.phase_seconds),
-            "warnings": dict(trace.warnings),
-            "total_seconds": trace.total_seconds,
-        },
+        "trace": None if trace is None else dataclasses.asdict(trace),
     }
     # dumps runs the C encoder; dump streams through the pure-Python one
     with open(path, "w") as f:
@@ -60,10 +56,5 @@ def load_model(path: str) -> ModelBundle:
                            normalized=doc.get("vectors_normalized", False)),
         kernel=KernelSpec.from_dict(doc["kernel"]),
     )
-    trace = None
-    if doc.get("trace") is not None:
-        t = doc["trace"]
-        trace = TrainTrace(errors=list(t["errors"]), phase_seconds=dict(t["phase_seconds"]),
-                           warnings=dict(t["warnings"]), total_seconds=t["total_seconds"])
     return ModelBundle(kdict=kdict, method=doc.get("method", ""), config=doc.get("config", {}),
-                       trace=trace)
+                       trace=None if doc.get("trace") is None else TrainTrace(**doc["trace"]))

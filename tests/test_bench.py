@@ -144,6 +144,34 @@ def test_empty_method_list_rejected():
         ExperimentConfig.from_dict(base_config(methods=["nkdl"]))
 
 
+@pytest.mark.parametrize("block,key", [("config", "round"), ("kernel", "sigam"),
+                                       ("kernel_dl", "lr"), ("linear_dl", "atoms")])
+def test_misspelt_key_names_its_block_and_key(block, key):
+    d = base_config()
+    (d if block == "config" else d[block])[key] = 3
+    with pytest.raises(ValueError, match=rf"unknown {block} fields: \['{key}'\]"):
+        ExperimentConfig.from_dict(d)
+
+
+def test_missing_kernel_dl_block_is_named():
+    d = base_config()
+    del d["kernel_dl"]
+    with pytest.raises(ValueError, match=r"missing config fields: \['kernel_dl'\]"):
+        ExperimentConfig.from_dict(d)
+
+
+def test_fractional_rounds_rejected_by_name():
+    with pytest.raises(ValueError, match="rounds must be an integer, got 2.5"):
+        ExperimentConfig.from_dict(base_config(rounds=2.5))
+
+
+def test_summary_config_loads_back_to_the_run_config(tmp_path):
+    cfg = ExperimentConfig.from_dict(base_config(methods=["rkdl-d"], rounds=1))
+    paths = emit_outputs(run_experiment(cfg), str(tmp_path))
+    with open(paths["summary"]) as f:
+        assert ExperimentConfig.from_dict(json.load(f)["config"]) == cfg
+
+
 def test_failed_method_recorded_and_others_continue(tmp_path):
     # KDL trips over the Gram cap; the reduced methods still complete
     cfg = ExperimentConfig.from_dict(base_config(max_gram_signals=100, rounds=1))

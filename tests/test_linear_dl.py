@@ -125,6 +125,13 @@ def test_init_dictionary_too_few_signals():
 def test_aksvd_rejects_degenerate_input():
     with pytest.raises(ValueError):
         aksvd_train(np.zeros((4, 20)), DLConfig(n_atoms=3, sparsity=1, iters=2, seed=0))
+    # fewer nonzero signals than atoms: a sweep would run out of re-seeds
+    rng = np.random.default_rng(0)
+    Y = np.zeros((6, 10))
+    Y[:, [3, 7]] = rng.standard_normal((6, 2))
+    D = rng.standard_normal((6, 5))
+    with pytest.raises(ValueError, match="5 nonzero signals, got 2"):
+        aksvd_train(Y, DLConfig(5, 1, 2), D_init=Dictionary(atoms=D / np.linalg.norm(D, axis=0)))
 
 
 def test_dictionary_validate():
