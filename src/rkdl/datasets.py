@@ -3,8 +3,10 @@ and seeded synthetic generators for oracle tests and benchmarks."""
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
@@ -56,6 +58,20 @@ def _apply_normalization(values: np.ndarray, normalize: str) -> np.ndarray:
     return values
 
 
+def _signals(values: np.ndarray, labels: np.ndarray | None, label_filter: int | None,
+             max_signals: int | None, normalize: str, note: str) -> SignalMatrix:
+    """The file loaders' shared tail: the signals labelled ``label_filter``, in
+    file order, then the first ``max_signals`` of them, normalized."""
+    if label_filter is not None:
+        values = values[:, labels == label_filter]
+        if values.shape[1] == 0:
+            raise ValueError(f"no signals survived the label filter ({note})")
+        note += f" label={label_filter}"
+    if max_signals is not None:
+        values = values[:, :max_signals]
+    return SignalMatrix(values=_apply_normalization(values, normalize), provenance=note)
+
+
 def _read_idx(path: str, expected_magic: int) -> np.ndarray:
     with open(path, "rb") as f:
         raw = f.read()
@@ -76,40 +92,30 @@ def _read_idx(path: str, expected_magic: int) -> np.ndarray:
     return payload.reshape(dims)
 
 
-def load_idx(images_path: str, labels_path: str | None = None, label_filter: int | None = None,
+def load_idx(images: str, labels: str | None = None, label_filter: int | None = None,
              max_signals: int | None = None, normalize: str = "unit01") -> SignalMatrix:
     """Load an IDX image file (optionally with labels) into a signal matrix.
 
     Images are flattened so each one becomes a column of length rows*cols.
     ``label_filter`` keeps only signals with the given label, preserving file
-    order, and requires ``labels_path``.
+    order, and requires ``labels``.
     """
-    images = _read_idx(images_path, IDX_IMAGES_MAGIC)
-    if images.ndim != 3:
-        raise FormatError(f"{images_path}: expected 3 dimensions, found {images.ndim}")
-    n, rows, cols = images.shape
-    flat = images.reshape(n, rows * cols).T.astype(float)
+    pixels = _read_idx(images, IDX_IMAGES_MAGIC)
+    if pixels.ndim != 3:
+        raise FormatError(f"{images}: expected 3 dimensions, found {pixels.ndim}")
+    n, rows, cols = pixels.shape
+    flat = pixels.reshape(n, rows * cols).T.astype(float)
 
-    if label_filter is not None and labels_path is None:
+    if label_filter is not None and labels is None:
         raise ValueError("label_filter requires a labels file")
-    if labels_path is not None:
-        labels = _read_idx(labels_path, IDX_LABELS_MAGIC)
-        if labels.shape[0] != n:
-            raise FormatError(
-                f"{labels_path}: {labels.shape[0]} labels for {n} images in {images_path}")
-        if label_filter is not None:
-            flat = flat[:, labels == label_filter]
-
-    if max_signals is not None:
-        flat = flat[:, :max_signals]
-    values = _apply_normalization(flat, normalize)
-    note = f"idx:{os.path.basename(images_path)}"
-    if label_filter is not None:
-        note += f" label={label_filter}"
-    return SignalMatrix(values=values, provenance=note)
+    tags = None if labels is None else _read_idx(labels, IDX_LABELS_MAGIC)
+    if tags is not None and tags.shape[0] != n:
+        raise FormatError(f"{labels}: {tags.shape[0]} labels for {n} images in {images}")
+    return _signals(flat, tags, label_filter, max_signals, normalize,
+                    f"idx:{os.path.basename(images)}")
 
 
-def load_cifar10(batch_paths: list[str], label_filter: int | None = 0,
+def load_cifar10(batches: list[str], label_filter: int | None = 0,
                  grayscale: str = "mean", max_signals: int | None = None,
                  normalize: str = "unit01") -> SignalMatrix:
     """Load CIFAR-10 binary batches as grayscale 1024-pixel signals.
@@ -120,8 +126,8 @@ def load_cifar10(batch_paths: list[str], label_filter: int | None = 0,
     """
     if grayscale not in ("mean", "luminance"):
         raise ValueError(f"grayscale must be 'mean' or 'luminance', got {grayscale!r}")
-    columns = []
-    for path in batch_paths:
+    grays, labels = [], []
+    for path in batches:
         with open(path, "rb") as f:
             raw = f.read()
         if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
@@ -130,28 +136,18 @@ def load_cifar10(batch_paths: list[str], label_filter: int | None = 0,
                 f"{path}: {len(raw)} bytes is not a multiple of {CIFAR_RECORD_BYTES} "
                 f"(nearest record boundary {expected})")
         records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        labels = records[:, 0]
+        labels.append(records[:, 0])
         planes = records[:, 1:].reshape(-1, 3, 1024).astype(float)
         if grayscale == "mean":
-            gray = planes.mean(axis=1)
+            grays.append(planes.mean(axis=1))
         else:
-            gray = 0.299 * planes[:, 0] + 0.587 * planes[:, 1] + 0.114 * planes[:, 2]
-        if label_filter is not None:
-            gray = gray[labels == label_filter]
-        columns.append(gray.T)
-    values = np.concatenate(columns, axis=1) if columns else np.zeros((1024, 0))
-    if values.shape[1] == 0:
-        raise ValueError("no CIFAR-10 records survived the label filter")
-    if max_signals is not None:
-        values = values[:, :max_signals]
-    values = _apply_normalization(values, normalize)
-    note = f"cifar10:{len(batch_paths)} batches"
-    if label_filter is not None:
-        note += f" label={label_filter}"
-    return SignalMatrix(values=values, provenance=note)
+            grays.append(0.299 * planes[:, 0] + 0.587 * planes[:, 1] + 0.114 * planes[:, 2])
+    return _signals(np.concatenate(grays).T, np.concatenate(labels), label_filter, max_signals,
+                    normalize, f"cifar10:{len(batches)} batches")
 
 
-def load_csv(path: str, signals_in: str = "columns", normalize: str = "none") -> SignalMatrix:
+def load_csv(path: str, signals_in: str = "columns", max_signals: int | None = None,
+             normalize: str = "none") -> SignalMatrix:
     """Load a rectangular numeric CSV file as a signal matrix."""
     if signals_in not in ("columns", "rows"):
         raise ValueError("signals_in must be 'columns' or 'rows'")
@@ -159,10 +155,8 @@ def load_csv(path: str, signals_in: str = "columns", normalize: str = "none") ->
         values = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except ValueError as exc:
         raise ValueError(f"{path}: not a rectangular numeric CSV ({exc})") from exc
-    if signals_in == "rows":
-        values = values.T
-    values = _apply_normalization(values, normalize)
-    return SignalMatrix(values=values, provenance=f"csv:{os.path.basename(path)}")
+    return _signals(values.T if signals_in == "rows" else values, None, None, max_signals,
+                    normalize, f"csv:{os.path.basename(path)}")
 
 
 def save_csv(matrix: np.ndarray, path: str) -> None:
@@ -201,12 +195,28 @@ def synth(m: int, N: int, n_planted: int, sparsity: int, seed: int, noise_sigma:
     return signals, Dictionary(atoms=D, normalized=True), SparseCode(matrix=X, sparsity=sparsity)
 
 
+# Each source's loader and the DatasetSpec fields it reads, in ``to_dict``
+# order; the loader takes them as keyword arguments, and the first one is
+# the input it cannot load without.
+SOURCES = {
+    "idx": (load_idx, ("images", "labels", "label_filter", "max_signals", "normalize")),
+    "cifar10": (load_cifar10,
+                ("batches", "label_filter", "grayscale", "max_signals", "normalize")),
+    "csv": (load_csv, ("path", "signals_in", "max_signals", "normalize")),
+    "synthetic": (lambda n_signals, n_components, **kw:
+                  synth(N=n_signals, n_planted=n_components, **kw)[0],
+                  ("m", "n_signals", "n_components", "sparsity", "noise_sigma", "seed",
+                   "coeff_low", "coeff_high")),
+}
+
+
 @dataclass
 class DatasetSpec:
     """Declarative dataset description used by experiment configs.
 
-    ``source`` selects the loader: "idx", "cifar10", "csv" or "synthetic".
-    The remaining fields mirror the loader arguments; unused ones are ignored.
+    ``source`` selects the loader in ``SOURCES``, and the other fields are its
+    arguments. A field the source does not read must keep its default; an
+    unset ``normalize`` takes the loader's default.
     """
 
     source: str
@@ -230,26 +240,20 @@ class DatasetSpec:
     coeff_high: float | None = None
 
     def __post_init__(self):
-        if self.label_filter is not None and self.source not in ("idx", "cifar10"):
-            raise ValueError(f"label_filter is only valid for labeled sources, not {self.source!r}")
+        if self.source not in SOURCES:
+            raise ValueError(f"unknown dataset source {self.source!r}; choose from {tuple(SOURCES)}")
+        loader, reads = SOURCES[self.source]
+        unread = [f.name for f in dataclasses.fields(self) if f.name not in ("source", *reads)
+                  and getattr(self, f.name) != (f.default_factory() if f.default is MISSING
+                                                else f.default)]
+        if unread:
+            raise ValueError(f"dataset source {self.source!r} does not read {unread}")
+        if "normalize" in reads and self.normalize is None:
+            self.normalize = inspect.signature(loader).parameters["normalize"].default
 
     def to_dict(self) -> dict:
-        d = {"source": self.source}
-        if self.source == "idx":
-            d.update(images=self.images, labels=self.labels, label_filter=self.label_filter,
-                     max_signals=self.max_signals, normalize=self.normalize or "unit01")
-        elif self.source == "cifar10":
-            d.update(batches=list(self.batches), label_filter=self.label_filter,
-                     grayscale=self.grayscale, max_signals=self.max_signals,
-                     normalize=self.normalize or "unit01")
-        elif self.source == "csv":
-            d.update(path=self.path, signals_in=self.signals_in,
-                     normalize=self.normalize or "none")
-        else:
-            d.update(m=self.m, n_signals=self.n_signals, n_components=self.n_components,
-                     sparsity=self.sparsity, noise_sigma=self.noise_sigma, seed=self.seed,
-                     coeff_low=self.coeff_low, coeff_high=self.coeff_high)
-        return d
+        d = dataclasses.asdict(self)
+        return {k: d[k] for k in ("source", *SOURCES[self.source][1])}
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSpec":
@@ -257,26 +261,8 @@ class DatasetSpec:
 
 
 def load_dataset(spec: DatasetSpec) -> SignalMatrix:
-    """Materialize a DatasetSpec through the matching loader."""
-    if spec.source == "idx":
-        if not spec.images:
-            raise ValueError("idx dataset needs an 'images' path")
-        return load_idx(spec.images, spec.labels, spec.label_filter, spec.max_signals,
-                        spec.normalize or "unit01")
-    if spec.source == "cifar10":
-        if not spec.batches:
-            raise ValueError("cifar10 dataset needs 'batches' paths")
-        return load_cifar10(list(spec.batches), spec.label_filter, spec.grayscale,
-                            spec.max_signals, spec.normalize or "unit01")
-    if spec.source == "csv":
-        if not spec.path:
-            raise ValueError("csv dataset needs a 'path'")
-        sm = load_csv(spec.path, spec.signals_in, spec.normalize or "none")
-        if spec.max_signals is not None:
-            sm = SignalMatrix(values=sm.values[:, :spec.max_signals], provenance=sm.provenance)
-        return sm
-    if spec.source == "synthetic":
-        signals, _, _ = synth(spec.m, spec.n_signals, spec.n_components, spec.sparsity,
-                              spec.seed, spec.noise_sigma, spec.coeff_low, spec.coeff_high)
-        return signals
-    raise ValueError(f"unknown dataset source {spec.source!r}")
+    """Materialize a DatasetSpec through its source's loader."""
+    loader, reads = SOURCES[spec.source]
+    if not getattr(spec, reads[0]):
+        raise ValueError(f"{spec.source} dataset needs {reads[0]!r}")
+    return loader(**{k: getattr(spec, k) for k in reads})

@@ -62,8 +62,9 @@ class KernelSpec:
 
 def from_fields(cls, d: dict, block: str, **readers):
     """The config dataclass ``cls`` from the dict ``d`` of its fields, each built by
-    ``readers[field]`` when given. Unknown keys and missing required fields are
-    a ValueError that names them and the config ``block``."""
+    ``readers[field]`` when given. Unknown keys, missing required fields and a
+    non-integer (or bool) for a field annotated ``int`` or ``int | None`` are a
+    ValueError that names them and the config ``block``."""
     fields = dataclasses.fields(cls)
     unknown = sorted(set(d) - {f.name for f in fields})
     if unknown:
@@ -72,6 +73,11 @@ def from_fields(cls, d: dict, block: str, **readers):
                and f.default_factory is dataclasses.MISSING]
     if missing:
         raise ValueError(f"missing {block} fields: {missing}")
+    for f in fields:  # annotations are strings under `from __future__ import annotations`
+        v = d.get(f.name)
+        if (f.type == "int" or f.type == "int | None" and v is not None) and f.name in d \
+                and (isinstance(v, bool) or not isinstance(v, int)):
+            raise ValueError(f"{block}: {f.name} must be an integer, got {v!r}")
     return cls(**{k: readers[k](v) if k in readers else v for k, v in d.items()})
 
 

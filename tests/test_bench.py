@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import sys
 
 import numpy as np
@@ -170,6 +172,36 @@ def test_summary_config_loads_back_to_the_run_config(tmp_path):
     paths = emit_outputs(run_experiment(cfg), str(tmp_path))
     with open(paths["summary"]) as f:
         assert ExperimentConfig.from_dict(json.load(f)["config"]) == cfg
+
+
+@pytest.mark.parametrize("block,key,value", [("kernel_dl", "iters", 2.5),
+                                             ("dataset", "n_signals", 300.0),
+                                             ("kernel_dl", "dl_sparsity", 2.0),
+                                             ("linear_dl", "sparsity", True)])
+def test_non_integer_count_rejected_by_block_and_field(block, key, value):
+    d = base_config()
+    d[block] = {**d[block], key: value}
+    with pytest.raises(ValueError, match=rf"{block}: {key} must be an integer, got {value!r}"):
+        ExperimentConfig.from_dict(d)
+
+
+def test_csv_run_summary_config_keeps_max_signals(tmp_path):
+    save_csv(synth(16, 80, 12, 3, seed=2)[0].values, str(tmp_path / "y.csv"))
+    dataset = {"source": "csv", "path": str(tmp_path / "y.csv"), "max_signals": 50}
+    cfg = ExperimentConfig.from_dict(base_config(dataset=dataset, methods=["rkdl-d"], rounds=1))
+    paths = emit_outputs(run_experiment(cfg), str(tmp_path))
+    with open(paths["summary"]) as f:
+        again = ExperimentConfig.from_dict(json.load(f)["config"])
+    assert again == cfg
+    assert load_dataset(again.dataset).values.shape == (16, 50)
+
+
+def test_readme_example_config_round_trips():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        readme = f.read()
+    block = re.search(r"Example config:\s*```json\n(.*?)```", readme, re.S).group(1)
+    cfg = ExperimentConfig.from_dict(json.loads(block))
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_failed_method_recorded_and_others_continue(tmp_path):

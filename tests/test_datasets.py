@@ -3,6 +3,7 @@ import pytest
 
 from rkdl.datasets import (
     CIFAR_RECORD_BYTES,
+    SOURCES,
     DatasetSpec,
     FormatError,
     load_cifar10,
@@ -166,6 +167,12 @@ def test_load_cifar10_empty_after_filter(tmp_path):
         load_cifar10([str(p)], label_filter=0)
 
 
+def test_load_idx_empty_label_filter_is_named(tmp_path):
+    ip, lp, _, labels = make_idx_pair(tmp_path, n=60)
+    with pytest.raises(ValueError, match="survived the label filter"):
+        load_idx(str(ip), str(lp), label_filter=int(labels.max()) + 1)
+
+
 def test_load_idx_max_signals(tmp_path):
     ip, lp, _, _ = make_idx_pair(tmp_path, n=60)
     sm = load_idx(str(ip), str(lp), max_signals=10)
@@ -236,6 +243,46 @@ def test_dataset_spec_round_trip_and_dispatch(tmp_path):
     assert sm.values.shape == (12, 40)
     again = DatasetSpec.from_dict(spec.to_dict())
     np.testing.assert_array_equal(load_dataset(again).values, sm.values)
+
+
+SPECS = {"idx": {"images": "i.idx", "labels": "l.idx", "label_filter": 5},
+         "cifar10": {"batches": ["b1.bin", "b2.bin"], "grayscale": "luminance"},
+         "csv": {"path": "y.csv", "signals_in": "rows", "max_signals": 30},
+         "synthetic": {"m": 12, "n_signals": 40, "coeff_low": 1.0, "coeff_high": 3.0}}
+
+
+@pytest.mark.parametrize("source", SPECS)
+def test_dataset_spec_round_trips_with_the_loader_normalization(source):
+    spec = DatasetSpec.from_dict({"source": source, **SPECS[source]})
+    d = spec.to_dict()
+    assert list(d) == ["source", *SOURCES[source][1]]
+    assert DatasetSpec.from_dict(d) == spec
+    assert spec.normalize == {"idx": "unit01", "cifar10": "unit01", "csv": "none"}.get(source)
+
+
+@pytest.mark.parametrize("source,key,value", [("synthetic", "max_signals", 10),
+                                              ("idx", "n_signals", 300),
+                                              ("csv", "grayscale", "luminance")])
+def test_dataset_spec_rejects_a_field_its_source_does_not_read(source, key, value):
+    with pytest.raises(ValueError, match=rf"'{source}' does not read \['{key}'\]"):
+        DatasetSpec.from_dict({"source": source, key: value})
+
+
+def test_dataset_spec_rejects_unknown_source():
+    with pytest.raises(ValueError, match="unknown dataset source 'mnist'"):
+        DatasetSpec(source="mnist")
+
+
+def test_load_dataset_names_the_missing_input():
+    with pytest.raises(ValueError, match="idx dataset needs 'images'"):
+        load_dataset(DatasetSpec(source="idx"))
+
+
+def test_load_csv_max_signals_keeps_the_first_signals(tmp_path):
+    M = np.arange(24.0).reshape(4, 6)
+    save_csv(M, str(tmp_path / "m.csv"))
+    spec = DatasetSpec(source="csv", path=str(tmp_path / "m.csv"), max_signals=4)
+    np.testing.assert_array_equal(load_dataset(spec).values, M[:, :4])
 
 
 def test_dataset_spec_rejects_label_filter_on_unlabeled():

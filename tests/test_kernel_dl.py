@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import rkdl_atom_sweep_running_sum
@@ -169,37 +169,31 @@ def test_sweep_single_atom_reaches_projection_residual():
 SWEEP_KERNELS = [LINEAR, KernelSpec("rbf", sigma=2.0), KernelSpec("polynomial", alpha=0.5, beta=3)]
 
 
-@st.composite
-def sweep_oracle_inputs(draw):
-    """(k_dd, k_yd, A, Z) for a sweep, ``k_yd is k_dd`` in the ``kdl`` shape.
+def sweep_inputs(spec, m, N, n_a, n_d, sparsity, seed, duplicate=False, degenerate=False,
+                 unused_last=False):
+    """(k_dd, k_yd, A, Z) for a sweep; ``n_d=None`` is the ``kdl`` shape, D = Y
+    and ``k_yd is k_dd``.
 
     The ``kdl`` shape has more signals than dimensions, so its linear Gram is
     rank-deficient: its Cholesky factor is ridged, or unridged and
-    ill-conditioned. Duplicate signals get
-    bit-equal Gram rows. The planted degenerate atom 0 is used by one
-    duplicate pair only, with the same code elsewhere and opposite weights,
-    so its update direction u is zero.
+    ill-conditioned. ``duplicate`` makes signal 1 a copy of signal 0, with a
+    bit-equal Gram row. The ``degenerate`` atom 0 is used by the duplicate
+    pair (N - 2, N - 1) only, with opposite weights, so its update direction u
+    is zero. ``unused_last`` leaves the last atom without signals.
     """
-    spec = draw(st.sampled_from(SWEEP_KERNELS))
-    kdl_shape = draw(st.booleans())
-    m, N, n_a = draw(st.integers(2, 6)), draw(st.integers(8, 24)), draw(st.integers(1, 5))
-    n_d = N if kdl_shape else draw(st.integers(1, 8))
-    full = draw(st.booleans())
-    sparsity = n_a if full else draw(st.integers(1, n_a))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(seed)
     Y = rng.standard_normal((m, N))
-    D = Y if kdl_shape else rng.standard_normal((m, n_d))
+    D = Y if n_d is None else rng.standard_normal((m, n_d))
     k_dd = gram(D, D, spec)
-    k_yd = k_dd if kdl_shape else gram(Y, D, spec)
-    pairs = [(1, 0)] if draw(st.booleans()) else []
-    degenerate = n_a > 1 and draw(st.booleans())
+    k_yd = k_dd if n_d is None else gram(Y, D, spec)
+    pairs = [(1, 0)] if duplicate else []
     if degenerate:
         pairs.append((N - 1, N - 2))
     for copy, source in pairs:
         k_yd[copy] = k_yd[source]
-        if kdl_shape:
+        if n_d is None:
             k_dd[:, copy] = k_dd[:, source]
-    A = rng.standard_normal((n_d, n_a))
+    A = rng.standard_normal((k_dd.shape[0], n_a))
     A /= np.sqrt(np.maximum(np.einsum("ij,ij->j", A, k_dd @ A), 1e-3))
     Z = np.zeros((n_a, N))
     for ell in range(N):
@@ -210,25 +204,48 @@ def sweep_oracle_inputs(draw):
     if degenerate:
         Z[0] = 0.0
         Z[0, [N - 2, N - 1]] = [1.0, -1.0]
-    if n_a > 1 and draw(st.booleans()):
+    if unused_last:
         Z[-1] = 0.0
     return k_dd, k_yd, A, Z
 
 
+@st.composite
+def sweep_oracle_inputs(draw):
+    """``sweep_inputs`` on drawn shapes, sparsities, seeds and plantings."""
+    spec = draw(st.sampled_from(SWEEP_KERNELS))
+    kdl_shape = draw(st.booleans())
+    m, N, n_a = draw(st.integers(2, 6)), draw(st.integers(8, 24)), draw(st.integers(1, 5))
+    n_d = None if kdl_shape else draw(st.integers(1, 8))
+    sparsity = n_a if draw(st.booleans()) else draw(st.integers(1, n_a))
+    seed = draw(st.integers(0, 2**32 - 1))
+    duplicate = draw(st.booleans())
+    degenerate = n_a > 1 and draw(st.booleans())
+    unused_last = n_a > 1 and draw(st.booleans())
+    return sweep_inputs(spec, m, N, n_a, n_d, sparsity, seed, duplicate, degenerate, unused_last)
+
+
 @settings(max_examples=300)
 @given(sweep_oracle_inputs())
+# a reduced-shape draw with cond(K_DD) = 1.4e8: Z differs from the oracle by
+# 1.3e-10 relative, and a 60-digit sweep puts each about 6e-10 from the exact
+# result, so neither is at fault and the round-off bound below applies
+@example(sweep_inputs(LINEAR, m=5, N=15, n_a=2, n_d=5, sparsity=1, seed=231))
 def test_sweep_matches_running_sum_oracle(inputs):
     k_dd, k_yd, A, Z = inputs
     stats, expected_stats = {}, {}
     A_ref, Z_ref = rkdl_atom_sweep_running_sum(k_dd, k_yd, A, Z, stats=expected_stats)
     A2, Z2 = rkdl_atom_sweep(k_dd, k_yd, A, Z, stats=stats)
     assert stats == expected_stats
-    assert np.linalg.norm(Z2 - Z_ref) <= 1e-10 * np.linalg.norm(Z_ref)
+    # in the reduced shape, Z and K_DD A carry the solve's round-off,
+    # eps * cond(K_DD), which exceeds 1e-10 only for cond(K_DD) above 4.5e5
+    cond = np.linalg.cond(k_dd)
+    tol = 1e-10 if k_yd is k_dd else max(1e-10, np.finfo(float).eps * cond)
+    assert np.linalg.norm(Z2 - Z_ref) <= tol * np.linalg.norm(Z_ref)
     # the objective sees A only through K_DD A; where K_DD is numerically
     # singular, the Cholesky solve sets A's null-space part from round-off,
     # in the reference as much as in the factored sweep
-    assert np.linalg.norm(k_dd @ (A2 - A_ref)) <= 1e-10 * np.linalg.norm(k_dd @ A_ref)
-    if np.linalg.cond(k_dd) < 1e5:
+    assert np.linalg.norm(k_dd @ (A2 - A_ref)) <= tol * np.linalg.norm(k_dd @ A_ref)
+    if cond < 1e5:
         assert np.linalg.norm(A2 - A_ref) <= 1e-10 * np.linalg.norm(A_ref)
 
 
