@@ -1,12 +1,19 @@
 """Reduced kernel dictionary learning toolkit."""
 
 import os as _os
+import sys as _sys
+import warnings as _warnings
 
 # Honor the thread cap before the numeric stack loads; BLAS pools read these
 # at import time. RKDL_THREADS overrides values already set, including those
 # a parent process wrote when it imported rkdl.
 _threads = _os.environ.get("RKDL_THREADS")
 if _threads:
+    if "numpy" in _sys.modules:
+        _warnings.warn(
+            f"RKDL_THREADS={_threads} cannot cap BLAS threads: numpy was imported before "
+            "rkdl and its BLAS pool is already sized; import rkdl before numpy",
+            UserWarning, stacklevel=2)
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                  "NUMEXPR_NUM_THREADS"):
         _os.environ[_var] = _threads

@@ -6,7 +6,9 @@ library's batch kernels (``omp_batch``, ``kernel_omp_batch``, ``gram``,
 over a residual E = Y - D X and over a running sum S = A Z, are the
 references for the one factored sweep, ``linear_dl.atom_sweep``, on the
 identity Gram (``_aksvd_sweep``, and ``rkdl_atom_sweep`` on K_DD = I) and on
-a kernel Gram (``rkdl_atom_sweep``).
+a kernel Gram (``rkdl_atom_sweep``). ``synth_reference`` is the planted-model
+generator in one piece, the reference for ``datasets.synth``, which builds
+the same signals signal-major in blocks.
 """
 
 import numpy as np
@@ -300,3 +302,25 @@ def kernel_vector_gradient(
         term_dd = 2.0 * (D @ m_row)
         term_yd = -2.0 * (Y @ w)
     return term_dd + term_yd
+
+
+def synth_reference(m, N, n_planted, sparsity, seed, noise_sigma=0.0, coeff_low=None,
+                    coeff_high=None):
+    """Y = D* X* + noise with the whole C-ordered product and noise array at
+    once, from the same generator stream as ``synth``. Returns (Y, D*, X*)."""
+    rng = np.random.default_rng(seed)
+    D = rng.standard_normal((m, n_planted))
+    D /= np.linalg.norm(D, axis=0)
+    X = np.zeros((n_planted, N))
+    for ell in range(N):
+        support = np.sort(rng.choice(n_planted, size=sparsity, replace=False))
+        if coeff_low is None:
+            coeffs = rng.standard_normal(sparsity)
+        else:
+            coeffs = rng.uniform(coeff_low, coeff_high, size=sparsity)
+            coeffs *= rng.choice([-1.0, 1.0], size=sparsity)
+        X[support, ell] = coeffs
+    Y = D @ X
+    if noise_sigma > 0:
+        Y = Y + noise_sigma * rng.standard_normal((m, N))
+    return Y, D, X

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from oracles import synth_reference
 from rkdl.datasets import (
+    BLOCK_ROWS,
     CIFAR_RECORD_BYTES,
     SOURCES,
     DatasetSpec,
@@ -13,6 +20,17 @@ from rkdl.datasets import (
     save_csv,
     synth,
 )
+from rkdl.linear_dl import DLConfig, aksvd_train
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes traced while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def write_idx_images(path, images):
@@ -167,6 +185,48 @@ def test_load_cifar10_empty_after_filter(tmp_path):
         load_cifar10([str(p)], label_filter=0)
 
 
+def test_load_cifar10_and_a_cifar10_block_load_the_same_signals(tmp_path):
+    # neither filters by label unless told to: every class is loaded
+    rng = np.random.default_rng(11)
+    p = tmp_path / "batch.bin"
+    write_cifar_batch(p, np.arange(30) % 10, rng.integers(0, 256, size=(30, 3072), dtype=np.uint8))
+    direct = load_cifar10([str(p)])
+    block = load_dataset(DatasetSpec(source="cifar10", batches=[str(p)]))
+    assert direct.values.shape == (1024, 30)
+    np.testing.assert_array_equal(direct.values, block.values)
+
+
+def test_file_loaders_form_one_float_array(tmp_path):
+    # the signals are selected and converted from the file's bytes, then
+    # normalized in place: no second float array the size of the result
+    rng = np.random.default_rng(12)
+    n = 1000
+    ip = tmp_path / "images.idx"
+    write_idx_images(ip, rng.integers(0, 256, size=(n, 28, 28), dtype=np.uint8))
+    cp = tmp_path / "batch.bin"
+    write_cifar_batch(cp, np.arange(n) % 10, rng.integers(0, 256, size=(n, 3072), dtype=np.uint8))
+    for normalize in ("unit01", "per_column_l2"):
+        sm, peak = traced_peak(lambda: load_idx(str(ip), normalize=normalize))
+        assert peak < 1.3 * sm.values.nbytes
+        for grayscale in ("mean", "luminance"):
+            sm, peak = traced_peak(lambda: load_cifar10([str(cp)], grayscale=grayscale,
+                                                        normalize=normalize))
+            assert peak < 3.0 * sm.values.nbytes
+
+
+@pytest.mark.parametrize("signals_in", ["columns", "rows"])
+def test_per_column_l2_matches_one_norm_over_all_signals(tmp_path, signals_in):
+    # the norms are formed a block of signals at a time; over more signals
+    # than one block they are the bits of one norm over the parsed matrix
+    rng = np.random.default_rng(13)
+    M = rng.standard_normal((37, 2 * BLOCK_ROWS + 5)) * 3.0
+    M[:, 4] = 0.0
+    save_csv(M if signals_in == "columns" else M.T, str(tmp_path / "m.csv"))
+    sm = load_csv(str(tmp_path / "m.csv"), signals_in=signals_in, normalize="per_column_l2")
+    Y = M if signals_in == "columns" else np.asfortranarray(M)    # the parsed layout
+    np.testing.assert_array_equal(sm.values, Y / np.maximum(np.linalg.norm(Y, axis=0), 1e-300))
+
+
 def test_load_idx_empty_label_filter_is_named(tmp_path):
     ip, lp, _, labels = make_idx_pair(tmp_path, n=60)
     with pytest.raises(ValueError, match="survived the label filter"):
@@ -232,6 +292,75 @@ def test_synth_coefficient_band():
 def test_synth_sparsity_bound():
     with pytest.raises(ValueError):
         synth(6, 10, 4, 5, seed=0)
+
+
+@pytest.mark.parametrize("m,N,n_planted,sparsity,noise_sigma,band", [
+    (784, 2000, 60, 5, 0.05, (1.0, 3.0)),     # the benchmark's desk generator
+    (BLOCK_ROWS + 37, 333, 20, 4, 0.05, (None, None)),   # a ragged last noise block
+    (7, 1, 5, 2, 0.1, (1.0, 3.0)),            # one signal
+    (50, 120, 12, 3, 0.0, (None, None)),      # no noise
+    (300, 50, 60, 5, 0.05, (1.0, 3.0)),       # a BLAS may round D X two ways here
+])
+def test_synth_matches_the_reference_generator(m, N, n_planted, sparsity, noise_sigma, band):
+    signals, planted, code = synth(m, N, n_planted, sparsity, 3, noise_sigma, *band)
+    Y, D, X = synth_reference(m, N, n_planted, sparsity, 3, noise_sigma, *band)
+    np.testing.assert_array_equal(planted.atoms, D)
+    np.testing.assert_array_equal(code.matrix, X)
+    assert signals.values.flags.f_contiguous
+    # synth forms D X as (X^T D^T)^T. Where the BLAS rounds both orientations
+    # alike, Y is the reference's bits; elsewhere it is within the product's
+    # round-off, and the noise, drawn from the same stream, is the same.
+    if np.array_equal(D @ X, (X.T @ D.T).T):
+        np.testing.assert_array_equal(signals.values, Y)
+    bound = 2 * n_planted * np.finfo(float).eps * (np.abs(D) @ np.abs(X) + np.abs(Y))
+    assert np.all(np.abs(signals.values - Y) <= bound)
+
+
+def test_synth_holds_one_noise_block_beside_y():
+    signals, peak = traced_peak(lambda: synth(784, 2000, 60, 5, 1, 0.05, 1.0, 3.0))
+    assert peak <= 1.3 * signals[0].values.nbytes
+
+
+def test_pretraining_on_loaded_signals_copies_no_signals():
+    # load_dataset returns Y signal-major, the layout aksvd_train takes it in
+    Y = load_dataset(DatasetSpec(source="synthetic", m=784, n_signals=2000, n_components=60,
+                                 sparsity=5, noise_sigma=0.05, coeff_low=1.0, coeff_high=3.0,
+                                 seed=1)).values
+    _, peak = traced_peak(lambda: aksvd_train(Y, DLConfig(n_atoms=50, sparsity=5, iters=1)))
+    assert peak <= 0.7 * Y.nbytes
+
+
+def test_every_loader_returns_signal_major_values(tmp_path):
+    ip, lp, _, labels = make_idx_pair(tmp_path, n=200, seed=14)
+    cp = tmp_path / "batch.bin"
+    rng = np.random.default_rng(14)
+    write_cifar_batch(cp, np.arange(40) % 10, rng.integers(0, 256, size=(40, 3072), dtype=np.uint8))
+    save_csv(rng.standard_normal((6, 9)), str(tmp_path / "m.csv"))
+    specs = [
+        {"source": "idx", "images": str(ip), "labels": str(lp),
+         "label_filter": int(labels[0]), "max_signals": 5},
+        {"source": "cifar10", "batches": [str(cp)]},
+        {"source": "csv", "path": str(tmp_path / "m.csv"), "signals_in": "rows"},
+        {"source": "csv", "path": str(tmp_path / "m.csv"), "signals_in": "columns"},
+        {"source": "synthetic", "m": 12, "n_signals": 40, "noise_sigma": 0.1},
+    ]
+    for d in specs:
+        values = load_dataset(DatasetSpec.from_dict(d)).values
+        assert values.flags.f_contiguous and values.shape[1] > 1, d
+
+
+def test_rkdl_threads_warns_when_numpy_came_first():
+    # a fresh interpreter per import order; the cap can only act when rkdl
+    # loads before numpy does
+    env = {**os.environ, "RKDL_THREADS": "1"}
+
+    def stderr(code):
+        return subprocess.run([sys.executable, "-W", "always", "-c", code], env=env,
+                              capture_output=True, text=True, check=True).stderr
+
+    late = stderr("import numpy, rkdl")
+    assert "UserWarning" in late and "RKDL_THREADS" in late and "import rkdl before numpy" in late
+    assert "RKDL_THREADS" not in stderr("import rkdl")
 
 
 # ---------------------------------------------------------------- DatasetSpec
