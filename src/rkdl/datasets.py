@@ -183,7 +183,8 @@ def load_csv(path: str, signals_in: str = "columns", max_signals: int | None = N
     """Load a rectangular numeric CSV file as a signal matrix.
 
     With ``signals_in="columns"`` the parsed matrix is copied once into the
-    signal-major layout."""
+    signal-major layout; with ``"rows"`` the kept rows are copied only when
+    ``max_signals`` drops some, so no dropped signal stays in memory."""
     if signals_in not in ("columns", "rows"):
         raise ValueError("signals_in must be 'columns' or 'rows'")
     try:
@@ -192,6 +193,8 @@ def load_csv(path: str, signals_in: str = "columns", max_signals: int | None = N
         raise ValueError(f"{path}: not a rectangular numeric CSV ({exc})") from exc
     rows, note = _select(values if signals_in == "rows" else values.T, None, None, max_signals,
                          f"csv:{os.path.basename(path)}")
+    if signals_in == "rows" and rows.shape[0] < values.shape[0]:
+        rows = rows.copy()    # a view would keep the dropped signals alive
     return _signal_matrix(rows, normalize, note)
 
 

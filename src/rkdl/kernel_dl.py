@@ -9,6 +9,7 @@ feature vectors are never formed.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,17 +118,24 @@ def _chol_with_ridge(K: np.ndarray, stats: dict) -> tuple:
     raise np.linalg.LinAlgError("kernel-vector Gram is not positive definite even after ridging")
 
 
-def _trace_error(kyy_sum: float, k_yd, k_dd, A, Z, m: int, N: int,
-                 stats: dict | None = None) -> float:
-    """Normalized representation error from Gram quantities.
+def _atom_products(k_yd: np.ndarray, k_dd: np.ndarray, A: np.ndarray) -> tuple:
+    """The atoms' cross Gram P = K_YD A (N, n_a) and Gram G = A^T K_DD A.
 
-    sqrt(max(0, Tr[K_YY] - 2 Tr[K_YD A Z] + Tr[Z^T A^T K_DD A Z])) / sqrt(mN);
-    only the diagonal of K_YY enters through ``kyy_sum``. Each clamp of a
-    negative squared residual is counted in ``stats["residual_clamp"]``.
+    One pair serves an error evaluation and the coding that follows it. When
+    K_YD is K_DD (``kdl``), P is K_DD A itself: one N x N product, not two.
     """
-    P = k_yd @ A
+    KA = k_dd @ A
+    return (KA if k_yd is k_dd else k_yd @ A), A.T @ KA
+
+
+def _trace_error(kyy_sum: float, P, G, Z, m: int, N: int, stats: dict | None = None) -> float:
+    """Normalized representation error from the atom products P and G.
+
+    sqrt(max(0, Tr[K_YY] - 2 Tr[P Z] + Tr[Z^T G Z])) / sqrt(mN); only the
+    diagonal of K_YY enters through ``kyy_sum``. Each clamp of a negative
+    squared residual is counted in ``stats["residual_clamp"]``.
+    """
     t2 = float(np.einsum("la,al->", P, Z))
-    G = A.T @ (k_dd @ A)
     t3 = float(np.einsum("al,al->", Z, G @ Z))
     res_sq = kyy_sum - 2.0 * t2 + t3
     if res_sq < 0.0 and stats is not None:
@@ -140,11 +148,9 @@ def error_metric(Y: np.ndarray, kdict: KernelDictionary, Z) -> float:
     Y = np.asarray(Y, dtype=float)
     Zm = Z.matrix if isinstance(Z, SparseCode) else np.asarray(Z, dtype=float)
     D = kdict.vectors.atoms
-    k_yd = gram(Y, D, kdict.kernel)
-    k_dd = gram(D, D, kdict.kernel)
+    P, G = _atom_products(gram(Y, D, kdict.kernel), gram(D, D, kdict.kernel), kdict.coefficients)
     kyy_sum = float(self_kernel_diag(Y, kdict.kernel).sum())
-    m, N = Y.shape
-    return _trace_error(kyy_sum, k_yd, k_dd, kdict.coefficients, Zm, m, N)
+    return _trace_error(kyy_sum, P, G, Zm, *Y.shape)
 
 
 def rkdl_atom_sweep(k_dd: np.ndarray, k_yd: np.ndarray, A: np.ndarray, Z: np.ndarray,
@@ -230,96 +236,92 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
     renormalize = update == "mixed" and cfg.normalize_vectors
     smaller_step = f"try a smaller learning rate (currently {cfg.learning_rate})"
 
-    t0 = time.perf_counter()
-    y_sq = np.einsum("ij,ij->j", Y, Y)    # Y is fixed: its norms serve every Gram and code
-    phases["gram_refresh"] += time.perf_counter() - t0
+    @contextmanager
+    def timed(phase: str):
+        t0 = time.perf_counter()
+        yield
+        phases[phase] += time.perf_counter() - t0
+
+    with timed("gram_refresh"):
+        y_sq = np.einsum("ij,ij->j", Y, Y)    # Y is fixed: its norms serve every Gram and code
 
     def grams(D, when: str):
         """K_DD and K_YD at D, checked finite. K_YD is K_DD itself when D is
         Y, so ``kdl`` holds one N x N array, not two."""
-        t0 = time.perf_counter()
-        k_dd = gram(D, D, kernel)
-        k_yd = k_dd if D is Y else gram(Y, D, kernel, x_sq=y_sq)
-        phases["gram_refresh"] += time.perf_counter() - t0
+        with timed("gram_refresh"):
+            k_dd = gram(D, D, kernel)
+            k_yd = k_dd if D is Y else gram(Y, D, kernel, x_sq=y_sq)
         if not (np.all(np.isfinite(k_dd)) and (k_yd is k_dd or np.all(np.isfinite(k_yd)))):
             raise FloatingPointError(f"kernel matrices for {kernel} are not finite {when}")
         return k_dd, k_yd
 
     at_start = "at start-up; lower beta or alpha, or rescale the signals"
     k_dd, k_yd = grams(D, at_start)
-    t0 = time.perf_counter()
-    kyy = self_kernel_diag(Y, kernel)
-    kyy_sum = float(kyy.sum())
-    phases["gram_refresh"] += time.perf_counter() - t0
+    with timed("gram_refresh"):
+        kyy = self_kernel_diag(Y, kernel)
+        kyy_sum = float(kyy.sum())
     if not np.isfinite(kyy_sum):
         raise FloatingPointError(f"signal self-kernels for {kernel} are not finite {at_start}")
 
-    t0 = time.perf_counter()
-    chol = _chol_with_ridge(k_dd, stats)
-    phases["factor"] += time.perf_counter() - t0
+    with timed("factor"):
+        chol = _chol_with_ridge(k_dd, stats)
 
     A = _init_coefficients(D.shape[1], cfg.n_atoms, np.diag(k_dd).copy(), rng)
     Z = np.zeros((cfg.n_atoms, N))
     X_code = None
-
-    # the empty code's error: its two trace terms are 0, so take them over no atoms
-    errors = [_trace_error(kyy_sum, k_yd, k_dd, A[:, :0], Z[:0], m, N, stats)]
+    with timed("error_eval"):    # each (P, G) serves one error and the next coding
+        P, G = _atom_products(k_yd, k_dd, A)
+        errors = [_trace_error(kyy_sum, P, G, Z, m, N, stats)]
 
     for it in range(cfg.iters):
-        t0 = time.perf_counter()
-        Z = kernel_omp_batch(k_yd, kyy, k_dd, A, cfg.sparsity, stats).matrix
-        if update == "mixed":
-            X_code = omp_batch(D, Y, cfg.dl_sparsity, require_normalized=cfg.normalize_vectors,
-                               stats=stats, norms_sq=y_sq)
-        phases["coding"] += time.perf_counter() - t0
+        with timed("coding"):
+            # kernel OMP on the atoms themselves: cross Gram P, Gram G, coefficients I
+            Z = kernel_omp_batch(P, kyy, G, np.eye(cfg.n_atoms), cfg.sparsity, stats).matrix
+            if update == "mixed":
+                X_code = omp_batch(D, Y, cfg.dl_sparsity, require_normalized=cfg.normalize_vectors,
+                                   stats=stats, norms_sq=y_sq)
 
-        t0 = time.perf_counter()
-        A, Z = rkdl_atom_sweep(k_dd, k_yd, A, Z, chol=chol, stats=stats)
-        phases["atom_sweep"] += time.perf_counter() - t0
+        with timed("atom_sweep"):
+            A, Z = rkdl_atom_sweep(k_dd, k_yd, A, Z, chol=chol, stats=stats)
 
         if descend:
-            t0 = time.perf_counter()
-            if penalized:
-                YXt, XXt = _linear_penalty_products(Y, X_code.matrix)
-            phases["gradient"] += time.perf_counter() - t0
+            with timed("gradient"):
+                if penalized:
+                    YXt, XXt = _linear_penalty_products(Y, X_code.matrix)
             for step in range(cfg.grad_steps):
                 if step > 0:
                     k_dd, k_yd = grams(D, f"after a gradient step at iteration {it}; "
                                           f"{smaller_step}")
-                t0 = time.perf_counter()
-                G = dictionary_gradient(Y, D, A, Z, kernel, k_yd=k_yd, k_dd=k_dd)
-                if penalized:
-                    G = G - 2.0 * cfg.penalty * (YXt - D @ XXt)
-                if not np.all(np.isfinite(G)):
-                    raise FloatingPointError(
-                        f"non-finite kernel-vector gradient at iteration {it}; {smaller_step}")
-                D = D - cfg.learning_rate * G
-                phases["gradient"] += time.perf_counter() - t0
+                with timed("gradient"):
+                    grad = dictionary_gradient(Y, D, A, Z, kernel, k_yd=k_yd, k_dd=k_dd)
+                    if penalized:
+                        grad = grad - 2.0 * cfg.penalty * (YXt - D @ XXt)
+                    if not np.all(np.isfinite(grad)):
+                        raise FloatingPointError(
+                            f"non-finite kernel-vector gradient at iteration {it}; {smaller_step}")
+                    D = D - cfg.learning_rate * grad
             if renormalize:
-                t0 = time.perf_counter()
-                norms = np.linalg.norm(D, axis=0)
-                if np.any(norms < 1e-14):
-                    stats["zero_vector"] = stats.get("zero_vector", 0) + int(np.sum(norms < 1e-14))
-                    norms = np.maximum(norms, 1e-14)
-                D = D / norms
-                phases["gradient"] += time.perf_counter() - t0
+                with timed("gradient"):
+                    norms = np.linalg.norm(D, axis=0)
+                    if np.any(norms < 1e-14):
+                        stats["zero_vector"] = stats.get("zero_vector", 0) + int(np.sum(norms < 1e-14))
+                        norms = np.maximum(norms, 1e-14)
+                    D = D / norms
             last = "renormalizing D" if renormalize else "a gradient step"
             k_dd, k_yd = grams(D, f"after {last} at iteration {it}; {smaller_step}")
-            t0 = time.perf_counter()
-            chol = _chol_with_ridge(k_dd, stats)
-            phases["factor"] += time.perf_counter() - t0
-            t0 = time.perf_counter()
-            # re-normalize atoms under the refreshed Gram; scaling the code
-            # rows inversely keeps phi(D) A Z (and the error) unchanged
-            norm_sq = np.einsum("ij,ij->j", A, k_dd @ A)
-            scale = np.sqrt(np.maximum(norm_sq, 1e-24))
-            A = A / scale
-            Z = Z * scale[:, None]
-            phases["atom_sweep"] += time.perf_counter() - t0
+            with timed("factor"):
+                chol = _chol_with_ridge(k_dd, stats)
+            with timed("atom_sweep"):
+                # re-normalize atoms under the refreshed Gram; scaling the code
+                # rows inversely keeps phi(D) A Z (and the error) unchanged
+                norm_sq = np.einsum("ij,ij->j", A, k_dd @ A)
+                scale = np.sqrt(np.maximum(norm_sq, 1e-24))
+                A = A / scale
+                Z = Z * scale[:, None]
 
-        t0 = time.perf_counter()
-        errors.append(_trace_error(kyy_sum, k_yd, k_dd, A, Z, m, N, stats))
-        phases["error_eval"] += time.perf_counter() - t0
+        with timed("error_eval"):
+            P, G = _atom_products(k_yd, k_dd, A)
+            errors.append(_trace_error(kyy_sum, P, G, Z, m, N, stats))
         if callback is not None:
             callback(it, D, A, Z, k_dd)
 

@@ -6,7 +6,9 @@ library's batch kernels (``omp_batch``, ``kernel_omp_batch``, ``gram``,
 over a residual E = Y - D X and over a running sum S = A Z, are the
 references for the one factored sweep, ``linear_dl.atom_sweep``, on the
 identity Gram (``_aksvd_sweep``, and ``rkdl_atom_sweep`` on K_DD = I) and on
-a kernel Gram (``rkdl_atom_sweep``). ``synth_reference`` is the planted-model
+a kernel Gram (``rkdl_atom_sweep``). ``trace_error_from_grams`` is the
+representation error formed from the Grams themselves, the reference for the
+trainers' error trace. ``synth_reference`` is the planted-model
 generator in one piece, the reference for ``datasets.synth``, which builds
 the same signals signal-major in blocks.
 """
@@ -109,6 +111,22 @@ def rkdl_atom_sweep_running_sum(k_dd, k_yd, A, Z, chol=None, stats=None):
         Z[j, support] = z_new
         S[:, support] = R + np.outer(a, z_new)
     return A, Z
+
+
+def trace_error_from_grams(kyy_sum, k_yd, k_dd, A, Z, m, N, stats=None):
+    """Normalized representation error with the atom products formed from
+    the Grams on the spot:
+    sqrt(max(0, Tr[K_YY] - 2 Tr[K_YD A Z] + Tr[Z^T A^T K_DD A Z])) / sqrt(mN).
+    The reference for the trainers' trace, which reads one pair of products
+    per iteration. Clamps are counted in ``stats["residual_clamp"]``."""
+    P = k_yd @ A
+    t2 = float(np.einsum("la,al->", P, Z))
+    G = A.T @ (k_dd @ A)
+    t3 = float(np.einsum("al,al->", Z, G @ Z))
+    res_sq = kyy_sum - 2.0 * t2 + t3
+    if res_sq < 0.0 and stats is not None:
+        stats["residual_clamp"] = stats.get("residual_clamp", 0) + 1
+    return float(np.sqrt(max(0.0, res_sq)) / np.sqrt(m * N))
 
 
 def omp(D: np.ndarray, y: np.ndarray, sparsity: int, require_normalized: bool = True):

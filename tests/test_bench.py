@@ -204,6 +204,16 @@ def test_readme_example_config_round_trips():
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def test_readme_library_example_runs():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as f:
+        readme = f.read()
+    block = re.search(r"## Library\s*```python\n(.*?)```", readme, re.S).group(1)
+    ns: dict = {}
+    exec(compile(block, "README.md", "exec"), ns)
+    final = ns["error_metric"](ns["Y"], ns["kdict"], ns["codes"])
+    assert ns["trace"].errors[-1] == pytest.approx(final, rel=1e-12, abs=0.0)
+
+
 def test_failed_method_recorded_and_others_continue(tmp_path):
     # KDL trips over the Gram cap; the reduced methods still complete
     cfg = ExperimentConfig.from_dict(base_config(max_gram_signals=100, rounds=1))

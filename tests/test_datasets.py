@@ -414,6 +414,18 @@ def test_load_csv_max_signals_keeps_the_first_signals(tmp_path):
     np.testing.assert_array_equal(load_dataset(spec).values, M[:, :4])
 
 
+@pytest.mark.parametrize("signals_in", ["rows", "columns"])
+def test_load_csv_max_signals_holds_only_the_kept_signals(tmp_path, signals_in):
+    # the returned values (or the array they view) hold the kept signals
+    # only, not the whole parsed file
+    M = np.random.default_rng(3).standard_normal((500, 8))
+    save_csv(M if signals_in == "rows" else M.T, str(tmp_path / "m.csv"))
+    sm = load_csv(str(tmp_path / "m.csv"), signals_in=signals_in, max_signals=10)
+    np.testing.assert_array_equal(sm.values, M[:10].T)
+    owner = sm.values if sm.values.base is None else sm.values.base
+    assert owner.nbytes == sm.values.nbytes == 10 * 8 * 8
+
+
 def test_dataset_spec_rejects_label_filter_on_unlabeled():
     with pytest.raises(ValueError, match="label_filter"):
         DatasetSpec(source="csv", path="x.csv", label_filter=1)

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import rkdl_atom_sweep_running_sum
+from oracles import rkdl_atom_sweep_running_sum, trace_error_from_grams
 from rkdl import kernel_dl, linear_dl
 from rkdl.datasets import synth
 from rkdl.kernel_dl import (
@@ -88,12 +88,12 @@ def test_trace_error_counts_residual_clamps():
     A = rng.standard_normal((4, 3))
     Z = rng.standard_normal((3, 10))
     Y = D @ A @ Z
-    k_yd, k_dd = gram(Y, D, LINEAR), gram(D, D, LINEAR)
+    P, G = kernel_dl._atom_products(gram(Y, D, LINEAR), gram(D, D, LINEAR), A)
     kyy_sum = float(np.sum(Y * Y))
     stats: dict = {}
-    assert kernel_dl._trace_error(kyy_sum - 1e-6, k_yd, k_dd, A, Z, 6, 10, stats) == 0.0
+    assert kernel_dl._trace_error(kyy_sum - 1e-6, P, G, Z, 6, 10, stats) == 0.0
     assert stats == {"residual_clamp": 1}
-    assert kernel_dl._trace_error(kyy_sum + 1e-6, k_yd, k_dd, A, Z, 6, 10, stats) > 0.0
+    assert kernel_dl._trace_error(kyy_sum + 1e-6, P, G, Z, 6, 10, stats) > 0.0
     assert stats == {"residual_clamp": 1}
 
 
@@ -676,6 +676,47 @@ def test_signal_norms_formed_once_reach_every_gram_and_code(monkeypatch):
         assert np.array_equal(kwargs["x_sq"], y_sq)
     for kwargs in codes:
         assert np.array_equal(kwargs["norms_sq"], y_sq)
+
+
+@pytest.mark.parametrize("spec", [KernelSpec("rbf", sigma=2.0),
+                                  KernelSpec("polynomial", alpha=1.0, beta=2), LINEAR])
+def test_trace_matches_the_gram_oracle_from_one_product_step_per_iteration(monkeypatch, spec):
+    # every trace entry equals the error formed from the Grams on the spot,
+    # bit for bit, while each run forms its atom products once at start-up
+    # and once per iteration, through the module binding; kdl forms them
+    # from K_YD = K_DD itself
+    signals, _, _ = synth(10, 120, 8, 3, seed=7)
+    Y = signals.values
+    m, N = Y.shape
+    y_sq = np.einsum("ij,ij->j", Y, Y)
+    kyy_sum = float(self_kernel_diag(Y, spec).sum())
+    vectors = pretrained(Y, 8, 3, seed=2)
+    cfg = KdlConfig(n_atoms=4, sparsity=2, iters=3, seed=3, grad_steps=2,
+                    learning_rate=1e-4, penalty=1.0, dl_sparsity=3)
+    atom_products = kernel_dl._atom_products
+    shared = []
+
+    def spy(k_yd, k_dd, A):
+        shared.append(k_yd is k_dd)
+        return atom_products(k_yd, k_dd, A)
+
+    monkeypatch.setattr(kernel_dl, "_atom_products", spy)
+    # entry 0 is the empty code's error, taken over no atoms
+    empty = trace_error_from_grams(kyy_sum, np.zeros((N, 0)), np.zeros((0, 0)), np.zeros((0, 0)),
+                                   np.zeros((0, N)), m, N)
+    for method, table in METHODS.items():
+        shared.clear()
+        expected = [empty]
+
+        def oracle(it, D, A, Z, k_dd):
+            k_yd = k_dd if D is Y else gram(Y, D, spec, x_sq=y_sq)
+            expected.append(trace_error_from_grams(kyy_sum, k_yd, k_dd, A, Z, m, N))
+
+        trainer = getattr(kernel_dl, table.trainer)
+        args = (Y, spec, cfg) if table.vectors == "signals" else (Y, vectors, spec, cfg)
+        trace = trainer(*args, callback=oracle)[-1]
+        assert trace.errors == expected, method
+        assert shared == [table.vectors == "signals"] * (cfg.iters + 1), method
 
 
 def test_method_table_matches_trainers(monkeypatch):

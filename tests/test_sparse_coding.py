@@ -412,6 +412,42 @@ def test_kernel_omp_batch_matches_oracle_or_counts_ridges(seed, n_a, extra_vecto
                            + np.einsum("al,al->l", Z, G @ Z))
 
 
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), n_a=st.integers(1, 6), extra_vectors=st.integers(0, 4),
+       family=st.sampled_from(["rbf", "linear"]), kdl_shaped=st.booleans(),
+       duplicate=st.booleans(), data=st.data())
+def test_kernel_omp_batch_on_the_atoms_own_products_is_bit_identical(
+        seed, n_a, extra_vectors, family, kdl_shaped, duplicate, data):
+    # the trainers code on the atoms themselves: cross Gram K_YD A, Gram
+    # A^T K_DD A and coefficients I. Products with I are exact, so the codes
+    # and the ridge counts are those of coding on K_YD, K_DD and A
+    n_d = n_a + extra_vectors
+    m = n_d + 1
+    spec = KernelSpec("rbf", sigma=2.0) if family == "rbf" else KernelSpec("linear")
+    s = data.draw(st.one_of(st.just(n_a), st.integers(1, n_a)), label="sparsity")
+    N = n_d if kdl_shaped else data.draw(st.integers(1, 10), label="signals")
+    n_zero = data.draw(st.integers(0, N - 1), label="zero signals")
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((m, N))
+    Y[:, :n_zero] = 0.0
+    D = Y if kdl_shaped else rng.standard_normal((m, n_d))
+    k_dd = gram(D, D, spec)
+    k_yd = k_dd if kdl_shaped else gram(Y, D, spec)
+    kyy = self_kernel_diag(Y, spec)
+    if not kdl_shaped:
+        k_yd[:n_zero], kyy[:n_zero] = 0.0, 0.0    # the zero vector of feature space
+    A = rng.standard_normal((n_d, n_a))
+    plant_twin(A, "duplicate" if duplicate and n_a >= 2 else "none", rng)
+    A /= np.sqrt(np.einsum("ij,ij->j", A, k_dd @ A))
+    stats: dict = {}
+    code = kernel_omp_batch(k_yd, kyy, k_dd, A, s, stats=stats).matrix
+    on_atoms: dict = {}
+    atom_code = kernel_omp_batch(k_yd @ A, kyy, A.T @ (k_dd @ A), np.eye(n_a), s,
+                                 stats=on_atoms).matrix
+    assert atom_code.tobytes() == code.tobytes()
+    assert on_atoms == stats
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e-7])
 def test_batch_coders_ridge_near_singular_picks(offset):
     # atom 3 repeats atom 0 (exactly, or 1e-7 off), and s = atom count forces
