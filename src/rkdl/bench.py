@@ -35,9 +35,11 @@ class ExperimentConfig:
             raise ValueError("rounds must be >= 1")
         if not self.methods:
             raise ValueError("method list is empty")
-        for m in self.methods:
+        for i, m in enumerate(self.methods):
             if m not in METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
+            if m in self.methods[:i]:
+                raise ValueError(f"method {m!r} is listed twice; each method trains once a round")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -110,13 +112,12 @@ def train_method(method: str, Y: np.ndarray, cfg: ExperimentConfig, seed: int,
     kdcfg = dataclasses.replace(kd, **changes)
     trainer = getattr(kernel_dl, spec.trainer)
     if spec.vectors == "signals":
-        out = trainer(Y, cfg.kernel, kdcfg, max_gram_signals=cfg.max_gram_signals)
+        kdict, _, trace = trainer(Y, cfg.kernel, kdcfg, max_gram_signals=cfg.max_gram_signals)
     else:
         if vectors is None:
             vectors = pretrain(Y, cfg, seed)
-        out = trainer(Y, vectors, cfg.kernel, kdcfg)
-    # every trainer returns the dictionary first and the trace last
-    return out[0], out[-1], kdcfg
+        kdict, _, trace = trainer(Y, vectors, cfg.kernel, kdcfg)
+    return kdict, trace, kdcfg
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> RunResult:
@@ -124,38 +125,38 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> RunResult:
 
     Round r uses seed base_seed + r everywhere; the methods on pre-trained
     vectors share the linear dictionary pre-trained once per round, so their
-    error differences isolate the update rules. Rounds execute serially to
-    keep the wall-clock measurements honest. A trainer error aborts that
-    method's remaining rounds but the other methods continue.
+    error differences isolate the update rules; the first of them still live
+    pretrains it. Rounds execute serially to keep the wall-clock measurements
+    honest. A pretraining or trainer error aborts that method's remaining
+    rounds but the other methods continue.
     """
     signals = load_dataset(cfg.dataset)
     signals.validate()
     Y = signals.values
     results = {m: MethodResult() for m in cfg.methods}
-    pretrained = {m for m in cfg.methods if METHODS[m].vectors == "pretrained"}
 
     for r in range(cfg.rounds):
         seed = cfg.base_seed + r
         vectors = None
-        pretrain_seconds = 0.0
-        if pretrained:
-            t0 = time.perf_counter()
-            vectors = pretrain(Y, cfg, seed)
-            pretrain_seconds = time.perf_counter() - t0
         for method in cfg.methods:
             res = results[method]
             if res.failed is not None:
                 continue
             if progress is not None:
                 progress(method, r)
-            t0 = time.perf_counter()
+            on_vectors = METHODS[method].vectors == "pretrained"
             try:
+                if on_vectors and vectors is None:
+                    t0 = time.perf_counter()
+                    vectors = pretrain(Y, cfg, seed)
+                    pretrain_seconds = time.perf_counter() - t0
+                t0 = time.perf_counter()
                 _, trace, _ = train_method(method, Y, cfg, seed, vectors)
             except Exception as exc:  # noqa: BLE001 - recorded, other methods continue
                 res.failed = f"round {r}: {type(exc).__name__}: {exc}"
                 continue
             res.seconds.append(time.perf_counter() - t0)
-            if method in pretrained:
+            if on_vectors:
                 res.pretrain_seconds.append(pretrain_seconds)
                 res.replaced_atoms.append(vectors.meta["replaced_atoms"])
                 res.pretrain_phase_seconds.append(vectors.meta["phase_seconds"])

@@ -105,12 +105,15 @@ def _cmd_train(args) -> int:
 
 def _cmd_code(args) -> int:
     bundle = model_io.load_model(args.model)
-    signals = load_csv(args.input, signals_in=args.signals_in)
-    signals.validate()
-    Y = signals.values
     sparsity = args.sparsity if args.sparsity is not None else bundle.config.get("sparsity")
     if sparsity is None:
         raise SystemExit("model config has no sparsity; pass --sparsity")
+    if not 1 <= sparsity <= bundle.kdict.n_atoms:
+        raise SystemExit(f"sparsity {sparsity} is outside [1, {bundle.kdict.n_atoms}], the "
+                         "model's atom count; pass --sparsity in that range")
+    signals = load_csv(args.input, signals_in=args.signals_in)
+    signals.validate()
+    Y = signals.values
 
     vectors = bundle.kdict.vectors.atoms
     if Y.shape[0] != vectors.shape[0]:

@@ -218,10 +218,10 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
     """The alternating loop of every trainer, under a ``Method.update`` rule.
 
     Each iteration codes the signals, sweeps the kernel atoms and, when
-    ``update`` is set, takes ``cfg.grad_steps`` gradient steps on D. Returns
-    (KernelDictionary, SparseCode, linear code or None, TrainTrace); D keeps
-    the input's ``normalized`` flag when fixed, and is marked normalized when
-    updated only if the mixed update renormalizes its columns.
+    ``update`` is set, takes ``cfg.grad_steps`` gradient steps on D, each
+    followed by fresh Grams. Returns (KernelDictionary, SparseCode,
+    TrainTrace); D keeps the input's ``normalized`` flag when fixed, and is
+    marked normalized when updated only if the mixed update renormalizes it.
     """
     t_start = time.perf_counter()
     Y = np.asarray(Y, dtype=float)
@@ -268,7 +268,6 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
 
     A = _init_coefficients(D.shape[1], cfg.n_atoms, np.diag(k_dd).copy(), rng)
     Z = np.zeros((cfg.n_atoms, N))
-    X_code = None
     with timed("error_eval"):    # each (P, G) serves one error and the next coding
         P, G = _atom_products(k_yd, k_dd, A)
         errors = [_trace_error(kyy_sum, P, G, Z, m, N, stats)]
@@ -278,8 +277,8 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
             # kernel OMP on the atoms themselves: cross Gram P, Gram G, coefficients I
             Z = kernel_omp_batch(P, kyy, G, np.eye(cfg.n_atoms), cfg.sparsity, stats).matrix
             if update == "mixed":
-                X_code = omp_batch(D, Y, cfg.dl_sparsity, require_normalized=cfg.normalize_vectors,
-                                   stats=stats, norms_sq=y_sq)
+                X = omp_batch(D, Y, cfg.dl_sparsity, require_normalized=cfg.normalize_vectors,
+                              stats=stats, norms_sq=y_sq)
 
         with timed("atom_sweep"):
             A, Z = rkdl_atom_sweep(k_dd, k_yd, A, Z, chol=chol, stats=stats)
@@ -287,11 +286,8 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
         if descend:
             with timed("gradient"):
                 if penalized:
-                    YXt, XXt = _linear_penalty_products(Y, X_code.matrix)
+                    YXt, XXt = _linear_penalty_products(Y, X.matrix)
             for step in range(cfg.grad_steps):
-                if step > 0:
-                    k_dd, k_yd = grams(D, f"after a gradient step at iteration {it}; "
-                                          f"{smaller_step}")
                 with timed("gradient"):
                     grad = dictionary_gradient(Y, D, A, Z, kernel, k_yd=k_yd, k_dd=k_dd)
                     if penalized:
@@ -300,15 +296,13 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
                         raise FloatingPointError(
                             f"non-finite kernel-vector gradient at iteration {it}; {smaller_step}")
                     D = D - cfg.learning_rate * grad
-            if renormalize:
-                with timed("gradient"):
-                    norms = np.linalg.norm(D, axis=0)
-                    if np.any(norms < 1e-14):
-                        stats["zero_vector"] = stats.get("zero_vector", 0) + int(np.sum(norms < 1e-14))
-                        norms = np.maximum(norms, 1e-14)
-                    D = D / norms
-            last = "renormalizing D" if renormalize else "a gradient step"
-            k_dd, k_yd = grams(D, f"after {last} at iteration {it}; {smaller_step}")
+                    if renormalize and step == cfg.grad_steps - 1:
+                        norms = np.linalg.norm(D, axis=0)
+                        zero = int(np.sum(norms < 1e-14))
+                        if zero:
+                            stats["zero_vector"] = stats.get("zero_vector", 0) + zero
+                        D = D / np.maximum(norms, 1e-14)
+                k_dd, k_yd = grams(D, f"after gradient step {step}, iteration {it}; {smaller_step}")
             with timed("factor"):
                 chol = _chol_with_ridge(k_dd, stats)
             with timed("atom_sweep"):
@@ -330,7 +324,7 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
                              kernel=kernel)
     trace = TrainTrace(errors=errors, phase_seconds=phases, warnings=stats,
                        total_seconds=time.perf_counter() - t_start)
-    return kdict, SparseCode(matrix=Z, sparsity=cfg.sparsity), X_code, trace
+    return kdict, SparseCode(matrix=Z, sparsity=cfg.sparsity), trace
 
 
 def kdl_train(Y: np.ndarray, kernel: KernelSpec, cfg: KdlConfig,
@@ -345,16 +339,14 @@ def kdl_train(Y: np.ndarray, kernel: KernelSpec, cfg: KdlConfig,
         raise ValueError(
             f"{Y.shape[1]} signals would need a {Y.shape[1]}x{Y.shape[1]} Gram; "
             f"cap is {max_gram_signals} (raise max_gram_signals to override)")
-    kdict, code, _, trace = _train(Y, Dictionary(atoms=Y, normalized=False), kernel, cfg,
-                                   update=None, callback=callback)
-    return kdict, code, trace
+    return _train(Y, Dictionary(atoms=Y, normalized=False), kernel, cfg, update=None,
+                  callback=callback)
 
 
 def rkdl_train(Y: np.ndarray, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig,
                callback=None):
     """Reduced kernel dictionary learning over a fixed pre-trained D."""
-    kdict, code, _, trace = _train(Y, vectors, kernel, cfg, update=None, callback=callback)
-    return kdict, code, trace
+    return _train(Y, vectors, kernel, cfg, update=None, callback=callback)
 
 
 def orkdl_train(Y: np.ndarray, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig,
@@ -364,11 +356,9 @@ def orkdl_train(Y: np.ndarray, vectors: Dictionary, kernel: KernelSpec, cfg: Kdl
     After every atom sweep, the kernel vectors take ``cfg.grad_steps``
     descent steps along the analytic kernel gradients. Within one step all
     columns use gradients evaluated at the step-start D (Jacobi style); Gram
-    matrices are recomputed between steps.
+    matrices are recomputed after every step.
     """
-    kdict, code, _, trace = _train(Y, vectors, kernel, cfg, update="gradient",
-                                   callback=callback)
-    return kdict, code, trace
+    return _train(Y, vectors, kernel, cfg, update="gradient", callback=callback)
 
 
 def morkdl_train(Y: np.ndarray, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig,
@@ -381,8 +371,9 @@ def morkdl_train(Y: np.ndarray, vectors: Dictionary, kernel: KernelSpec, cfg: Kd
     Y X^T and X X^T, formed once per iteration from the code X, so no
     gradient step builds the m x N residual Y - D X;
     with ``normalize_vectors`` the columns of D are re-normalized after the
-    gradient steps. Returns (KernelDictionary, Z, X, TrainTrace); the trace
-    records the nonlinear representation error only.
+    gradient steps. X stays internal: like every trainer, this returns
+    (KernelDictionary, SparseCode, TrainTrace), the trace recording the
+    nonlinear representation error only.
     """
     if cfg.dl_sparsity is None or not 1 <= cfg.dl_sparsity <= vectors.n_atoms:
         raise ValueError(f"morkdl_train needs cfg.dl_sparsity (linear code sparsity) in "

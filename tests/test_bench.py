@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from rkdl import kernel_dl
+from rkdl import bench, cli, kernel_dl
 from rkdl.bench import ExperimentConfig, emit_outputs, pretrain, run_experiment
 from rkdl.cli import main as cli_main
 from rkdl.datasets import load_dataset, save_csv, synth
@@ -146,6 +146,15 @@ def test_empty_method_list_rejected():
         ExperimentConfig.from_dict(base_config(methods=["nkdl"]))
 
 
+def test_repeated_method_rejected_by_name(tmp_path):
+    with pytest.raises(ValueError, match="'kdl' is listed twice"):
+        ExperimentConfig.from_dict(base_config(methods=["kdl", "rkdl-d", "kdl"]))
+    cfg_path = write_config(tmp_path, rounds=1)
+    with pytest.raises(ValueError, match="'kdl' is listed twice"):
+        cli_main(["bench", "--config", cfg_path, "--method", "kdl", "--method", "kdl",
+                  "--out", str(tmp_path / "out"), "--quiet"])
+
+
 @pytest.mark.parametrize("block,key", [("config", "round"), ("kernel", "sigam"),
                                        ("kernel_dl", "lr"), ("linear_dl", "atoms")])
 def test_misspelt_key_names_its_block_and_key(block, key):
@@ -227,6 +236,41 @@ def test_failed_method_recorded_and_others_continue(tmp_path):
     assert summary["methods"]["kdl"]["rounds_completed"] == 0
     curves_header = open(paths["curves"]).readline().strip()
     assert curves_header == "iteration,rkdl-d,orkdl-d,morkdl-d"
+
+
+def test_failed_pretraining_fails_the_pretrained_methods_only():
+    # 40 AK-SVD atoms on 30 signals cannot be initialized; kdl needs no
+    # pretraining and completes every round
+    cfg = ExperimentConfig.from_dict(base_config(
+        dataset={"source": "synthetic", "m": 16, "n_signals": 30, "n_components": 12,
+                 "sparsity": 3, "seed": 42},
+        linear_dl={"n_atoms": 40, "sparsity": 3, "iters": 3}))
+    result = run_experiment(cfg)
+    assert result.methods["kdl"].failed is None
+    assert len(result.methods["kdl"].traces) == cfg.rounds
+    for method in ("rkdl-d", "orkdl-d", "morkdl-d"):
+        res = result.methods[method]
+        assert res.failed.startswith("round 0: ValueError"), method
+        assert res.traces == [] and res.pretrain_seconds == []
+
+
+def test_pretraining_runs_only_for_a_live_pretrained_method(monkeypatch):
+    # morkdl-d fails in round 0 (its linear code sparsity exceeds the 10
+    # pretrained atoms); later rounds have no pretrained method left to serve
+    calls = []
+    real = bench.pretrain
+
+    def spy(Y, cfg, seed):
+        calls.append(seed)
+        return real(Y, cfg, seed)
+
+    monkeypatch.setattr(bench, "pretrain", spy)
+    d = base_config(methods=["kdl", "morkdl-d"], rounds=3)
+    d["kernel_dl"] = {**d["kernel_dl"], "dl_sparsity": 99}
+    result = run_experiment(ExperimentConfig.from_dict(d))
+    assert calls == [100]
+    assert "dl_sparsity" in result.methods["morkdl-d"].failed
+    assert len(result.methods["kdl"].traces) == 3
 
 
 # ------------------------------------------------------------------------ CLI
@@ -317,6 +361,25 @@ def test_cli_code_dimension_mismatch(tmp_path, capsys):
     with pytest.raises(SystemExit):
         cli_main(["code", "--model", model_path, "--input", bad,
                   "--output", str(tmp_path / "c.csv")])
+
+
+@pytest.mark.parametrize("sparsity", [0, 7])
+def test_cli_code_sparsity_out_of_range_names_the_flag(tmp_path, capsys, monkeypatch, sparsity):
+    # the rkdl-d model has 6 atoms; the range is checked before any Gram
+    cfg_path = write_config(tmp_path)
+    model_path = str(tmp_path / "model.json")
+    cli_main(["train", "--config", cfg_path, "--method", "rkdl-d", "--out", model_path])
+    signals, _, _ = synth(16, 5, 12, 3, seed=77)
+    input_path = str(tmp_path / "new.csv")
+    save_csv(signals.values, input_path)
+
+    def no_gram(*args, **kwargs):
+        raise AssertionError("a Gram was formed before the sparsity check")
+
+    monkeypatch.setattr(cli, "gram", no_gram)
+    with pytest.raises(SystemExit, match=r"sparsity .* outside \[1, 6\].*--sparsity"):
+        cli_main(["code", "--model", model_path, "--input", input_path,
+                  "--sparsity", str(sparsity), "--output", str(tmp_path / "c.csv")])
 
 
 # ------------------------------------------------------------- method table

@@ -14,6 +14,7 @@ from rkdl.kernel_dl import (
     METHODS,
     KdlConfig,
     KernelDictionary,
+    TrainTrace,
     _chol_with_ridge,
     _linear_penalty_products,
     error_metric,
@@ -25,7 +26,7 @@ from rkdl.kernel_dl import (
 )
 from rkdl.kernels import KernelSpec, dictionary_gradient, gram, self_kernel_diag
 from rkdl.linear_dl import Dictionary, DLConfig, aksvd_train
-from rkdl.sparse_coding import kernel_omp_batch, omp_batch
+from rkdl.sparse_coding import SparseCode, kernel_omp_batch, omp_batch
 
 LINEAR = KernelSpec("linear")
 
@@ -473,9 +474,8 @@ def test_morkdl_zero_penalty_matches_orkdl():
                           learning_rate=1e-5, penalty=0.0, normalize_vectors=False,
                           dl_sparsity=3)
     _, _, opt = orkdl_train(Y, vectors, spec, base_cfg)
-    _, _, X, mix = morkdl_train(Y, vectors, spec, mixed_cfg)
+    _, _, mix = morkdl_train(Y, vectors, spec, mixed_cfg)
     assert opt.errors == mix.errors
-    assert X is not None and X.matrix.shape == (10, 150)
 
 
 def test_morkdl_mixed_gradient_finite_difference():
@@ -537,7 +537,7 @@ def test_phase_seconds_book_the_cholesky_factor():
         "kdl": kdl_train(Y, spec, cfg)[2],
         "rkdl-d": rkdl_train(Y, vectors, spec, cfg)[2],
         "orkdl-d": orkdl_train(Y, vectors, spec, cfg)[2],
-        "morkdl-d": morkdl_train(Y, vectors, spec, cfg)[3],
+        "morkdl-d": morkdl_train(Y, vectors, spec, cfg)[2],
     }
     for trace in traces.values():
         assert set(trace.phase_seconds) == {"gram_refresh", "coding", "factor", "atom_sweep",
@@ -563,7 +563,7 @@ def test_morkdl_counts_linear_ridges_apart_from_kernel_ridges():
     D[:, 5] = D[:, 0]
     D /= np.linalg.norm(D, axis=0)
     cfg = KdlConfig(n_atoms=3, sparsity=1, iters=2, seed=0, grad_steps=0, dl_sparsity=6)
-    trace = morkdl_train(Y, Dictionary(D), KernelSpec("rbf", sigma=3.0), cfg)[3]
+    trace = morkdl_train(Y, Dictionary(D), KernelSpec("rbf", sigma=3.0), cfg)[2]
     assert trace.warnings["linear_ridge"] == 2 * 40
     assert "ridge" not in trace.warnings
 
@@ -574,7 +574,7 @@ def test_morkdl_normalizes_vectors_by_default():
     vectors = pretrained(Y, 8, 3, seed=0)
     cfg = KdlConfig(n_atoms=4, sparsity=2, iters=3, seed=1, grad_steps=2,
                     learning_rate=1e-4, penalty=1.0, dl_sparsity=3)
-    kdict, _, _, _ = morkdl_train(Y, vectors, KernelSpec("rbf", sigma=2.0), cfg)
+    kdict, _, _ = morkdl_train(Y, vectors, KernelSpec("rbf", sigma=2.0), cfg)
     norms = np.linalg.norm(kdict.vectors.atoms, axis=0)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
@@ -612,7 +612,7 @@ def test_trainers_deterministic():
     for train in (lambda: kdl_train(Y, spec, cfg)[2],
                   lambda: rkdl_train(Y, vectors, spec, cfg)[2],
                   lambda: orkdl_train(Y, vectors, spec, cfg)[2],
-                  lambda: morkdl_train(Y, vectors, spec, cfg)[3]):
+                  lambda: morkdl_train(Y, vectors, spec, cfg)[2]):
         assert train().errors == train().errors
 
 
@@ -712,9 +712,7 @@ def test_trace_matches_the_gram_oracle_from_one_product_step_per_iteration(monke
             k_yd = k_dd if D is Y else gram(Y, D, spec, x_sq=y_sq)
             expected.append(trace_error_from_grams(kyy_sum, k_yd, k_dd, A, Z, m, N))
 
-        trainer = getattr(kernel_dl, table.trainer)
-        args = (Y, spec, cfg) if table.vectors == "signals" else (Y, vectors, spec, cfg)
-        trace = trainer(*args, callback=oracle)[-1]
+        trace = run_trainer(method, Y, vectors, spec, cfg, callback=oracle)[2]
         assert trace.errors == expected, method
         assert shared == [table.vectors == "signals"] * (cfg.iters + 1), method
 
@@ -727,7 +725,7 @@ def test_method_table_matches_trainers(monkeypatch):
     def fake_train(Y, vectors, kernel, cfg, *, update, callback=None):
         seen["source"] = "signals" if vectors.atoms is Y else "pretrained"
         seen["update"] = update
-        return None, None, None, None
+        return None, None, None
 
     monkeypatch.setattr(kernel_dl, "_train", fake_train)
     Y = np.random.default_rng(0).standard_normal((4, 12))
@@ -740,6 +738,53 @@ def test_method_table_matches_trainers(monkeypatch):
         else:
             trainer(Y, vectors, LINEAR, cfg)
         assert seen == {"source": spec.vectors, "update": spec.update}, method
+
+
+def run_trainer(method, Y, vectors, spec, cfg, **kwargs):
+    """The method's trainer, looked up through the table, on its vector source."""
+    table = METHODS[method]
+    trainer = getattr(kernel_dl, table.trainer)
+    args = (Y, spec, cfg) if table.vectors == "signals" else (Y, vectors, spec, cfg)
+    return trainer(*args, **kwargs)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_trainer_returns_dictionary_code_and_trace(method):
+    signals, _, _ = synth(8, 60, 6, 2, seed=5)
+    Y = signals.values
+    vectors = pretrained(Y, 6, 2, seed=0)
+    cfg = KdlConfig(n_atoms=3, sparsity=2, iters=2, seed=0, grad_steps=1,
+                    learning_rate=1e-4, dl_sparsity=2)
+    result = run_trainer(method, Y, vectors, KernelSpec("rbf", sigma=2.0), cfg)
+    assert type(result) is tuple and len(result) == 3
+    kdict, code, trace = result
+    assert isinstance(kdict, KernelDictionary) and kdict.n_atoms == 3
+    assert isinstance(code, SparseCode) and code.matrix.shape == (3, 60)
+    assert isinstance(trace, TrainTrace) and len(trace.errors) == 3
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_each_gradient_step_refreshes_the_grams_once(monkeypatch, method):
+    # counts of kernel_dl.gram calls between callbacks: start-up (K_DD, plus
+    # K_YD unless D is Y) and then K_DD and K_YD after each gradient step
+    signals, _, _ = synth(8, 60, 6, 2, seed=5)
+    Y = signals.values
+    vectors = pretrained(Y, 6, 2, seed=0)
+    cfg = KdlConfig(n_atoms=3, sparsity=2, iters=3, seed=0, grad_steps=2,
+                    learning_rate=1e-4, dl_sparsity=2)
+    counts = [0]
+    real_gram = kernel_dl.gram
+
+    def spy(*args, **kwargs):
+        counts[-1] += 1
+        return real_gram(*args, **kwargs)
+
+    monkeypatch.setattr(kernel_dl, "gram", spy)
+    run_trainer(method, Y, vectors, KernelSpec("rbf", sigma=2.0), cfg,
+                callback=lambda *_: counts.append(0))
+    start_up = 1 if METHODS[method].vectors == "signals" else 2
+    per_iter = 2 * cfg.grad_steps if METHODS[method].update else 0
+    assert counts == [start_up + per_iter] + [per_iter] * (cfg.iters - 1) + [0]
 
 
 def test_kdl_config_validation():
