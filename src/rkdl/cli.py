@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from contextlib import contextmanager
 
 from . import bench as bench_mod
 from . import model_io
@@ -56,19 +57,30 @@ def _parse_dataset_override(text: str):
         return DatasetSpec.from_dict(json.load(f))
 
 
+@contextmanager
+def _config_errors(path: str):
+    """A config that does not validate exits with its one-line reason, which
+    names the block and field, instead of a traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SystemExit(f"invalid config {path}: {exc}") from None
+
+
 def _cmd_bench(args) -> int:
-    cfg = bench_mod.ExperimentConfig.from_json(args.config)
-    changes = {}
-    if args.method:
-        changes["methods"] = args.method
-    if args.dataset:
-        changes["dataset"] = _parse_dataset_override(args.dataset)
-    if args.rounds is not None:
-        changes["rounds"] = args.rounds
-    if args.seed is not None:
-        changes["base_seed"] = args.seed
-    if changes:
-        cfg = dataclasses.replace(cfg, **changes)
+    with _config_errors(args.config):
+        cfg = bench_mod.ExperimentConfig.from_json(args.config)
+        changes = {}
+        if args.method:
+            changes["methods"] = args.method
+        if args.dataset:
+            changes["dataset"] = _parse_dataset_override(args.dataset)
+        if args.rounds is not None:
+            changes["rounds"] = args.rounds
+        if args.seed is not None:
+            changes["base_seed"] = args.seed
+        if changes:
+            cfg = dataclasses.replace(cfg, **changes)
 
     progress = None
     if not args.quiet:
@@ -90,7 +102,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = bench_mod.ExperimentConfig.from_json(args.config)
+    with _config_errors(args.config):
+        cfg = bench_mod.ExperimentConfig.from_json(args.config)
     seed = cfg.base_seed if args.seed is None else args.seed
     signals = load_dataset(cfg.dataset)
     signals.validate()

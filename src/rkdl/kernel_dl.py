@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .kernels import KernelSpec, dictionary_gradient, gram, inner_products, self_kernel_diag
-from .linear_dl import Dictionary, atom_sweep
+from .linear_dl import GATHER_BYTES, Dictionary, atom_sweep
 from .sparse_coding import SparseCode, kernel_omp_batch, omp_batch
 
 KDD_RIDGE = 1e-10
@@ -118,6 +118,79 @@ def _chol_with_ridge(K: np.ndarray, stats: dict) -> tuple:
     raise np.linalg.LinAlgError("kernel-vector Gram is not positive definite even after ridging")
 
 
+# Column-block width of ``FactoredGram`` products. Each block costs two BLAS
+# calls, and its diagonal square multiplies B(B-1)/2 zeros; at N = 2000
+# (2 cores) one K u took about 1.0 ms in 512-column blocks, 1.4 ms in 256 and
+# 0.7 ms as one product with the full square K.
+FACTOR_BLOCK = 512
+
+
+class FactoredGram:
+    """A symmetric Gram K held only as its Cholesky factor L, L L^T = K + r I,
+    written over K's own buffer.
+
+    The factor is LAPACK's lower one of K^T, so K's upper triangle becomes L
+    and its strict lower triangle is untouched: a failed attempt mirrors that
+    triangle back over the factored one (K itself wherever K is bit-symmetric)
+    and retries at the next ridge r, counted in ``stats["kdd_ridge"]`` as
+    ``_chol_with_ridge`` counts them. ``k @ x`` is K x = L (L^T x) - r x,
+    formed from the column-block trapezoids L[j0:, j0:j1] in numpy's BLAS, so
+    a product reads about as many bytes as one with K. ``chol`` is the
+    ``(factor, lower)`` pair of ``scipy.linalg.cho_solve``.
+    """
+
+    def __init__(self, K: np.ndarray, stats: dict):
+        n = K.shape[0]
+        if K.shape != (n, n) or not K.flags.c_contiguous:
+            raise ValueError("FactoredGram needs a square C-ordered Gram to factor in place")
+        self.shape = K.shape
+        diag = np.diag(K).copy()
+        self.ridge = 0.0
+        while True:
+            try:
+                c, _ = scipy.linalg.cho_factor(K.T, lower=True, overwrite_a=True,
+                                               check_finite=False)
+                break
+            except scipy.linalg.LinAlgError:
+                self.ridge = max(100.0 * self.ridge, KDD_RIDGE)
+                stats["kdd_ridge"] = stats.get("kdd_ridge", 0) + 1
+                if self.ridge > 1e-2:
+                    raise np.linalg.LinAlgError(
+                        "kernel Gram is not positive definite even after ridging") from None
+                _mirror_upper_from_lower(K)
+                K.flat[:: n + 1] = diag + self.ridge
+        for j0 in range(0, n, FACTOR_BLOCK):    # the blocks' squares hold K's values above L
+            square = c[j0:j0 + FACTOR_BLOCK, j0:j0 + FACTOR_BLOCK]
+            square[np.triu(np.ones(square.shape, dtype=bool), 1)] = 0.0
+        self.chol = (c, True)
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        L = self.chol[0]
+        y = np.zeros(x.shape)
+        w = np.empty((FACTOR_BLOCK,) + x.shape[1:])
+        part = np.empty(x.shape)
+        for j0 in range(0, self.shape[0], FACTOR_BLOCK):
+            block = L[j0:, j0:j0 + FACTOR_BLOCK]
+            wb = np.matmul(block.T, x[j0:], out=w[:block.shape[1]])
+            y[j0:] += np.matmul(block, wb, out=part[j0:])
+        if self.ridge:
+            y -= self.ridge * x
+        return y
+
+
+def _mirror_upper_from_lower(K: np.ndarray) -> None:
+    """K[i, j] = K[j, i] for every j > i, in row blocks of at most GATHER_BYTES."""
+    n = K.shape[0]
+    rows = max(1, GATHER_BYTES // (8 * n))
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        square = K[i0:i1, i0:i1]
+        upper = np.triu_indices(i1 - i0, 1)
+        square[upper] = square.T[upper]
+        K[i0:i1, i1:] = K[i1:, i0:i1].T
+
+
 def _atom_products(k_yd: np.ndarray, k_dd: np.ndarray, A: np.ndarray) -> tuple:
     """The atoms' cross Gram P = K_YD A (N, n_a) and Gram G = A^T K_DD A.
 
@@ -157,14 +230,19 @@ def rkdl_atom_sweep(k_dd: np.ndarray, k_yd: np.ndarray, A: np.ndarray, Z: np.nda
                     chol=None, stats: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``linear_dl.atom_sweep`` on the kernel vectors' Gram, with a Cholesky
     solve (``chol``, factored here when not given), on copies of A and Z.
+    ``k_dd`` may be a ``FactoredGram`` (``kdl``'s K, then also ``k_yd``),
+    which brings its own factor.
 
     Unused and degenerate atoms are left untouched and counted in
     ``stats["unused_kernel_atom"]`` and ``stats["degenerate_kernel_atom"]``.
 
     Returns updated copies of (A, Z).
     """
-    k_dd = np.asarray(k_dd, dtype=float)
-    k_yd = np.asarray(k_yd, dtype=float)
+    if isinstance(k_dd, FactoredGram):
+        chol = k_dd.chol
+    else:
+        k_dd = np.asarray(k_dd, dtype=float)
+        k_yd = np.asarray(k_yd, dtype=float)
     A = np.array(A, dtype=float, copy=True)
     Z = np.array(Z, dtype=float, copy=True)
     n_d, n_a = A.shape
@@ -263,10 +341,15 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
     if not np.isfinite(kyy_sum):
         raise FloatingPointError(f"signal self-kernels for {kernel} are not finite {at_start}")
 
+    k_dd_diag = np.diag(k_dd).copy()
     with timed("factor"):
-        chol = _chol_with_ridge(k_dd, stats)
+        if D is Y:    # kdl holds K only as its factor, in K's own buffer
+            k_dd = k_yd = FactoredGram(k_dd, stats)
+            chol = k_dd.chol
+        else:
+            chol = _chol_with_ridge(k_dd, stats)
 
-    A = _init_coefficients(D.shape[1], cfg.n_atoms, np.diag(k_dd).copy(), rng)
+    A = _init_coefficients(D.shape[1], cfg.n_atoms, k_dd_diag, rng)
     Z = np.zeros((cfg.n_atoms, N))
     with timed("error_eval"):    # each (P, G) serves one error and the next coding
         P, G = _atom_products(k_yd, k_dd, A)
@@ -331,14 +414,19 @@ def kdl_train(Y: np.ndarray, kernel: KernelSpec, cfg: KdlConfig,
               max_gram_signals: int = 20000, callback=None):
     """Full kernel dictionary learning with D = Y.
 
-    Refuses signal sets whose N x N Gram would exceed ``max_gram_signals``
-    columns. Returns (KernelDictionary, SparseCode, TrainTrace).
+    The N x N Gram K is the one N x N array a run holds: it is factored in
+    place, and every product with K goes through the factor (``FactoredGram``),
+    which the callback receives as ``k_dd``. Refuses signal sets whose Gram
+    would exceed ``max_gram_signals`` columns. Returns (KernelDictionary,
+    SparseCode, TrainTrace).
     """
     Y = np.asarray(Y, dtype=float)
-    if Y.shape[1] > max_gram_signals:
+    N = Y.shape[1]
+    if N > max_gram_signals:
         raise ValueError(
-            f"{Y.shape[1]} signals would need a {Y.shape[1]}x{Y.shape[1]} Gram; "
-            f"cap is {max_gram_signals} (raise max_gram_signals to override)")
+            f"{N} signals would need a {N}x{N} Gram of {8 * N * N} bytes, the one N x N "
+            f"array kdl holds; cap is max_gram_signals = {max_gram_signals} (raise it to "
+            "override)")
     return _train(Y, Dictionary(atoms=Y, normalized=False), kernel, cfg, update=None,
                   callback=callback)
 

@@ -127,7 +127,8 @@ def atom_sweep(k_yd: np.ndarray, A: np.ndarray, Z: np.ndarray, solve=None,
       * pre-trained vectors: a Cholesky solve (``solve``), with ``k_dd`` for
         the products K u;
       * D = Y: z scattered onto S (not used yet: ``kdl`` takes the Cholesky
-        solve);
+        solve, and ``k_yd`` is ``k_dd``, K itself, which may be any symmetric
+        operator with ``@``);
       * linear AK-SVD: the identity, with ``k_yd`` = Y^T and A the dictionary
         itself. ``solve`` and ``k_dd`` are then None: no solve, no K u.
 
@@ -135,7 +136,8 @@ def atom_sweep(k_yd: np.ndarray, A: np.ndarray, Z: np.ndarray, solve=None,
     own turn, so its column j is exact when it is read. For the same reason
     every atom's support is found once per sweep. Z_S is gathered from a
     signal-major copy of Z kept in step with Z, and K_YD[S] a from the |S|
-    rows of ``k_yd``, block by block.
+    rows of ``k_yd``, block by block; when ``k_yd`` is ``k_dd`` it is
+    (K a)[S], read off the K a the normalization formed.
 
     An atom used by no signal (unused), or with ||u||_K^2 <= 1e-24
     (degenerate), is counted. With ``reseed`` it becomes ``reseed(ZT)``, ZT
@@ -145,12 +147,14 @@ def atom_sweep(k_yd: np.ndarray, A: np.ndarray, Z: np.ndarray, solve=None,
     Returns the counts of (unused, degenerate) atoms.
     """
     unused = degenerate = 0
-    Q = inner_products(k_yd, Z.T)
+    d_is_y = k_yd is k_dd
+    Q = k_dd @ Z.T if d_is_y else inner_products(k_yd, Z.T)
     ZT = Z.T.copy()
     atoms, signals = np.nonzero(Z)
     bounds = np.searchsorted(atoms, np.arange(A.shape[1] + 1))
-    width = k_yd.shape[1]
-    block = np.empty((max(1, min(np.diff(bounds).max(), GATHER_BYTES // (8 * width))), width))
+    if not d_is_y:
+        width = k_yd.shape[1]
+        block = np.empty((max(1, min(np.diff(bounds).max(), GATHER_BYTES // (8 * width))), width))
     for j in range(A.shape[1]):
         support = signals[bounds[j]:bounds[j + 1]]
         if support.size == 0:
@@ -173,8 +177,8 @@ def atom_sweep(k_yd: np.ndarray, A: np.ndarray, Z: np.ndarray, solve=None,
         norm = np.sqrt(norm_sq)
         a = u / norm
         Ka = a if k_dd is None else Ku / norm
-        Z[j, support] = ZT[support, j] = (_gathered_dot(k_yd, support, a, block)
-                                          - Z_S @ (A.T @ Ka) + z * (a_j @ Ka))
+        k_sa = Ka[support] if d_is_y else _gathered_dot(k_yd, support, a, block)
+        Z[j, support] = ZT[support, j] = k_sa - Z_S @ (A.T @ Ka) + z * (a_j @ Ka)
         A[:, j] = a
     return unused, degenerate
 

@@ -8,7 +8,9 @@ references for the one factored sweep, ``linear_dl.atom_sweep``, on the
 identity Gram (``_aksvd_sweep``, and ``rkdl_atom_sweep`` on K_DD = I) and on
 a kernel Gram (``rkdl_atom_sweep``). ``trace_error_from_grams`` is the
 representation error formed from the Grams themselves, the reference for the
-trainers' error trace. ``synth_reference`` is the planted-model
+trainers' error trace. ``kdl_train_two_arrays`` is ``kdl`` on K plus a
+factored copy of it, the reference for ``kdl_train``, which holds one N x N
+array. ``synth_reference`` is the planted-model
 generator in one piece, the reference for ``datasets.synth``, which builds
 the same signals signal-major in blocks.
 """
@@ -16,9 +18,12 @@ the same signals signal-major in blocks.
 import numpy as np
 import scipy.linalg
 
-from rkdl.kernel_dl import _chol_with_ridge
-from rkdl.kernels import POLYNOMIAL, RBF, KernelSpec, _check_shapes, _sq_distances
-from rkdl.sparse_coding import KOMP_RESIDUAL_SQ_TOL, OMP_RESIDUAL_TOL, RIDGE, _check_unit_columns
+from rkdl.kernel_dl import (_atom_products, _chol_with_ridge, _init_coefficients, _trace_error,
+                            rkdl_atom_sweep)
+from rkdl.kernels import (POLYNOMIAL, RBF, KernelSpec, _check_shapes, _sq_distances, gram,
+                          self_kernel_diag)
+from rkdl.sparse_coding import (KOMP_RESIDUAL_SQ_TOL, OMP_RESIDUAL_TOL, RIDGE, _check_unit_columns,
+                                kernel_omp_batch)
 
 
 def aksvd_sweep_residual(Y, D, X):
@@ -127,6 +132,33 @@ def trace_error_from_grams(kyy_sum, k_yd, k_dd, A, Z, m, N, stats=None):
     if res_sq < 0.0 and stats is not None:
         stats["residual_clamp"] = stats.get("residual_clamp", 0) + 1
     return float(np.sqrt(max(0.0, res_sq)) / np.sqrt(m * N))
+
+
+def kdl_train_two_arrays(Y, kernel, cfg):
+    """``kdl_train`` as it ran on K itself plus a factored copy of K: the
+    products with K read the full square, and the sweep gathers K's rows for
+    K_YD[S] a (K's view is not K, so ``atom_sweep`` takes its gather path).
+    The reference for ``FactoredGram``, which holds K only as its factor.
+
+    Returns (A, Z, errors, warning counters).
+    """
+    Y = np.asarray(Y, dtype=float)
+    m, N = Y.shape
+    stats: dict = {}
+    K = gram(Y, Y, kernel)
+    kyy = self_kernel_diag(Y, kernel)
+    kyy_sum = float(kyy.sum())
+    chol = _chol_with_ridge(K, stats)
+    A = _init_coefficients(N, cfg.n_atoms, np.diag(K).copy(), np.random.default_rng(cfg.seed))
+    Z = np.zeros((cfg.n_atoms, N))
+    P, G = _atom_products(K, K, A)
+    errors = [_trace_error(kyy_sum, P, G, Z, m, N, stats)]
+    for _ in range(cfg.iters):
+        Z = kernel_omp_batch(P, kyy, G, np.eye(cfg.n_atoms), cfg.sparsity, stats).matrix
+        A, Z = rkdl_atom_sweep(K, K.view(), A, Z, chol=chol, stats=stats)
+        P, G = _atom_products(K, K, A)
+        errors.append(_trace_error(kyy_sum, P, G, Z, m, N, stats))
+    return A, Z, errors, stats
 
 
 def omp(D: np.ndarray, y: np.ndarray, sparsity: int, require_normalized: bool = True):

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -150,7 +151,7 @@ def test_repeated_method_rejected_by_name(tmp_path):
     with pytest.raises(ValueError, match="'kdl' is listed twice"):
         ExperimentConfig.from_dict(base_config(methods=["kdl", "rkdl-d", "kdl"]))
     cfg_path = write_config(tmp_path, rounds=1)
-    with pytest.raises(ValueError, match="'kdl' is listed twice"):
+    with pytest.raises(SystemExit, match="'kdl' is listed twice"):
         cli_main(["bench", "--config", cfg_path, "--method", "kdl", "--method", "kdl",
                   "--out", str(tmp_path / "out"), "--quiet"])
 
@@ -350,6 +351,25 @@ def test_thread_cap_env_plumbing():
         env={**__import__('os').environ, "RKDL_THREADS": "1"},
         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("command,config,flags,reason", [
+    ("bench", {}, ["--method", "kdl", "--method", "kdl"], "method 'kdl' is listed twice"),
+    ("bench", {"kernel": {"family": "rbf", "sigam": 2.0}}, [],
+     r"unknown kernel fields: \['sigam'\]"),
+    ("train", {"kernel": {"family": "rbf", "sigam": 2.0}}, ["--method", "kdl"],
+     r"unknown kernel fields: \['sigam'\]"),
+])
+def test_cli_config_error_is_one_line_and_nonzero_exit(tmp_path, command, config, flags, reason):
+    cfg_path = write_config(tmp_path, **config)
+    proc = subprocess.run(
+        [sys.executable, "-m", "rkdl.cli", command, "--config", cfg_path, *flags,
+         "--out", str(tmp_path / "out")], capture_output=True, text=True)
+    assert proc.returncode != 0
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert re.search(rf"^invalid config .*config\.json: {reason}", lines[0]), lines[0]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_code_dimension_mismatch(tmp_path, capsys):

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import rkdl_atom_sweep_running_sum, trace_error_from_grams
+from oracles import kdl_train_two_arrays, rkdl_atom_sweep_running_sum, trace_error_from_grams
 from rkdl import kernel_dl, linear_dl
 from rkdl.datasets import synth
 from rkdl.kernel_dl import (
@@ -337,6 +337,30 @@ def test_chol_ridge_matches_explicit_identity_ridge(m):
     assert stats == ({"kdd_ridge": 1} if m < 20 else {})
 
 
+@pytest.mark.parametrize("block", [3, 512])
+@pytest.mark.parametrize("m", [30, 5])
+def test_factored_gram_is_the_factor_of_k_and_multiplies_like_k(monkeypatch, block, m):
+    # in 3-column blocks the 20 x 20 factor is read as 7 trapezoids, in 512 as
+    # one; m = 5 gives a rank-deficient Gram, restored and factored ridged
+    monkeypatch.setattr(kernel_dl, "FACTOR_BLOCK", block)
+    rng = np.random.default_rng(m)
+    Y = rng.standard_normal((m, 20))
+    K = gram(Y, Y, LINEAR)
+    buffer = K.copy()
+    stats: dict = {}
+    k = kernel_dl.FactoredGram(buffer, stats)
+    assert stats == ({"kdd_ridge": 1} if m < 20 else {})
+    assert k.ridge == (KDD_RIDGE if m < 20 else 0.0)
+    L, lower = k.chol
+    assert lower and np.shares_memory(L, buffer)
+    L_ref = scipy.linalg.cho_factor(K + k.ridge * np.eye(20), lower=True)[0]
+    np.testing.assert_array_equal(np.tril(L), np.tril(L_ref))
+    Z = rng.standard_normal((4, 20))
+    for x in (rng.standard_normal(20), rng.standard_normal((20, 3)), Z.T):
+        tol = 1e-13 * np.linalg.norm(K) * np.linalg.norm(x)
+        assert np.linalg.norm(k @ x - K @ x) <= tol
+
+
 # -------------------------------------------------------------------- trainers
 
 def pretrained(Y, n_atoms, sparsity, seed):
@@ -393,8 +417,51 @@ def test_kdl_train_zero_iters_single_error_entry():
 
 def test_kdl_train_gram_cap():
     Y = np.random.default_rng(11).standard_normal((4, 50))
-    with pytest.raises(ValueError, match="cap"):
+    with pytest.raises(ValueError, match=r"50x50 Gram of 20000 bytes.*max_gram_signals = 49"):
         kdl_train(Y, LINEAR, KdlConfig(4, 2, 1), max_gram_signals=49)
+
+
+@pytest.mark.parametrize("spec,m,duplicates", [(KernelSpec("rbf", sigma=3.0), 10, False),
+                                               (KernelSpec("rbf", sigma=3.0), 10, True),
+                                               (KernelSpec("polynomial", alpha=1.0, beta=2), 10, True),
+                                               (LINEAR, 8, True)])
+def test_kdl_factored_gram_matches_the_two_array_reference(spec, m, duplicates):
+    # the factor written over K, and products through it, against the loop on
+    # K plus a factored copy of K, which reads the full square K. Duplicate
+    # signals (1 = 0, 7 = 3) give K equal rows, so its factor is ridged; the
+    # linear K of 8-dimensional signals is rank-deficient besides
+    Y = np.random.default_rng(4).standard_normal((m, 120))
+    if duplicates:
+        Y[:, 1], Y[:, 7] = Y[:, 0], Y[:, 3]
+    cfg = KdlConfig(n_atoms=6, sparsity=3, iters=5, seed=2)
+    kdict, code, trace = kdl_train(Y, spec, cfg)
+    A_ref, Z_ref, errors_ref, stats_ref = kdl_train_two_arrays(Y, spec, cfg)
+    np.testing.assert_allclose(trace.errors, errors_ref, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(code.matrix != 0, Z_ref != 0)
+    assert trace.warnings == stats_ref
+    assert ("kdd_ridge" in trace.warnings) == duplicates
+    K = gram(Y, Y, spec)
+    A = kdict.coefficients
+    np.testing.assert_allclose(np.einsum("ij,ij->j", A, K @ A), 1.0, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("spec,m", [(KernelSpec("rbf", sigma=4.0), 30), (LINEAR, 10)])
+def test_kdl_peak_allocation_is_one_n_by_n_array(spec, m):
+    # K is factored in the buffer gram built and every product reads the
+    # factor, so a run allocates one N x N array and N x n_a products; the
+    # rank-deficient linear Gram fails its first factor and retries ridged
+    N = 1000
+    Y = np.random.default_rng(m).standard_normal((m, N))
+    cfg = KdlConfig(n_atoms=10, sparsity=3, iters=2, seed=0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        trace = kdl_train(Y, spec, cfg)[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.warnings.get("kdd_ridge", 0) == (1 if spec is LINEAR else 0)
+    assert peak <= 1.25 * 8 * N**2
 
 
 def test_rkdl_reduction_identity():
