@@ -203,6 +203,9 @@ def save_csv(matrix: np.ndarray, path: str) -> None:
     np.savetxt(path, np.asarray(matrix, dtype=float), delimiter=",", fmt="%.17g")
 
 
+SIGNS = np.array([-1.0, 1.0])
+
+
 def synth(m: int, N: int, n_planted: int, sparsity: int, seed: int, noise_sigma: float = 0.0,
           coeff_low: float | None = None, coeff_high: float | None = None):
     """Seeded planted-model generator: Y = D* X* + noise.
@@ -226,8 +229,8 @@ def synth(m: int, N: int, n_planted: int, sparsity: int, seed: int, noise_sigma:
             coeffs = rng.standard_normal(sparsity)
         else:
             coeffs = rng.uniform(coeff_low, coeff_high, size=sparsity)
-            coeffs *= rng.choice([-1.0, 1.0], size=sparsity)
-        X[support, ell] = coeffs
+            coeffs *= SIGNS[rng.integers(0, 2, size=sparsity)]   # as rng.choice(SIGNS, sparsity)
+        X.T[ell, support] = coeffs
     # D X formed signal-major. A BLAS need not round a product and its
     # transpose alike, so this is D @ X to round-off, bit for bit where it does.
     Y = (X.T @ D.T).T

@@ -131,12 +131,13 @@ class FactoredGram:
 
     The factor is LAPACK's lower one of K^T, so K's upper triangle becomes L
     and its strict lower triangle is untouched: a failed attempt mirrors that
-    triangle back over the factored one (K itself wherever K is bit-symmetric)
-    and retries at the next ridge r, counted in ``stats["kdd_ridge"]`` as
-    ``_chol_with_ridge`` counts them. ``k @ x`` is K x = L (L^T x) - r x,
-    formed from the column-block trapezoids L[j0:, j0:j1] in numpy's BLAS, so
-    a product reads about as many bytes as one with K. ``chol`` is the
-    ``(factor, lower)`` pair of ``scipy.linalg.cho_solve``.
+    triangle back over the factored one (K itself, since ``gram(Y, Y)`` is
+    bit-symmetric) and retries at the next ridge r, counted in
+    ``stats["kdd_ridge"]`` as ``_chol_with_ridge`` counts them. ``k @ x`` is
+    K x = L (L^T x) - r x, formed from the column-block trapezoids
+    L[j0:, j0:j1] in numpy's BLAS, so a product reads about as many bytes as
+    one with K. ``chol`` is the ``(factor, lower)`` pair of
+    ``scipy.linalg.cho_solve``.
     """
 
     def __init__(self, K: np.ndarray, stats: dict):

@@ -94,24 +94,31 @@ def inner_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X.T @ Y
 
 
+SQ_BLOCK_ROWS = 64
+
+
 def _sq_distances(X: np.ndarray, Y: np.ndarray, x_sq: np.ndarray | None = None) -> np.ndarray:
     """Pairwise squared distances between columns, clamped at 0.
 
     Uses the expansion ||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y, assembled in
     place on the product; round-off can make the result slightly negative,
-    hence the clamp. When both arguments are the same data the diagonal is
-    forced to exact zero. ``x_sq`` may supply the squared column norms of X.
+    hence the clamp. When both arguments are the same data, ||x_i||^2 +
+    ||x_j||^2 is added to the symmetric -2 X^T X as one term, in blocks of
+    ``SQ_BLOCK_ROWS`` rows, so the result equals its transpose bit for bit;
+    its diagonal is set to exact zero. ``x_sq`` may give X's squared norms.
     """
     xx = np.einsum("ij,ij->j", X, X) if x_sq is None else x_sq
-    yy = xx if Y is X else np.einsum("ij,ij->j", Y, Y)
-    sq = inner_products(X, Y)
+    same = Y is X or (X.shape == Y.shape and np.array_equal(X, Y))
+    sq = inner_products(X, X if same else Y)
     sq *= -2.0
-    sq += xx[:, None]
-    sq += yy[None, :]
-    np.maximum(sq, 0.0, out=sq)
-    if Y is X or (X.shape == Y.shape and np.array_equal(X, Y)):
+    if same:
+        for a in range(0, sq.shape[0], SQ_BLOCK_ROWS):
+            sq[a:a + SQ_BLOCK_ROWS] += xx[a:a + SQ_BLOCK_ROWS, None] + xx
         np.fill_diagonal(sq, 0.0)
-    return sq
+    else:
+        sq += xx[:, None]
+        sq += np.einsum("ij,ij->j", Y, Y)[None, :]
+    return np.maximum(sq, 0.0, out=sq)
 
 
 def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec,

@@ -70,44 +70,44 @@ def _gram_omp_batch(G, proj, norms_sq, sparsity, stop_sq, stats, counter):
     to L and (proj[k] - w.y) / pivot to y. The squared residual is then
     norms_sq - y.y (an upper bound after a ridged pick), the code x solves
     L^T x = y by one back substitution, and the next correlations are
-    proj - X G. Each step runs over all active signals at once, with the
-    signal axis last in the factors.
+    proj - X G. Each step runs over all signals at once, with the signal axis
+    last in the factors. Every signal keeps its place in that state: once it
+    stops, its later picks get y = 0 and gain 0, so the back substitution
+    returns its code unchanged. A signal whose squared norm is below
+    ``stop_sq`` never starts.
 
     A squared pivot at or below ``PIVOT_TOL`` G[k, k] means atom k is
     numerically in the span of S. The pivot is then ridged to
     sqrt(G[k, k] + RIDGE), so the atom's coefficient stays at the size of its
     (vanishing) correlation with the residual instead of being divided by a
-    vanishing pivot; each such pick is counted in ``stats[counter]``.
-    Returns the (n, N) code.
+    vanishing pivot; each such pick of a live signal is counted in
+    ``stats[counter]``. Returns the (n, N) code.
     """
     N, n = proj.shape
     if not 1 <= sparsity <= n:
         raise ValueError(f"sparsity must be in [1, {n}] (the atom count), got {sparsity}")
-    matrix = np.zeros((n, N))
+    # The output comes before the state: allocated at return instead, it raised
+    # code-stream's peak RSS 11 MB in 6 of 10 benchmark runs (1 of 10 this way).
+    matrix = np.empty((n, N))
     g_diag = np.diag(G)
-    # State of the active signals only. A finished signal's code is written
-    # out and its state dropped, so nothing is re-gathered while all run.
-    cols = np.flatnonzero(norms_sq >= stop_sq)
-    P = proj if cols.size == N else proj[cols]
-    res_sq = norms_sq[cols]
+    live = norms_sq >= stop_sq
+    res_sq = norms_sq.copy()
     idle_sq = OMP_GAIN_TOL**2 * res_sq
-    X = np.zeros((cols.size, n))                          # codes, one row per signal
-    S = np.zeros((sparsity, cols.size), dtype=np.intp)    # supports in pick order
-    L = np.zeros((sparsity, sparsity, cols.size))         # lower-triangular factors
-    y = np.zeros((sparsity, cols.size))
+    X = np.zeros((N, n))                          # codes, one row per signal
+    S = np.zeros((sparsity, N), dtype=np.intp)    # supports in pick order
+    L = np.zeros((sparsity, sparsity, N))         # lower-triangular factors
+    y = np.zeros((sparsity, N))
     corr = np.empty_like(X)
+    at = np.arange(N)
     ridged = 0
     for t in range(sparsity):
-        if cols.size == 0:
-            break
-        at = np.arange(cols.size)
         # in place: a fresh array per round costs more than the product
         if t:
             np.matmul(X, G, out=corr)
-            np.subtract(P, corr, out=corr)
+            np.subtract(proj, corr, out=corr)
             np.abs(corr, out=corr)
         else:
-            np.abs(P, out=corr)
+            np.abs(proj, out=corr)
         corr[at, S[:t]] = -np.inf
         k = np.argmax(corr, axis=1)
         S[t] = k
@@ -117,33 +117,25 @@ def _gram_omp_batch(G, proj, norms_sq, sparsity, stop_sq, stats, counter):
             w[i] = (g[i] - np.einsum("ij,ij->j", L[i, :i], w[:i])) / L[i, i]
         pivot_sq = g_diag[k] - np.einsum("ij,ij->j", w[:t], w[:t])
         weak = pivot_sq <= PIVOT_TOL * g_diag[k]
-        if np.any(weak):
-            pivot_sq[weak] = g_diag[k[weak]] + RIDGE
-            ridged += int(np.count_nonzero(weak))
+        pivot_sq[weak] = g_diag[k[weak]] + RIDGE
+        ridged += int(np.count_nonzero(weak & live))
         w[t] = np.sqrt(pivot_sq)
-        y[t] = (P[at, k] - np.einsum("ij,ij->j", w[:t], y[:t])) / w[t]
+        y[t] = (proj[at, k] - np.einsum("ij,ij->j", w[:t], y[:t])) / w[t]
         gain = y[t] ** 2
-        idle = gain <= idle_sq
-        if np.any(idle):
-            idle &= ~weak
-            y[t, idle] = gain[idle] = 0.0    # the back substitution keeps the last code
+        idle = (gain <= idle_sq) & ~weak
+        stopped = ~live | idle
+        y[t, stopped] = gain[stopped] = 0.0
         res_sq -= gain
-        x = np.empty((t + 1, cols.size))
+        x = np.empty((t + 1, N))
         for i in range(t, -1, -1):
             x[i] = (y[i] - np.einsum("ij,ij->j", L[i + 1:t + 1, i], x[i + 1:])) / L[i, i]
         X[at, S[:t + 1]] = x
-        done = (res_sq < stop_sq) | idle | (t + 1 == sparsity)
-        if np.all(done) and cols.size == N:   # one transpose instead of a scatter
-            matrix = np.ascontiguousarray(X.T)
+        live = ~(stopped | (res_sq < stop_sq))
+        if not live.any():
             break
-        if np.any(done):
-            matrix[:, cols[done]] = X[done].T
-            keep = ~done
-            cols, P, X = cols[keep], P[keep], X[keep]
-            res_sq, idle_sq = res_sq[keep], idle_sq[keep]
-            S, L, y, corr = S[:, keep], L[..., keep], y[:, keep], corr[keep]
     if ridged and stats is not None:
         stats[counter] = stats.get(counter, 0) + ridged
+    np.copyto(matrix, X.T)
     return SparseCode(matrix=matrix, sparsity=sparsity)
 
 

@@ -341,24 +341,30 @@ def test_chol_ridge_matches_explicit_identity_ridge(m):
 @pytest.mark.parametrize("m", [30, 5])
 def test_factored_gram_is_the_factor_of_k_and_multiplies_like_k(monkeypatch, block, m):
     # in 3-column blocks the 20 x 20 factor is read as 7 trapezoids, in 512 as
-    # one; m = 5 gives a rank-deficient Gram, restored and factored ridged
+    # one; m = 5 gives a singular Gram (rank-deficient linear, or RBF with a
+    # duplicated signal), restored and factored ridged: exactly K + r I, since
+    # gram(Y, Y) is bit-symmetric
     monkeypatch.setattr(kernel_dl, "FACTOR_BLOCK", block)
-    rng = np.random.default_rng(m)
-    Y = rng.standard_normal((m, 20))
-    K = gram(Y, Y, LINEAR)
-    buffer = K.copy()
-    stats: dict = {}
-    k = kernel_dl.FactoredGram(buffer, stats)
-    assert stats == ({"kdd_ridge": 1} if m < 20 else {})
-    assert k.ridge == (KDD_RIDGE if m < 20 else 0.0)
-    L, lower = k.chol
-    assert lower and np.shares_memory(L, buffer)
-    L_ref = scipy.linalg.cho_factor(K + k.ridge * np.eye(20), lower=True)[0]
-    np.testing.assert_array_equal(np.tril(L), np.tril(L_ref))
-    Z = rng.standard_normal((4, 20))
-    for x in (rng.standard_normal(20), rng.standard_normal((20, 3)), Z.T):
-        tol = 1e-13 * np.linalg.norm(K) * np.linalg.norm(x)
-        assert np.linalg.norm(k @ x - K @ x) <= tol
+    for spec in (LINEAR, KernelSpec("rbf", sigma=3.0)):
+        rng = np.random.default_rng(m)
+        Y = rng.standard_normal((m, 20))
+        if m < 20 and spec.family == "rbf":
+            Y[:, 7] = Y[:, 3]
+        K = gram(Y, Y, spec)
+        assert np.array_equal(K, K.T)
+        buffer = K.copy()
+        stats: dict = {}
+        k = kernel_dl.FactoredGram(buffer, stats)
+        assert stats == ({"kdd_ridge": 1} if m < 20 else {})
+        assert k.ridge == (KDD_RIDGE if m < 20 else 0.0)
+        L, lower = k.chol
+        assert lower and np.shares_memory(L, buffer)
+        L_ref = scipy.linalg.cho_factor(K + k.ridge * np.eye(20), lower=True)[0]
+        np.testing.assert_array_equal(np.tril(L), np.tril(L_ref))
+        Z = rng.standard_normal((4, 20))
+        for x in (rng.standard_normal(20), rng.standard_normal((20, 3)), Z.T):
+            tol = 1e-13 * np.linalg.norm(K) * np.linalg.norm(x)
+            assert np.linalg.norm(k @ x - K @ x) <= tol
 
 
 # -------------------------------------------------------------------- trainers

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import kernel_omp, omp
+from rkdl import sparse_coding
 from rkdl.kernels import KernelSpec, gram, self_kernel_diag
 from rkdl.sparse_coding import SparseCode, kernel_omp_batch, omp_batch
 
@@ -448,8 +449,28 @@ def test_kernel_omp_batch_on_the_atoms_own_products_is_bit_identical(
     assert on_atoms == stats
 
 
+def check_signals_coded_apart(code, N, counter, twin):
+    """``code(cols, stats)`` codes the signals ``cols`` in one batch. Each
+    column of the batch's code equals, bit for bit, its signal's column in a
+    batch of N copies of that signal (the same BLAS shapes, none of the other
+    signals' stops), and the code of the signal alone to round-off. The
+    batch's counter is the sum of its signals' counts, which are returned."""
+    stats: dict = {}
+    batch = code(np.arange(N), stats)
+    counts = []
+    for ell in range(N):
+        copy_stats: dict = {}
+        copies = code(np.full(N, ell), copy_stats)
+        assert copies[:, ell].tobytes() == batch[:, ell].tobytes()
+        counts.append(copy_stats.get(counter, 0) / N)
+        np.testing.assert_allclose(fold_twin(code([ell], {}), twin),
+                                   fold_twin(batch[:, [ell]], twin), atol=1e-12)
+    assert stats.get(counter, 0) == sum(counts)
+    return counts
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e-7])
-def test_batch_coders_ridge_near_singular_picks(offset):
+def test_batch_coders_ridge_near_singular_picks(monkeypatch, offset):
     # atom 3 repeats atom 0 (exactly, or 1e-7 off), and s = atom count forces
     # both into every support: the pick is counted, and its coefficient stays
     # small instead of exploding on a vanishing pivot
@@ -474,3 +495,24 @@ def test_batch_coders_ridge_near_singular_picks(offset):
     check_ridged_codes(Z, kernel_omp_batch(k_yd, kyy, k_dd, np.eye(4), 3).matrix,
                        lambda Z: np.sum((Y - D @ Z) ** 2, axis=0))
     np.testing.assert_allclose(Z, X, atol=1e-9)
+
+    # a batch whose signals stop at every point of the pursuit: a zero signal
+    # and one below the residual floor (neither starts), exact signals on one
+    # and on two atoms (stopping after picks 1 and 2), a two-atom signal plus
+    # a vector orthogonal to every atom, whose third pick gains nothing and is
+    # idle, and noisy signals that run to the end. A stopped signal's later
+    # picks, weak ones included, count nothing.
+    exact = D[:, 1:3] @ [1.5, -2.5]
+    M = np.column_stack([np.zeros(6), 1e-12 * D[:, 0], 2.0 * D[:, 1], exact,
+                         exact + np.linalg.qr(D, mode="complete")[0][:, -1], Y[:, :4]])
+    k_yd, kyy = gram(M, D, spec), self_kernel_diag(M, spec)
+    for counter, code in [
+            ("linear_ridge", lambda c, st: omp_batch(D, M[:, c], 4, stats=st).matrix),
+            ("ridge", lambda c, st: kernel_omp_batch(k_yd[c], kyy[c], k_dd, np.eye(4), 4,
+                                                     stats=st).matrix)]:
+        counts = check_signals_coded_apart(code, M.shape[1], counter, twin=offset == 0.0)
+        assert counts == [0, 0, 0, 0, 0, 1, 1, 1, 1]
+        assert np.count_nonzero(code(np.arange(5), {}), axis=0).tolist() == [0, 0, 1, 2, 2]
+        with monkeypatch.context() as mp:
+            mp.setattr(sparse_coding, "OMP_GAIN_TOL", 0.0)    # no idle stop
+            assert np.count_nonzero(code([4], {})) > 2
