@@ -63,15 +63,17 @@ class ExperimentConfig:
 class MethodResult:
     traces: list[TrainTrace] = field(default_factory=list)
     seconds: list[float] = field(default_factory=list)
-    pretrain_seconds: list[float] = field(default_factory=list)
-    replaced_atoms: list[dict] = field(default_factory=list)  # per round, from the pretrain
-    pretrain_phase_seconds: list[dict] = field(default_factory=list)  # per round, likewise
+    pretrain_traces: list[TrainTrace] = field(default_factory=list)  # on pre-trained vectors
     failed: str | None = None
 
     @property
     def errors(self) -> np.ndarray:
         """(rounds, iters + 1) error curves."""
         return np.asarray([t.errors for t in self.traces])
+
+    @property
+    def pretrain_seconds(self) -> list[float]:
+        return [t.total_seconds for t in self.pretrain_traces]
 
 
 @dataclass
@@ -86,8 +88,7 @@ class RunResult:
 
 def pretrain(Y: np.ndarray, cfg: ExperimentConfig, seed: int) -> Dictionary:
     """The AK-SVD dictionary that the pre-trained methods use as kernel vectors."""
-    vectors, _ = aksvd_train(Y, dataclasses.replace(cfg.linear_dl, seed=seed))
-    return vectors
+    return aksvd_train(Y, dataclasses.replace(cfg.linear_dl, seed=seed))[0]
 
 
 def train_method(method: str, Y: np.ndarray, cfg: ExperimentConfig, seed: int,
@@ -147,9 +148,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> RunResult:
             on_vectors = METHODS[method].vectors == "pretrained"
             try:
                 if on_vectors and vectors is None:
-                    t0 = time.perf_counter()
                     vectors = pretrain(Y, cfg, seed)
-                    pretrain_seconds = time.perf_counter() - t0
                 t0 = time.perf_counter()
                 _, trace, _ = train_method(method, Y, cfg, seed, vectors)
             except Exception as exc:  # noqa: BLE001 - recorded, other methods continue
@@ -157,9 +156,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> RunResult:
                 continue
             res.seconds.append(time.perf_counter() - t0)
             if on_vectors:
-                res.pretrain_seconds.append(pretrain_seconds)
-                res.replaced_atoms.append(vectors.meta["replaced_atoms"])
-                res.pretrain_phase_seconds.append(vectors.meta["phase_seconds"])
+                res.pretrain_traces.append(vectors.meta["trace"])
             res.traces.append(trace)
     return RunResult(config=cfg, methods=results)
 
@@ -168,17 +165,29 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _summary(traces: list[TrainTrace], seconds: list[float]) -> dict:
+    """Mean and spread of the traces' final errors, mean seconds and phase
+    seconds, and the warning counters summed over the traces."""
+    finals = [t.errors[-1] for t in traces]
+    return {
+        "final_error_mean": float(np.mean(finals)),
+        "final_error_std": float(np.std(finals)),
+        "seconds_mean": float(np.mean(seconds)),
+        "phase_seconds_mean": {k: float(np.mean([t.phase_seconds.get(k, 0.0) for t in traces]))
+                               for k in traces[0].phase_seconds},
+        "warnings": dict(sum((Counter(t.warnings) for t in traces), Counter())),
+    }
+
+
 def emit_outputs(result: RunResult, out_dir: str) -> dict[str, str]:
     """Write errors.csv, curves.csv and summary.json under ``out_dir``.
 
     errors.csv has one row per (method, round, iteration); curves.csv holds
     the per-iteration mean error with one column per method; summary.json
     mirrors the final-error and timing tables and holds each method's warning
-    counters summed over rounds, and for the methods on pre-trained vectors the
-    AK-SVD atoms re-seeded in pretraining (``replaced_atoms``), also summed
-    over rounds, and the mean seconds of the pretraining's ``coding`` and
-    ``sweep`` phases (``pretrain_phase_seconds_mean``). Returns the file
-    paths.
+    counters summed over rounds (``_summary``). A method on pre-trained vectors
+    also has a ``"pretrain"`` entry, the same summary of its rounds'
+    pretraining traces. Returns the file paths.
     """
     if not result.methods:
         raise ValueError("experiment result contains no methods")
@@ -212,25 +221,9 @@ def emit_outputs(result: RunResult, out_dir: str) -> dict[str, str]:
         res = result.methods[method]
         entry: dict = {"failed": res.failed, "rounds_completed": len(res.traces)}
         if res.traces:
-            finals = res.errors[:, -1]
-            entry.update(
-                final_error_mean=float(np.mean(finals)),
-                final_error_std=float(np.std(finals)),
-                seconds_mean=float(np.mean(res.seconds)),
-                phase_seconds_mean={
-                    k: float(np.mean([t.phase_seconds.get(k, 0.0) for t in res.traces]))
-                    for k in res.traces[0].phase_seconds
-                },
-                warnings=dict(sum((Counter(t.warnings) for t in res.traces), Counter())),
-            )
-            if res.pretrain_seconds:
-                entry["pretrain_seconds_mean"] = float(np.mean(res.pretrain_seconds))
-                entry["pretrain_phase_seconds_mean"] = {
-                    k: float(np.mean([p[k] for p in res.pretrain_phase_seconds]))
-                    for k in res.pretrain_phase_seconds[0]}
-                entry["replaced_atoms"] = {
-                    kind: sum(r[kind] for r in res.replaced_atoms)
-                    for kind in res.replaced_atoms[0]}
+            entry.update(_summary(res.traces, res.seconds))
+        if res.pretrain_traces:
+            entry["pretrain"] = _summary(res.pretrain_traces, res.pretrain_seconds)
         summary["methods"][method] = entry
     with open(paths["summary"], "w") as f:
         json.dump(summary, f, indent=2)

@@ -9,14 +9,13 @@ feature vectors are never formed.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .kernels import KernelSpec, dictionary_gradient, gram, inner_products, self_kernel_diag
-from .linear_dl import GATHER_BYTES, Dictionary, atom_sweep
+from .linear_dl import GATHER_BYTES, Dictionary, TrainTrace, atom_sweep, residual_error
 from .sparse_coding import SparseCode, kernel_omp_batch, omp_batch
 
 KDD_RIDGE = 1e-10
@@ -87,20 +86,6 @@ class KdlConfig:
             raise ValueError("iters and grad_steps must be non-negative")
         if self.learning_rate < 0 or self.penalty < 0:
             raise ValueError("learning_rate and penalty must be non-negative")
-
-
-@dataclass
-class TrainTrace:
-    """Per-iteration errors plus phase timings and warning counters.
-
-    ``errors`` has ``iters + 1`` entries; entry 0 is the error right after
-    initialization (empty code), entry i the error after iteration i.
-    """
-
-    errors: list[float]
-    phase_seconds: dict[str, float]
-    warnings: dict[str, int]
-    total_seconds: float = 0.0
 
 
 def _chol_with_ridge(K: np.ndarray, stats: dict) -> tuple:
@@ -211,10 +196,7 @@ def _trace_error(kyy_sum: float, P, G, Z, m: int, N: int, stats: dict | None = N
     """
     t2 = float(np.einsum("la,al->", P, Z))
     t3 = float(np.einsum("al,al->", Z, G @ Z))
-    res_sq = kyy_sum - 2.0 * t2 + t3
-    if res_sq < 0.0 and stats is not None:
-        stats["residual_clamp"] = stats.get("residual_clamp", 0) + 1
-    return float(np.sqrt(max(0.0, res_sq)) / np.sqrt(m * N))
+    return residual_error(kyy_sum - 2.0 * t2 + t3, m * N, stats)
 
 
 def error_metric(Y: np.ndarray, kdict: KernelDictionary, Z) -> float:
@@ -306,20 +288,14 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
     Y = np.asarray(Y, dtype=float)
     m, N = Y.shape
     D = vectors.atoms if vectors.atoms is Y else np.array(vectors.atoms, dtype=float, copy=True)
-    phases = {"gram_refresh": 0.0, "coding": 0.0, "factor": 0.0, "atom_sweep": 0.0,
-              "gradient": 0.0, "error_eval": 0.0}
-    stats: dict = {}
+    trace = TrainTrace(errors=[], warnings={}, phase_seconds=dict.fromkeys(
+        ("gram_refresh", "coding", "factor", "atom_sweep", "gradient", "error_eval"), 0.0))
+    stats, timed = trace.warnings, trace.timed
     rng = np.random.default_rng(cfg.seed)
     descend = update is not None and cfg.grad_steps > 0 and cfg.learning_rate > 0
-    penalized = update == "mixed" and cfg.penalty > 0
+    penalized = descend and update == "mixed" and cfg.penalty > 0    # reads the linear code X
     renormalize = update == "mixed" and cfg.normalize_vectors
     smaller_step = f"try a smaller learning rate (currently {cfg.learning_rate})"
-
-    @contextmanager
-    def timed(phase: str):
-        t0 = time.perf_counter()
-        yield
-        phases[phase] += time.perf_counter() - t0
 
     with timed("gram_refresh"):
         y_sq = np.einsum("ij,ij->j", Y, Y)    # Y is fixed: its norms serve every Gram and code
@@ -354,13 +330,13 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
     Z = np.zeros((cfg.n_atoms, N))
     with timed("error_eval"):    # each (P, G) serves one error and the next coding
         P, G = _atom_products(k_yd, k_dd, A)
-        errors = [_trace_error(kyy_sum, P, G, Z, m, N, stats)]
+        trace.errors.append(_trace_error(kyy_sum, P, G, Z, m, N, stats))
 
     for it in range(cfg.iters):
         with timed("coding"):
             # kernel OMP on the atoms themselves: cross Gram P, Gram G, coefficients I
             Z = kernel_omp_batch(P, kyy, G, np.eye(cfg.n_atoms), cfg.sparsity, stats).matrix
-            if update == "mixed":
+            if penalized:
                 X = omp_batch(D, Y, cfg.dl_sparsity, require_normalized=cfg.normalize_vectors,
                               stats=stats, norms_sq=y_sq)
 
@@ -399,15 +375,14 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
 
         with timed("error_eval"):
             P, G = _atom_products(k_yd, k_dd, A)
-            errors.append(_trace_error(kyy_sum, P, G, Z, m, N, stats))
+            trace.errors.append(_trace_error(kyy_sum, P, G, Z, m, N, stats))
         if callback is not None:
             callback(it, D, A, Z, k_dd)
 
     normalized = vectors.normalized if update is None else renormalize
     kdict = KernelDictionary(coefficients=A, vectors=Dictionary(atoms=D, normalized=normalized),
                              kernel=kernel)
-    trace = TrainTrace(errors=errors, phase_seconds=phases, warnings=stats,
-                       total_seconds=time.perf_counter() - t_start)
+    trace.total_seconds = time.perf_counter() - t_start
     return kdict, SparseCode(matrix=Z, sparsity=cfg.sparsity), trace
 
 
@@ -455,11 +430,11 @@ def morkdl_train(Y: np.ndarray, vectors: Dictionary, kernel: KernelSpec, cfg: Kd
     """Gradient-refined reduced KDL under a mixed objective.
 
     The kernel-vector gradient gains the linear-representation term
-    -2 * penalty * (Y - D X) X^T, with X recoded by OMP every iteration. It is
-    evaluated as -2 * penalty * (Y X^T - D X X^T) from the two products
-    Y X^T and X X^T, formed once per iteration from the code X, so no
-    gradient step builds the m x N residual Y - D X;
-    with ``normalize_vectors`` the columns of D are re-normalized after the
+    -2 * penalty * (Y - D X) X^T, X recoded by OMP in each iteration that takes
+    a step with penalty > 0. It is evaluated as -2 * penalty * (Y X^T - D X X^T)
+    from the two products Y X^T and X X^T, formed once per iteration from the
+    code X, so no gradient step builds the m x N residual Y - D X; with
+    ``normalize_vectors`` the columns of D are re-normalized after the
     gradient steps. X stays internal: like every trainer, this returns
     (KernelDictionary, SparseCode, TrainTrace), the trace recording the
     nonlinear representation error only.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +33,34 @@ class Dictionary:
             norms = np.linalg.norm(self.atoms, axis=0)
             if np.any(np.abs(norms - 1.0) > tol):
                 raise ValueError("dictionary marked normalized but has non-unit columns")
+
+
+@dataclass
+class TrainTrace:
+    """Errors, phase seconds and warning counters of one training run. A kernel
+    trainer's ``errors`` has ``iters + 1`` entries, entry 0 at the empty initial
+    code and entry i after iteration i; AK-SVD pretraining's has one per coding
+    pass, the error of the fresh code."""
+
+    errors: list[float]
+    phase_seconds: dict[str, float]
+    warnings: dict[str, int]
+    total_seconds: float = 0.0
+
+    @contextmanager
+    def timed(self, phase: str):
+        """Add the seconds spent in the ``with`` block to ``phase_seconds[phase]``."""
+        t0 = time.perf_counter()
+        yield
+        self.phase_seconds[phase] += time.perf_counter() - t0
+
+
+def residual_error(res_sq: float, size: int, stats: dict | None = None) -> float:
+    """sqrt(res_sq / size) for a squared residual summed over ``size`` elements;
+    a negative sum is clamped to zero and counted in ``stats["residual_clamp"]``."""
+    if res_sq < 0.0 and stats is not None:
+        stats["residual_clamp"] = stats.get("residual_clamp", 0) + 1
+    return float(np.sqrt(max(0.0, res_sq)) / np.sqrt(size))
 
 
 @dataclass(frozen=True)
@@ -206,14 +235,17 @@ def aksvd_train(Y: np.ndarray, cfg: DLConfig, D_init: Dictionary | None = None,
     Each iteration recodes all signals with OMP, then runs one approximate
     K-SVD sweep (``_aksvd_sweep``). Y is taken F-ordered once per run (a copy
     unless it already is), and its squared norms are formed once and serve
-    every OMP call and every re-seed. ``meta["replaced_atoms"]`` counts the
-    re-seeded atoms over all iterations as ``{"unused": u, "degenerate": g}``;
-    ``meta["phase_seconds"]`` holds the seconds spent in OMP (``coding``) and
-    in the sweeps, re-seeds included (``sweep``).
+    every OMP call and every re-seed. ``meta["trace"]`` is the run's
+    ``TrainTrace``: each coding pass's error from OMP's ``residual_sq``, the
+    seconds of OMP (``coding``) and of the sweeps, re-seeds included
+    (``sweep``), and the counters ``linear_ridge``, ``residual_clamp``,
+    ``unused_atom`` and ``degenerate_atom`` (re-seeded atoms).
 
     Returns the trained dictionary and the sparse code of the last coding
-    pass (updated in place by the atom sweeps).
+    pass, updated in place by the atom sweeps (so without ``residual_sq``).
     """
+    trace = TrainTrace(errors=[], phase_seconds={"coding": 0.0, "sweep": 0.0}, warnings={})
+    t_start = time.perf_counter()
     Y = np.asarray(Y, dtype=float)
     norms_sq = np.einsum("ij,ij->j", Y, Y)
     # one sweep re-seeds at most n_atoms atoms, each from a distinct nonzero signal
@@ -226,24 +258,21 @@ def aksvd_train(Y: np.ndarray, cfg: DLConfig, D_init: Dictionary | None = None,
     dictionary = D_init if D_init is not None else init_dictionary(Y, cfg.n_atoms, cfg.seed)
     D = dictionary.atoms.copy()
     Y = np.asfortranarray(Y)
-    t0 = time.perf_counter()
-    X = omp_batch(D, Y, cfg.sparsity, norms_sq=norms_sq).matrix
-    phases = {"coding": time.perf_counter() - t0, "sweep": 0.0}
-    replaced = {"unused": 0, "degenerate": 0}
-
-    for it in range(cfg.iters):
-        t0 = time.perf_counter()
-        if it > 0:
-            X = omp_batch(D, Y, cfg.sparsity, norms_sq=norms_sq).matrix
-        t1 = time.perf_counter()
-        unused, degenerate = _aksvd_sweep(Y, D, X, norms_sq)
-        phases["coding"] += t1 - t0
-        phases["sweep"] += time.perf_counter() - t1
-        replaced["unused"] += unused
-        replaced["degenerate"] += degenerate
+    for it in range(max(cfg.iters, 1)):
+        with trace.timed("coding"):
+            code = omp_batch(D, Y, cfg.sparsity, stats=trace.warnings, norms_sq=norms_sq)
+            trace.errors.append(residual_error(code.residual_sq.sum(), Y.size, trace.warnings))
+        X = code.matrix
+        if it == cfg.iters:    # iters = 0: the initial code only
+            break
+        with trace.timed("sweep"):
+            counts = _aksvd_sweep(Y, D, X, norms_sq)
+        for key, count in zip(("unused_atom", "degenerate_atom"), counts):
+            if count:
+                trace.warnings[key] = trace.warnings.get(key, 0) + count
         if callback is not None:
             callback(it, D, X)
 
-    meta = {**dictionary.meta, "replaced_atoms": replaced, "phase_seconds": phases}
-    code = SparseCode(matrix=X, sparsity=cfg.sparsity)
-    return Dictionary(atoms=D, normalized=True, meta=meta), code
+    trace.total_seconds = time.perf_counter() - t_start
+    return (Dictionary(atoms=D, normalized=True, meta={**dictionary.meta, "trace": trace}),
+            SparseCode(matrix=X, sparsity=cfg.sparsity))

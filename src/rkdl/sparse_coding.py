@@ -33,10 +33,12 @@ PIVOT_TOL = 1e-10
 
 @dataclass
 class SparseCode:
-    """Dense code ``matrix`` with at most ``sparsity`` nonzeros per column."""
+    """Dense code ``matrix`` with at most ``sparsity`` nonzeros per column;
+    ``residual_sq``, when the coder's, each signal's squared residual."""
 
     matrix: np.ndarray
     sparsity: int
+    residual_sq: np.ndarray | None = None
 
     def validate(self) -> None:
         nnz = np.count_nonzero(self.matrix, axis=0)
@@ -81,7 +83,10 @@ def _gram_omp_batch(G, proj, norms_sq, sparsity, stop_sq, stats, counter):
     sqrt(G[k, k] + RIDGE), so the atom's coefficient stays at the size of its
     (vanishing) correlation with the residual instead of being divided by a
     vanishing pivot; each such pick of a live signal is counted in
-    ``stats[counter]``. Returns the (n, N) code.
+    ``stats[counter]``. Returns the (n, N) code, with every signal's
+    norms_sq - y.y as ``residual_sq``: exact up to round-off, and after a ridged
+    pick an upper bound, above the true one by x^T Delta x for the diagonal
+    Delta >= 0 that the ridges add to L L^T.
     """
     N, n = proj.shape
     if not 1 <= sparsity <= n:
@@ -136,7 +141,7 @@ def _gram_omp_batch(G, proj, norms_sq, sparsity, stop_sq, stats, counter):
     if ridged and stats is not None:
         stats[counter] = stats.get(counter, 0) + ridged
     np.copyto(matrix, X.T)
-    return SparseCode(matrix=matrix, sparsity=sparsity)
+    return SparseCode(matrix=matrix, sparsity=sparsity, residual_sq=res_sq)
 
 
 def omp_batch(D: np.ndarray, Y: np.ndarray, sparsity: int, require_normalized: bool = True,

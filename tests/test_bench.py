@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rkdl import bench, cli, kernel_dl
 from rkdl.bench import ExperimentConfig, emit_outputs, pretrain, run_experiment
 from rkdl.cli import main as cli_main
 from rkdl.datasets import load_dataset, save_csv, synth
+from rkdl.linear_dl import Dictionary, aksvd_train, init_dictionary
 from rkdl.kernel_dl import METHODS
 from rkdl.model_io import load_model
 
@@ -96,30 +98,52 @@ def test_summary_replaced_atoms_summed_over_rounds(tmp_path):
     result = run_experiment(cfg)
     summary = json.load(open(emit_outputs(result, str(tmp_path / "out"))["summary"]))
     Y = load_dataset(cfg.dataset).values
-    expected = {"unused": 0, "degenerate": 0}
+    expected: Counter = Counter()
     for r in range(cfg.rounds):
-        for kind, count in pretrain(Y, cfg, cfg.base_seed + r).meta["replaced_atoms"].items():
-            expected[kind] += count
-    assert expected["unused"] > 0
-    assert "replaced_atoms" not in summary["methods"]["kdl"]
+        expected.update(pretrain(Y, cfg, cfg.base_seed + r).meta["trace"].warnings)
+    assert expected["unused_atom"] > 0
+    assert "pretrain" not in summary["methods"]["kdl"]
     for method in ("rkdl-d", "morkdl-d"):
-        assert summary["methods"][method]["replaced_atoms"] == expected
+        assert "replaced_atoms" not in summary["methods"][method]
+        assert summary["methods"][method]["pretrain"]["warnings"] == dict(expected)
 
 
 def test_summary_pretrain_phases_are_round_means(tmp_path):
     cfg = ExperimentConfig.from_dict(base_config(methods=["kdl", "rkdl-d", "orkdl-d"]))
     result = run_experiment(cfg)
     summary = json.load(open(emit_outputs(result, str(tmp_path))["summary"]))
-    assert "pretrain_phase_seconds_mean" not in summary["methods"]["kdl"]
+    assert "pretrain" not in summary["methods"]["kdl"]
     for method in ("rkdl-d", "orkdl-d"):
-        rounds = result.methods[method].pretrain_phase_seconds
+        assert "pretrain_phase_seconds_mean" not in summary["methods"][method]
+        rounds = result.methods[method].pretrain_traces
         assert len(rounds) == cfg.rounds
-        for phases, total in zip(rounds, result.methods[method].pretrain_seconds):
-            assert sum(phases.values()) <= total
-        means = summary["methods"][method]["pretrain_phase_seconds_mean"]
+        for trace, total in zip(rounds, result.methods[method].pretrain_seconds):
+            assert sum(trace.phase_seconds.values()) <= total
+        means = summary["methods"][method]["pretrain"]["phase_seconds_mean"]
         assert set(means) == {"coding", "sweep"}
         for phase, mean in means.items():
-            assert mean == float(np.mean([r[phase] for r in rounds])) > 0.0
+            assert mean == float(np.mean([t.phase_seconds[phase] for t in rounds])) > 0.0
+
+
+def test_pretraining_ridges_reach_trace_and_summary(tmp_path, monkeypatch):
+    # the initial dictionary's atom 9 is atom 0 moved by 1e-7, and sparsity =
+    # atom count puts both twins in every support: OMP ridges the later pick
+    cfg = ExperimentConfig.from_dict(base_config(
+        methods=["kdl", "rkdl-d"], linear_dl={"n_atoms": 10, "sparsity": 10, "iters": 2}))
+    Y = load_dataset(cfg.dataset).values
+    atoms = init_dictionary(Y, 10, seed=0).atoms
+    atoms[:, 9] = atoms[:, 0] + 1e-7 * np.random.default_rng(1).standard_normal(Y.shape[0])
+    twins = Dictionary(atoms / np.linalg.norm(atoms, axis=0))
+    monkeypatch.setattr(bench, "aksvd_train",
+                        lambda Y, dl_cfg: aksvd_train(Y, dl_cfg, D_init=twins))
+    result = run_experiment(cfg)
+    summary = json.load(open(emit_outputs(result, str(tmp_path))["summary"]))
+    traces = result.methods["rkdl-d"].pretrain_traces
+    assert len(traces) == cfg.rounds
+    assert all(t.warnings["linear_ridge"] > 0 for t in traces)
+    assert (summary["methods"]["rkdl-d"]["pretrain"]["warnings"]["linear_ridge"]
+            == sum(t.warnings["linear_ridge"] for t in traces))
+    assert "pretrain" not in summary["methods"]["kdl"]
 
 
 def test_reruns_are_bit_identical(tmp_path):

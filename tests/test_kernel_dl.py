@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -536,7 +537,11 @@ def test_orkdl_gradient_phase_decreases_objective_at_small_rate():
         Z = Z * scale[:, None]
 
 
-def test_morkdl_zero_penalty_matches_orkdl():
+def test_morkdl_zero_penalty_matches_orkdl(monkeypatch):
+    # with no penalty the linear code X is never read, so it is never coded
+    calls = []
+    monkeypatch.setattr(kernel_dl, "omp_batch",
+                        lambda *args, **kwargs: calls.append(1) or omp_batch(*args, **kwargs))
     signals, _, _ = synth(12, 150, 10, 3, seed=2)
     Y = signals.values
     vectors = pretrained(Y, 10, 3, seed=1)
@@ -549,6 +554,10 @@ def test_morkdl_zero_penalty_matches_orkdl():
     _, _, opt = orkdl_train(Y, vectors, spec, base_cfg)
     _, _, mix = morkdl_train(Y, vectors, spec, mixed_cfg)
     assert opt.errors == mix.errors
+    assert mix.warnings == opt.warnings
+    assert calls == []
+    morkdl_train(Y, vectors, spec, dataclasses.replace(mixed_cfg, penalty=1.0))
+    assert len(calls) == mixed_cfg.iters
 
 
 def test_morkdl_mixed_gradient_finite_difference():
@@ -635,10 +644,16 @@ def test_morkdl_counts_linear_ridges_apart_from_kernel_ridges():
     D = np.random.default_rng(8).standard_normal((10, 6))
     D[:, 5] = D[:, 0]
     D /= np.linalg.norm(D, axis=0)
-    cfg = KdlConfig(n_atoms=3, sparsity=1, iters=2, seed=0, grad_steps=0, dl_sparsity=6)
+    # a vanishing step keeps the twins within the ridge threshold of each other
+    cfg = KdlConfig(n_atoms=3, sparsity=1, iters=2, seed=0, grad_steps=1, learning_rate=1e-12,
+                    dl_sparsity=6)
     trace = morkdl_train(Y, Dictionary(D), KernelSpec("rbf", sigma=3.0), cfg)[2]
     assert trace.warnings["linear_ridge"] == 2 * 40
     assert "ridge" not in trace.warnings
+    # without a step X is not read, so it is not coded and nothing is counted
+    fixed = morkdl_train(Y, Dictionary(D), KernelSpec("rbf", sigma=3.0),
+                         dataclasses.replace(cfg, grad_steps=0))[2]
+    assert "linear_ridge" not in fixed.warnings
 
 
 def test_morkdl_normalizes_vectors_by_default():

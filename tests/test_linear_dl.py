@@ -263,11 +263,27 @@ def test_reseeding_sweep_allocates_no_signal_sized_array():
 def test_pretraining_phases_in_meta():
     signals, _, _ = synth(12, 150, 10, 3, seed=5)
     dictionary, _ = aksvd_train(signals.values, DLConfig(n_atoms=10, sparsity=3, iters=4, seed=4))
-    phases = dictionary.meta["phase_seconds"]
+    assert "phase_seconds" not in dictionary.meta
+    trace = dictionary.meta["trace"]
+    phases = trace.phase_seconds
     assert set(phases) == {"coding", "sweep"}
     assert all(v > 0.0 for v in phases.values())
+    assert sum(phases.values()) <= trace.total_seconds
     idle, _ = aksvd_train(signals.values, DLConfig(n_atoms=10, sparsity=3, iters=0, seed=4))
-    assert idle.meta["phase_seconds"]["sweep"] == 0.0
+    assert idle.meta["trace"].phase_seconds["sweep"] == 0.0
+
+
+@pytest.mark.parametrize("iters", [0, 1, 5])
+def test_pretraining_errors_match_recoded_oracle(iters):
+    # coding pass i codes the dictionary the callback saw after sweep i - 1
+    # (pass 0 the initial one); its trace error is read off OMP's residual_sq
+    signals, _, _ = synth(12, 150, 10, 3, seed=5, noise_sigma=0.05)
+    Y = signals.values
+    coded = [init_dictionary(Y, 10, seed=4).atoms]
+    dictionary, _ = aksvd_train(Y, DLConfig(n_atoms=10, sparsity=3, iters=iters, seed=4),
+                                callback=lambda it, D, X: coded.append(D.copy()))
+    oracle = [frobenius_error(Y, D, omp_batch(D, Y, 3).matrix) for D in coded[:max(iters, 1)]]
+    np.testing.assert_allclose(dictionary.meta["trace"].errors, oracle, rtol=1e-12, atol=0.0)
 
 
 def test_sweep_counts_planted_degenerate_atom():
@@ -292,7 +308,8 @@ def test_replaced_atom_counts_in_meta():
     atoms = np.concatenate([init_dictionary(Y, 4, seed=0).atoms, np.eye(8)[:, -1:]], axis=1)
     dictionary, _ = aksvd_train(Y, DLConfig(n_atoms=5, sparsity=2, iters=1, seed=0),
                                 D_init=Dictionary(atoms=atoms))
-    assert dictionary.meta["replaced_atoms"] == {"unused": 1, "degenerate": 0}
+    assert "replaced_atoms" not in dictionary.meta
+    assert dictionary.meta["trace"].warnings == {"unused_atom": 1}
     assert abs(dictionary.atoms[-1, -1]) < 1e-15
     clean, _ = aksvd_train(Y, DLConfig(n_atoms=4, sparsity=2, iters=3, seed=0))
-    assert clean.meta["replaced_atoms"] == {"unused": 0, "degenerate": 0}
+    assert clean.meta["trace"].warnings == {}

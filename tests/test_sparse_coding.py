@@ -516,3 +516,17 @@ def test_batch_coders_ridge_near_singular_picks(monkeypatch, offset):
         with monkeypatch.context() as mp:
             mp.setattr(sparse_coding, "OMP_GAIN_TOL", 0.0)    # no idle stop
             assert np.count_nonzero(code([4], {})) > 2
+
+    # residual_sq is each signal's squared residual to 1e-12 of its squared
+    # norm; on a ridged column it is an upper bound, above by the ridged twin's
+    # x_k^2 times its diagonal shift w.w + RIDGE <= 1 + RIDGE, and that twin
+    # holds the smaller of the two coefficients
+    ridged = np.array(counts) > 0
+    norms_sq = np.sum(M ** 2, axis=0)
+    for sc in (omp_batch(D, M, 4), kernel_omp_batch(k_yd, kyy, k_dd, np.eye(4), 4)):
+        gap = sc.residual_sq - np.sum((M - D @ sc.matrix) ** 2, axis=0)
+        tol = 1e-12 * norms_sq
+        assert np.all(np.abs(gap[~ridged]) <= tol[~ridged])
+        twin_sq = np.minimum(sc.matrix[0] ** 2, sc.matrix[3] ** 2)
+        assert np.all(-tol[ridged] <= gap[ridged])
+        assert np.all(gap[ridged] <= (1.0 + sparse_coding.RIDGE) * twin_sq[ridged] + tol[ridged])
