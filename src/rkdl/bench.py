@@ -6,7 +6,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -40,6 +39,10 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}; choose from {tuple(METHODS)}")
             if m in self.methods[:i]:
                 raise ValueError(f"method {m!r} is listed twice; each method trains once a round")
+        for block in ("kernel_dl", "linear_dl"):
+            if getattr(self, block).seed != 0:
+                raise ValueError(f"{block}: seed is not read, round r trains with seed "
+                                 "base_seed + r; set base_seed or pass --seed")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -62,7 +65,6 @@ class ExperimentConfig:
 @dataclass
 class MethodResult:
     traces: list[TrainTrace] = field(default_factory=list)
-    seconds: list[float] = field(default_factory=list)
     pretrain_traces: list[TrainTrace] = field(default_factory=list)  # on pre-trained vectors
     failed: str | None = None
 
@@ -70,6 +72,10 @@ class MethodResult:
     def errors(self) -> np.ndarray:
         """(rounds, iters + 1) error curves."""
         return np.asarray([t.errors for t in self.traces])
+
+    @property
+    def seconds(self) -> list[float]:
+        return [t.total_seconds for t in self.traces]
 
     @property
     def pretrain_seconds(self) -> list[float]:
@@ -149,12 +155,10 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> RunResult:
             try:
                 if on_vectors and vectors is None:
                     vectors = pretrain(Y, cfg, seed)
-                t0 = time.perf_counter()
                 _, trace, _ = train_method(method, Y, cfg, seed, vectors)
             except Exception as exc:  # noqa: BLE001 - recorded, other methods continue
                 res.failed = f"round {r}: {type(exc).__name__}: {exc}"
                 continue
-            res.seconds.append(time.perf_counter() - t0)
             if on_vectors:
                 res.pretrain_traces.append(vectors.meta["trace"])
             res.traces.append(trace)
@@ -165,14 +169,14 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _summary(traces: list[TrainTrace], seconds: list[float]) -> dict:
-    """Mean and spread of the traces' final errors, mean seconds and phase
+def _summary(traces: list[TrainTrace]) -> dict:
+    """Mean and spread of the traces' final errors, mean total and phase
     seconds, and the warning counters summed over the traces."""
     finals = [t.errors[-1] for t in traces]
     return {
         "final_error_mean": float(np.mean(finals)),
         "final_error_std": float(np.std(finals)),
-        "seconds_mean": float(np.mean(seconds)),
+        "seconds_mean": float(np.mean([t.total_seconds for t in traces])),
         "phase_seconds_mean": {k: float(np.mean([t.phase_seconds.get(k, 0.0) for t in traces]))
                                for k in traces[0].phase_seconds},
         "warnings": dict(sum((Counter(t.warnings) for t in traces), Counter())),
@@ -221,9 +225,9 @@ def emit_outputs(result: RunResult, out_dir: str) -> dict[str, str]:
         res = result.methods[method]
         entry: dict = {"failed": res.failed, "rounds_completed": len(res.traces)}
         if res.traces:
-            entry.update(_summary(res.traces, res.seconds))
+            entry.update(_summary(res.traces))
         if res.pretrain_traces:
-            entry["pretrain"] = _summary(res.pretrain_traces, res.pretrain_seconds)
+            entry["pretrain"] = _summary(res.pretrain_traces)
         summary["methods"][method] = entry
     with open(paths["summary"], "w") as f:
         json.dump(summary, f, indent=2)

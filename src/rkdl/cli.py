@@ -58,13 +58,14 @@ def _parse_dataset_override(text: str):
 
 
 @contextmanager
-def _config_errors(path: str):
-    """A config that does not validate exits with its one-line reason, which
-    names the block and field, instead of a traceback."""
+def _config_errors(path: str, kind: str = "config"):
+    """A config, model or input file (``kind``) that does not validate exits
+    with one line, ``invalid <kind> <path>: <reason>``, instead of a traceback.
+    A config's reason names the block and field."""
     try:
         yield
     except ValueError as exc:
-        raise SystemExit(f"invalid config {path}: {exc}") from None
+        raise SystemExit(f"invalid {kind} {path}: {str(exc).removeprefix(f'{path}: ')}") from None
 
 
 def _cmd_bench(args) -> int:
@@ -117,15 +118,17 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_code(args) -> int:
-    bundle = model_io.load_model(args.model)
+    with _config_errors(args.model, "model"):
+        bundle = model_io.load_model(args.model)
     sparsity = args.sparsity if args.sparsity is not None else bundle.config.get("sparsity")
     if sparsity is None:
         raise SystemExit("model config has no sparsity; pass --sparsity")
     if not 1 <= sparsity <= bundle.kdict.n_atoms:
         raise SystemExit(f"sparsity {sparsity} is outside [1, {bundle.kdict.n_atoms}], the "
                          "model's atom count; pass --sparsity in that range")
-    signals = load_csv(args.input, signals_in=args.signals_in)
-    signals.validate()
+    with _config_errors(args.input, "input"):
+        signals = load_csv(args.input, signals_in=args.signals_in)
+        signals.validate()
     Y = signals.values
 
     vectors = bundle.kdict.vectors.atoms

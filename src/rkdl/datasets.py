@@ -10,7 +10,7 @@ from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
-from .kernels import from_fields
+from .kernels import all_finite, from_fields
 from .linear_dl import Dictionary
 from .sparse_coding import SparseCode
 
@@ -48,7 +48,7 @@ class SignalMatrix:
     def validate(self) -> None:
         if self.values.ndim != 2 or self.values.shape[1] < 1:
             raise ValueError("signal matrix must be 2-D with at least one column")
-        if not np.all(np.isfinite(self.values)):
+        if not all_finite(self.values):
             raise ValueError("signal matrix contains non-finite entries")
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernels import KernelSpec, dictionary_gradient, gram, inner_products, self_kernel_diag
+from .kernels import (KernelSpec, all_finite, dictionary_gradient, gram, inner_products,
+                      self_kernel_diag)
 from .linear_dl import GATHER_BYTES, Dictionary, TrainTrace, atom_sweep, residual_error
 from .sparse_coding import SparseCode, kernel_omp_batch, omp_batch
 
@@ -306,7 +307,7 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
         with timed("gram_refresh"):
             k_dd = gram(D, D, kernel)
             k_yd = k_dd if D is Y else gram(Y, D, kernel, x_sq=y_sq)
-        if not (np.all(np.isfinite(k_dd)) and (k_yd is k_dd or np.all(np.isfinite(k_yd)))):
+        if not (all_finite(k_dd) and (k_yd is k_dd or all_finite(k_yd))):
             raise FloatingPointError(f"kernel matrices for {kernel} are not finite {when}")
         return k_dd, k_yd
 
@@ -319,12 +320,10 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
         raise FloatingPointError(f"signal self-kernels for {kernel} are not finite {at_start}")
 
     k_dd_diag = np.diag(k_dd).copy()
-    with timed("factor"):
-        if D is Y:    # kdl holds K only as its factor, in K's own buffer
+    if D is Y:    # kdl holds K only as its factor, in K's own buffer
+        with timed("factor"):
             k_dd = k_yd = FactoredGram(k_dd, stats)
-            chol = k_dd.chol
-        else:
-            chol = _chol_with_ridge(k_dd, stats)
+    chol = k_dd.chol if D is Y else None    # a reduced K_DD is factored when a sweep reads it
 
     A = _init_coefficients(D.shape[1], cfg.n_atoms, k_dd_diag, rng)
     Z = np.zeros((cfg.n_atoms, N))
@@ -340,6 +339,9 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
                 X = omp_batch(D, Y, cfg.dl_sparsity, require_normalized=cfg.normalize_vectors,
                               stats=stats, norms_sq=y_sq)
 
+        if chol is None:
+            with timed("factor"):
+                chol = _chol_with_ridge(k_dd, stats)
         with timed("atom_sweep"):
             A, Z = rkdl_atom_sweep(k_dd, k_yd, A, Z, chol=chol, stats=stats)
 
@@ -352,7 +354,7 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
                     grad = dictionary_gradient(Y, D, A, Z, kernel, k_yd=k_yd, k_dd=k_dd)
                     if penalized:
                         grad = grad - 2.0 * cfg.penalty * (YXt - D @ XXt)
-                    if not np.all(np.isfinite(grad)):
+                    if not all_finite(grad):
                         raise FloatingPointError(
                             f"non-finite kernel-vector gradient at iteration {it}; {smaller_step}")
                     D = D - cfg.learning_rate * grad
@@ -363,8 +365,7 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
                             stats["zero_vector"] = stats.get("zero_vector", 0) + zero
                         D = D / np.maximum(norms, 1e-14)
                 k_dd, k_yd = grams(D, f"after gradient step {step}, iteration {it}; {smaller_step}")
-            with timed("factor"):
-                chol = _chol_with_ridge(k_dd, stats)
+            chol = None    # K_DD changed: the next sweep factors it
             with timed("atom_sweep"):
                 # re-normalize atoms under the refreshed Gram; scaling the code
                 # rows inversely keeps phi(D) A Z (and the error) unchanged
@@ -390,11 +391,12 @@ def kdl_train(Y: np.ndarray, kernel: KernelSpec, cfg: KdlConfig,
               max_gram_signals: int = 20000, callback=None):
     """Full kernel dictionary learning with D = Y.
 
-    The N x N Gram K is the one N x N array a run holds: it is factored in
-    place, and every product with K goes through the factor (``FactoredGram``),
-    which the callback receives as ``k_dd``. Refuses signal sets whose Gram
-    would exceed ``max_gram_signals`` columns. Returns (KernelDictionary,
-    SparseCode, TrainTrace).
+    The N x N Gram K is the one N x N array a run holds, for every kernel:
+    ``gram`` builds it in the buffer of its product, its finiteness check
+    copies nothing, it is factored in place, and every product with K goes
+    through the factor (``FactoredGram``), which the callback receives as
+    ``k_dd``. Refuses signal sets whose Gram would exceed ``max_gram_signals``
+    columns. Returns (KernelDictionary, SparseCode, TrainTrace).
     """
     Y = np.asarray(Y, dtype=float)
     N = Y.shape[1]

@@ -94,6 +94,11 @@ def inner_products(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return X.T @ Y
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Every entry of ``a`` finite, read off min and max (they propagate NaN and +-inf)."""
+    return a.size == 0 or bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
 SQ_BLOCK_ROWS = 64
 
 
@@ -144,16 +149,15 @@ def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
         raise ValueError("gram expects 2-D column-major signal matrices")
     if X.shape[0] != Y.shape[0]:
         raise ValueError(f"row counts differ: {X.shape[0]} vs {Y.shape[0]}")
-    if spec.family == LINEAR:
-        return np.ascontiguousarray(inner_products(X, Y))
     if spec.family == RBF:
         sq = _sq_distances(X, Y, x_sq)
         sq /= -spec.rbf_scale
         # rows of K_YD are gathered per atom, so the output is C-ordered
         return np.exp(sq, out=sq if sq.flags.c_contiguous else np.empty(sq.shape))
-    out = np.empty((X.shape[1], Y.shape[1]))
-    np.add(inner_products(X, Y), spec.alpha, out=out)
-    out **= spec.beta
+    out = np.ascontiguousarray(inner_products(X, Y))
+    if spec.family == POLYNOMIAL:
+        out += spec.alpha
+        out **= spec.beta
     return out
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel_dl import KernelDictionary, TrainTrace
-from .kernels import KernelSpec
+from .kernels import KernelSpec, from_fields
 from .linear_dl import Dictionary
 
 MODEL_FORMAT = "rkdl-model"
@@ -46,15 +46,24 @@ def save_model(path: str, kdict: KernelDictionary, method: str, config: dict,
 def load_model(path: str) -> ModelBundle:
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"{path}: not a {MODEL_FORMAT} container")
     if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: unsupported model version {doc.get('version')}")
+    missing = [k for k in ("kernel", "vectors", "coefficients") if k not in doc]
+    if missing:
+        raise ValueError(f"{path}: missing model fields: {missing}")
+    coefficients = np.asarray(doc["coefficients"], dtype=float)
+    vectors = np.asarray(doc["vectors"], dtype=float)
+    if coefficients.ndim != 2 or vectors.ndim != 2 or coefficients.shape[0] != vectors.shape[1]:
+        raise ValueError(f"{path}: coefficients of shape {coefficients.shape} do not fit vectors "
+                         f"of shape {vectors.shape}; both must be 2-D, with one coefficient row "
+                         "per vector")
     kdict = KernelDictionary(
-        coefficients=np.asarray(doc["coefficients"], dtype=float),
-        vectors=Dictionary(atoms=np.asarray(doc["vectors"], dtype=float),
-                           normalized=doc.get("vectors_normalized", False)),
+        coefficients=coefficients,
+        vectors=Dictionary(atoms=vectors, normalized=doc.get("vectors_normalized", False)),
         kernel=KernelSpec.from_dict(doc["kernel"]),
     )
     return ModelBundle(kdict=kdict, method=doc.get("method", ""), config=doc.get("config", {}),
-                       trace=None if doc.get("trace") is None else TrainTrace(**doc["trace"]))
+                       trace=None if doc.get("trace") is None
+                       else from_fields(TrainTrace, doc["trace"], "trace"))

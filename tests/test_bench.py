@@ -43,6 +43,15 @@ def test_smoke_single_method_single_round():
     assert len(res.seconds) == 1 and len(res.pretrain_seconds) == 1
 
 
+def test_method_seconds_are_the_trainer_traces_totals(tmp_path):
+    result = run_experiment(ExperimentConfig.from_dict(base_config(methods=["kdl", "rkdl-d"])))
+    summary = json.load(open(emit_outputs(result, str(tmp_path))["summary"]))
+    for method, res in result.methods.items():
+        assert len(res.traces) == 2
+        assert res.seconds == [t.total_seconds for t in res.traces]
+        assert summary["methods"][method]["seconds_mean"] == float(np.mean(res.seconds))
+
+
 def test_row_counting_contract(tmp_path):
     cfg = ExperimentConfig.from_dict(base_config())
     result = run_experiment(cfg)
@@ -187,6 +196,17 @@ def test_misspelt_key_names_its_block_and_key(block, key):
     (d if block == "config" else d[block])[key] = 3
     with pytest.raises(ValueError, match=rf"unknown {block} fields: \['{key}'\]"):
         ExperimentConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("block", ["kernel_dl", "linear_dl"])
+def test_trainer_seed_rejected_for_base_seed(block):
+    # round r trains with seed base_seed + r, so a block's own seed is never read
+    d = base_config()
+    d[block] = {**d[block], "seed": 7}
+    with pytest.raises(ValueError, match=rf"{block}: seed is not read.*base_seed.*--seed"):
+        ExperimentConfig.from_dict(d)
+    d[block]["seed"] = 0
+    assert getattr(ExperimentConfig.from_dict(d), block).seed == 0
 
 
 def test_missing_kernel_dl_block_is_named():
@@ -383,13 +403,17 @@ def test_thread_cap_env_plumbing():
      r"unknown kernel fields: \['sigam'\]"),
     ("train", {"kernel": {"family": "rbf", "sigam": 2.0}}, ["--method", "kdl"],
      r"unknown kernel fields: \['sigam'\]"),
+    ("bench", {"kernel_dl": {**base_config()["kernel_dl"], "seed": 7}}, [],
+     "kernel_dl: seed is not read, round r trains with seed base_seed"),
+    ("bench", {"linear_dl": {**base_config()["linear_dl"], "seed": 7}}, [],
+     "linear_dl: seed is not read, round r trains with seed base_seed"),
 ])
 def test_cli_config_error_is_one_line_and_nonzero_exit(tmp_path, command, config, flags, reason):
     cfg_path = write_config(tmp_path, **config)
     proc = subprocess.run(
         [sys.executable, "-m", "rkdl.cli", command, "--config", cfg_path, *flags,
          "--out", str(tmp_path / "out")], capture_output=True, text=True)
-    assert proc.returncode != 0
+    assert proc.returncode == 1
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1, proc.stderr
     assert re.search(rf"^invalid config .*config\.json: {reason}", lines[0]), lines[0]
@@ -405,6 +429,58 @@ def test_cli_code_dimension_mismatch(tmp_path, capsys):
     with pytest.raises(SystemExit):
         cli_main(["code", "--model", model_path, "--input", bad,
                   "--output", str(tmp_path / "c.csv")])
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    """A trained rkdl-d model file, and its JSON document."""
+    tmp_path = tmp_path_factory.mktemp("model")
+    path = str(tmp_path / "model.json")
+    assert cli_main(["train", "--config", write_config(tmp_path), "--method", "rkdl-d",
+                     "--out", path]) == 0
+    with open(path) as f:
+        return path, json.load(f)
+
+
+def without_first_row(doc):
+    return {**doc, "coefficients": doc["coefficients"][1:]}
+
+
+@pytest.mark.parametrize("kind,text,reason", [
+    ("model", lambda doc: '{"hello": "world"}', "not a rkdl-model container"),
+    ("model", lambda doc: "[1, 2]", "not a rkdl-model container"),
+    ("model", lambda doc: json.dumps({**doc, "version": 99}), "unsupported model version 99"),
+    ("model", lambda doc: '{"format": "rkdl-model", ', "Expecting property name"),
+    ("model", lambda doc: json.dumps({k: v for k, v in doc.items() if k != "vectors"}),
+     r"missing model fields: \['vectors'\]"),
+    ("model", lambda doc: json.dumps(without_first_row(doc)),
+     r"coefficients of shape \(9, 6\) do not fit vectors of shape \(16, 10\)"),
+    ("model", lambda doc: json.dumps({**doc, "coefficients": doc["coefficients"][0]}),
+     r"coefficients of shape \(6,\) do not fit"),
+    ("model", lambda doc: json.dumps({**doc, "trace": {**doc["trace"], "bogus": 1}}),
+     r"unknown trace fields: \['bogus'\]"),
+    ("input", lambda doc: "1,2\n3\n", "not a rectangular numeric CSV"),
+    ("input", lambda doc: "1,x\n3,4\n", "not a rectangular numeric CSV"),
+    ("input", lambda doc: "1,nan\n3,4\n", "signal matrix contains non-finite entries"),
+], ids=["foreign-json", "json-list", "version", "malformed-json", "missing-field",
+        "coefficient-rows", "coefficients-1d", "trace-field", "ragged-csv", "non-numeric-csv",
+        "non-finite-csv"])
+def test_cli_code_unreadable_file_is_one_line(tmp_path, model_file, kind, text, reason):
+    model_path, doc = model_file
+    bad = tmp_path / f"bad.{'json' if kind == 'model' else 'csv'}"
+    bad.write_text(text(doc))
+    good_input = tmp_path / "good.csv"
+    save_csv(synth(16, 5, 12, 3, seed=77)[0].values, str(good_input))
+    paths = {"model": str(bad), "input": str(good_input)} if kind == "model" else \
+        {"model": model_path, "input": str(bad)}
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["code", "--model", paths["model"], "--input", paths["input"],
+                  "--output", str(tmp_path / "c.csv")])
+    message = exc.value.code
+    assert isinstance(message, str) and len(message.splitlines()) == 1, message
+    assert re.match(rf"invalid {kind} {re.escape(str(bad))}: {reason}", message), message
+    assert message.count(str(bad)) == 1
+    assert not (tmp_path / "c.csv").exists()
 
 
 @pytest.mark.parametrize("sparsity", [0, 7])

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import synth_reference
 from rkdl.datasets import (
@@ -13,6 +15,7 @@ from rkdl.datasets import (
     SOURCES,
     DatasetSpec,
     FormatError,
+    SignalMatrix,
     load_cifar10,
     load_csv,
     load_dataset,
@@ -434,3 +437,22 @@ def test_dataset_spec_rejects_label_filter_on_unlabeled():
 def test_dataset_spec_unknown_fields():
     with pytest.raises(ValueError, match="unknown dataset fields"):
         DatasetSpec.from_dict({"source": "synthetic", "bogus": 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(position=st.integers(0, 10**6), value=st.sampled_from([np.nan, np.inf, -np.inf]),
+       order=st.sampled_from("CF"))
+def test_validate_rejects_one_non_finite_entry_anywhere(position, value, order):
+    # finite entries at the edge of the range, whose sum would overflow, pass
+    values = np.asarray(np.random.default_rng(0).uniform(-1.0, 1.0, (7, 13)) * 1.7e308,
+                        order=order)
+    SignalMatrix(values).validate()
+    values.flat[position % values.size] = value
+    with pytest.raises(ValueError, match="signal matrix contains non-finite entries"):
+        SignalMatrix(values).validate()
+
+
+def test_validate_copies_no_signals():
+    signals = SignalMatrix(np.random.default_rng(1).standard_normal((64, 4000)))
+    _, peak = traced_peak(signals.validate)
+    assert peak < signals.values.nbytes / 100

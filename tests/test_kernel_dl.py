@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -452,10 +453,12 @@ def test_kdl_factored_gram_matches_the_two_array_reference(spec, m, duplicates):
     np.testing.assert_allclose(np.einsum("ij,ij->j", A, K @ A), 1.0, rtol=0, atol=1e-8)
 
 
-@pytest.mark.parametrize("spec,m", [(KernelSpec("rbf", sigma=4.0), 30), (LINEAR, 10)])
+@pytest.mark.parametrize("spec,m", [(KernelSpec("rbf", sigma=4.0), 30), (LINEAR, 10),
+                                    (KernelSpec("polynomial", alpha=1.0, beta=2), 50)])
 def test_kdl_peak_allocation_is_one_n_by_n_array(spec, m):
-    # K is factored in the buffer gram built and every product reads the
-    # factor, so a run allocates one N x N array and N x n_a products; the
+    # gram builds K in the buffer of its product, K is factored in that buffer,
+    # every product reads the factor and the finiteness check copies nothing,
+    # so a run allocates one N x N array and N x n_a products; the
     # rank-deficient linear Gram fails its first factor and retries ridged
     N = 1000
     Y = np.random.default_rng(m).standard_normal((m, N))
@@ -627,6 +630,33 @@ def test_phase_seconds_book_the_cholesky_factor():
     assert traces["kdl"].phase_seconds["factor"] > 0
 
 
+@pytest.mark.parametrize("iters", [0, 3])
+def test_each_sweep_reads_one_factor_of_a_changed_k_dd(monkeypatch, iters):
+    # a reduced K_DD is factored right before the sweep that reads it, and
+    # only when gradient steps changed it since its last factor; kdl's K
+    # brings its own factor (FactoredGram)
+    signals, _, _ = synth(8, 80, 6, 2, seed=3)
+    Y = signals.values
+    vectors = pretrained(Y, 6, 2, seed=0)
+    spec = KernelSpec("rbf", sigma=2.0)
+    cfg = KdlConfig(n_atoms=4, sparsity=2, iters=iters, seed=1, grad_steps=2,
+                    learning_rate=1e-4, dl_sparsity=2)
+    factors = []
+    chol = kernel_dl._chol_with_ridge
+    monkeypatch.setattr(kernel_dl, "_chol_with_ridge",
+                        lambda K, stats: factors.append(K) or chol(K, stats))
+    counts = {}
+    for method, train in [("kdl", lambda: kdl_train(Y, spec, cfg)),
+                          ("rkdl-d", lambda: rkdl_train(Y, vectors, spec, cfg)),
+                          ("orkdl-d", lambda: orkdl_train(Y, vectors, spec, cfg)),
+                          ("morkdl-d", lambda: morkdl_train(Y, vectors, spec, cfg))]:
+        factors.clear()
+        train()
+        counts[method] = len(factors)
+        assert len({id(K) for K in factors}) == len(factors)    # no Gram is factored twice
+    assert counts == {"kdl": 0, "rkdl-d": min(iters, 1), "orkdl-d": iters, "morkdl-d": iters}
+
+
 def test_morkdl_requires_linear_sparsity():
     signals, _, _ = synth(8, 60, 6, 2, seed=5)
     vectors = pretrained(signals.values, 6, 2, seed=0)
@@ -728,6 +758,44 @@ def test_initial_gram_overflow_names_the_kernel():
                 rkdl_train(Y, vectors, spec, cfg)
         with pytest.raises(FloatingPointError, match="beta=400.*not finite at start-up"):
             kdl_train(Y, KernelSpec("polynomial", alpha=1.0, beta=400), cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(method=st.sampled_from(["kdl", "rkdl-d K_DD", "rkdl-d K_YD"]),
+       position=st.integers(0, 10**6), value=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_one_non_finite_gram_entry_names_the_kernel(method, position, value):
+    # the check reads min and max, which propagate NaN and +-inf from any entry
+    Y = np.random.default_rng(8).standard_normal((5, 30))
+    vectors = Dictionary(atoms=Y[:, :6] / np.linalg.norm(Y[:, :6], axis=0))
+    spec = KernelSpec("polynomial", alpha=1.0, beta=2)
+    calls = []
+
+    def spoiled_gram(X, W, kernel, x_sq=None):
+        K = gram(X, W, kernel, x_sq=x_sq)
+        calls.append(K)
+        if len(calls) == (2 if method.endswith("K_YD") else 1):
+            K.flat[position % K.size] = value
+        return K
+
+    cfg = KdlConfig(n_atoms=3, sparsity=2, iters=1, seed=0)
+    reason = re.escape(f"kernel matrices for {spec} are not finite at start-up")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_dl, "gram", spoiled_gram)
+        with pytest.raises(FloatingPointError, match=reason):
+            if method == "kdl":
+                kdl_train(Y, spec, cfg)
+            else:
+                rkdl_train(Y, vectors, spec, cfg)
+
+
+def test_no_kernel_vectors_is_named_past_the_empty_gram_check():
+    # min and max of an empty Gram would raise; the finiteness check passes it
+    Y = np.random.default_rng(9).standard_normal((5, 30))
+    cfg = KdlConfig(n_atoms=3, sparsity=2, iters=1, seed=0)
+    with pytest.raises(ValueError, match="cannot place 3 kernel atoms on 0 vectors"):
+        rkdl_train(Y, Dictionary(atoms=np.zeros((5, 0)), normalized=False), LINEAR, cfg)
+    with pytest.raises(ValueError, match="cannot place 3 kernel atoms on 0 vectors"):
+        kdl_train(np.zeros((5, 0)), LINEAR, cfg)
 
 
 def test_signal_norms_formed_once_reach_every_gram_and_code(monkeypatch):

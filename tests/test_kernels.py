@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import kernel_eval, kernel_grad_first, kernel_vector_gradient
-from rkdl.kernels import KernelSpec, dictionary_gradient, gram, self_kernel_diag
+from rkdl.kernels import KernelSpec, dictionary_gradient, gram, inner_products, self_kernel_diag
 
 RBF = KernelSpec("rbf", sigma=1.0, denom_factor=2.0)
 
@@ -95,6 +95,26 @@ def test_gram_matches_kernel_eval_in_both_product_orientations(spec, shape):
     np.testing.assert_allclose(K, expected, rtol=1e-12, atol=1e-14)
     assert np.array_equal(K_sq, K)
     assert K.flags.c_contiguous and K_sq.flags.c_contiguous
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "a<b", "a>b"])
+@pytest.mark.parametrize("spec", [KernelSpec("polynomial", alpha=1.0, beta=2),
+                                  KernelSpec("polynomial", alpha=0.5, beta=3),
+                                  KernelSpec("linear")], ids=lambda spec: spec.family)
+def test_gram_in_the_products_buffer_matches_the_separate_output_form(spec, layout):
+    # K is built in place on X^T Y; the same elementwise IEEE operations on a
+    # separate output array give the same bits, for C- and F-ordered signals
+    # and for both product orientations of a cross Gram
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((16, 40))
+    if layout == "F":
+        X = np.asfortranarray(X)
+    Y = {"a<b": rng.standard_normal((16, 70)), "a>b": rng.standard_normal((16, 9))}.get(layout, X)
+    reference = np.empty((X.shape[1], Y.shape[1]))
+    np.add(inner_products(X, Y), spec.alpha, out=reference)
+    reference **= spec.beta
+    K = gram(X, Y, spec)
+    assert np.array_equal(K, reference) and K.flags.c_contiguous
 
 
 def test_gram_row_count_mismatch():
