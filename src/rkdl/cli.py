@@ -59,13 +59,14 @@ def _parse_dataset_override(text: str):
 
 @contextmanager
 def _config_errors(path: str, kind: str = "config"):
-    """A config, model or input file (``kind``) that does not validate exits
-    with one line, ``invalid <kind> <path>: <reason>``, instead of a traceback.
-    A config's reason names the block and field."""
+    """A config, model or input file (``kind``) that cannot be read or does not
+    validate exits with one line, ``invalid <kind> <path>: <reason>``, instead
+    of a traceback. A config's reason names the block and field."""
     try:
         yield
-    except ValueError as exc:
-        raise SystemExit(f"invalid {kind} {path}: {str(exc).removeprefix(f'{path}: ')}") from None
+    except (OSError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) and exc.filename == path else str(exc)
+        raise SystemExit(f"invalid {kind} {path}: {reason.removeprefix(f'{path}: ')}") from None
 
 
 def _cmd_bench(args) -> int:

@@ -188,7 +188,8 @@ def load_csv(path: str, signals_in: str = "columns", max_signals: int | None = N
     if signals_in not in ("columns", "rows"):
         raise ValueError("signals_in must be 'columns' or 'rows'")
     try:
-        values = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        with open(path) as f:    # an unreadable path is the OSError that names it
+            values = np.loadtxt(f, delimiter=",", ndmin=2, dtype=float)
     except ValueError as exc:
         raise ValueError(f"{path}: not a rectangular numeric CSV ({exc})") from exc
     rows, note = _select(values if signals_in == "rows" else values.T, None, None, max_signals,

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .kernels import (KernelSpec, all_finite, dictionary_gradient, gram, inner_products,
-                      self_kernel_diag)
+from .kernels import (POLYNOMIAL, KernelSpec, all_finite, dictionary_gradient, gram,
+                      inner_products, self_kernel_diag)
 from .linear_dl import GATHER_BYTES, Dictionary, TrainTrace, atom_sweep, residual_error
 from .sparse_coding import SparseCode, kernel_omp_batch, omp_batch
 
@@ -296,23 +296,26 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
     descend = update is not None and cfg.grad_steps > 0 and cfg.learning_rate > 0
     penalized = descend and update == "mixed" and cfg.penalty > 0    # reads the linear code X
     renormalize = update == "mixed" and cfg.normalize_vectors
-    smaller_step = f"try a smaller learning rate (currently {cfg.learning_rate})"
+    hold_yd = penalized or descend and kernel.family == POLYNOMIAL    # Y^T D read past its Gram
+    lr_hint = f"try a smaller learning rate (currently {cfg.learning_rate})"
 
     with timed("gram_refresh"):
         y_sq = np.einsum("ij,ij->j", Y, Y)    # Y is fixed: its norms serve every Gram and code
 
     def grams(D, when: str):
-        """K_DD and K_YD at D, checked finite. K_YD is K_DD itself when D is
-        Y, so ``kdl`` holds one N x N array, not two."""
+        """K_DD, K_YD (checked finite) and, with ``hold_yd``, the one Y^T D at D that
+        the cross Gram, the polynomial gradient and the mixed method's coding read.
+        When D is Y, K_YD is K_DD itself: ``kdl`` holds one N x N array."""
         with timed("gram_refresh"):
             k_dd = gram(D, D, kernel)
-            k_yd = k_dd if D is Y else gram(Y, D, kernel, x_sq=y_sq)
+            yd = inner_products(Y, D) if hold_yd else None
+            k_yd = k_dd if D is Y else gram(Y, D, kernel, x_sq=y_sq, xy=yd)
         if not (all_finite(k_dd) and (k_yd is k_dd or all_finite(k_yd))):
             raise FloatingPointError(f"kernel matrices for {kernel} are not finite {when}")
-        return k_dd, k_yd
+        return k_dd, k_yd, yd
 
     at_start = "at start-up; lower beta or alpha, or rescale the signals"
-    k_dd, k_yd = grams(D, at_start)
+    k_dd, k_yd, yd = grams(D, at_start)
     with timed("gram_refresh"):
         kyy = self_kernel_diag(Y, kernel)
         kyy_sum = float(kyy.sum())
@@ -337,7 +340,7 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
             Z = kernel_omp_batch(P, kyy, G, np.eye(cfg.n_atoms), cfg.sparsity, stats).matrix
             if penalized:
                 X = omp_batch(D, Y, cfg.dl_sparsity, require_normalized=cfg.normalize_vectors,
-                              stats=stats, norms_sq=y_sq)
+                              stats=stats, norms_sq=y_sq, yd=yd)
 
         if chol is None:
             with timed("factor"):
@@ -346,17 +349,20 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
             A, Z = rkdl_atom_sweep(k_dd, k_yd, A, Z, chol=chol, stats=stats)
 
         if descend:
-            with timed("gradient"):
+            with timed("gradient"):    # A and Z stay fixed through the steps
+                W = A @ Z
+                WWt = W @ W.T
                 if penalized:
                     YXt, XXt = _linear_penalty_products(Y, X.matrix)
             for step in range(cfg.grad_steps):
                 with timed("gradient"):
-                    grad = dictionary_gradient(Y, D, A, Z, kernel, k_yd=k_yd, k_dd=k_dd)
+                    grad = dictionary_gradient(Y, D, A, Z, kernel, k_yd=k_yd, k_dd=k_dd, yd=yd,
+                                               W=W, WWt=WWt)
                     if penalized:
                         grad = grad - 2.0 * cfg.penalty * (YXt - D @ XXt)
                     if not all_finite(grad):
                         raise FloatingPointError(
-                            f"non-finite kernel-vector gradient at iteration {it}; {smaller_step}")
+                            f"non-finite kernel-vector gradient at iteration {it}; {lr_hint}")
                     D = D - cfg.learning_rate * grad
                     if renormalize and step == cfg.grad_steps - 1:
                         norms = np.linalg.norm(D, axis=0)
@@ -364,7 +370,7 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
                         if zero:
                             stats["zero_vector"] = stats.get("zero_vector", 0) + zero
                         D = D / np.maximum(norms, 1e-14)
-                k_dd, k_yd = grams(D, f"after gradient step {step}, iteration {it}; {smaller_step}")
+                k_dd, k_yd, yd = grams(D, f"after gradient step {step}, iteration {it}; {lr_hint}")
             chol = None    # K_DD changed: the next sweep factors it
             with timed("atom_sweep"):
                 # re-normalize atoms under the refreshed Gram; scaling the code

@@ -102,7 +102,8 @@ def all_finite(a: np.ndarray) -> bool:
 SQ_BLOCK_ROWS = 64
 
 
-def _sq_distances(X: np.ndarray, Y: np.ndarray, x_sq: np.ndarray | None = None) -> np.ndarray:
+def _sq_distances(X: np.ndarray, Y: np.ndarray, x_sq: np.ndarray | None = None,
+                  xy: np.ndarray | None = None) -> np.ndarray:
     """Pairwise squared distances between columns, clamped at 0.
 
     Uses the expansion ||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y, assembled in
@@ -110,12 +111,13 @@ def _sq_distances(X: np.ndarray, Y: np.ndarray, x_sq: np.ndarray | None = None) 
     hence the clamp. When both arguments are the same data, ||x_i||^2 +
     ||x_j||^2 is added to the symmetric -2 X^T X as one term, in blocks of
     ``SQ_BLOCK_ROWS`` rows, so the result equals its transpose bit for bit;
-    its diagonal is set to exact zero. ``x_sq`` may give X's squared norms.
+    its diagonal is set to exact zero. ``x_sq`` may give X's squared norms
+    and ``xy`` the products X^T Y of distinct data, read into one C-ordered copy.
     """
     xx = np.einsum("ij,ij->j", X, X) if x_sq is None else x_sq
     same = Y is X or (X.shape == Y.shape and np.array_equal(X, Y))
-    sq = inner_products(X, X if same else Y)
-    sq *= -2.0
+    sq = xy if xy is not None and not same else inner_products(X, X if same else Y)
+    sq = np.multiply(sq, -2.0, order="C") if sq is xy else np.multiply(sq, -2.0, out=sq)
     if same:
         for a in range(0, sq.shape[0], SQ_BLOCK_ROWS):
             sq[a:a + SQ_BLOCK_ROWS] += xx[a:a + SQ_BLOCK_ROWS, None] + xx
@@ -127,7 +129,7 @@ def _sq_distances(X: np.ndarray, Y: np.ndarray, x_sq: np.ndarray | None = None) 
 
 
 def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
-         x_sq: np.ndarray | None = None) -> np.ndarray:
+         x_sq: np.ndarray | None = None, xy: np.ndarray | None = None) -> np.ndarray:
     """Gram matrix of kernel evaluations between the columns of X and Y.
 
     Parameters
@@ -138,6 +140,8 @@ def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
     x_sq : (a,) array, optional
         Squared column norms of X, for callers that hold them across calls
         (the RBF kernel reads them; the others do not need them).
+    xy : (a, b) array, optional
+        ``inner_products(X, Y)``, read only (RBF on the same data forms its own).
 
     Returns
     -------
@@ -150,11 +154,11 @@ def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
     if X.shape[0] != Y.shape[0]:
         raise ValueError(f"row counts differ: {X.shape[0]} vs {Y.shape[0]}")
     if spec.family == RBF:
-        sq = _sq_distances(X, Y, x_sq)
+        sq = _sq_distances(X, Y, x_sq, xy)
         sq /= -spec.rbf_scale
         # rows of K_YD are gathered per atom, so the output is C-ordered
         return np.exp(sq, out=sq if sq.flags.c_contiguous else np.empty(sq.shape))
-    out = np.ascontiguousarray(inner_products(X, Y))
+    out = np.ascontiguousarray(inner_products(X, Y)) if xy is None else np.array(xy, order="C")
     if spec.family == POLYNOMIAL:
         out += spec.alpha
         out **= spec.beta
@@ -173,10 +177,7 @@ def self_kernel_diag(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
 
 
 def _check_shapes(Y, D, A, Z):
-    m, N = Y.shape
-    md, n_d = D.shape
-    ad, n_a = A.shape
-    az, Nz = Z.shape
+    (m, N), (md, n_d), (ad, n_a), (az, Nz) = Y.shape, D.shape, A.shape, Z.shape
     if md != m:
         raise ValueError(f"signal and vector dimensions differ: {m} vs {md}")
     if ad != n_d:
@@ -193,35 +194,32 @@ def dictionary_gradient(
     spec: KernelSpec,
     k_yd: np.ndarray | None = None,
     k_dd: np.ndarray | None = None,
+    yd: np.ndarray | None = None,
+    W: np.ndarray | None = None, WWt: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of ||phi(Y) - phi(D) A Z||_F^2 in every kernel vector, (m, n_d).
 
     Every column is evaluated at the same D (one Jacobi-style round), and the
     derivative Gram matrices are never formed. ``k_yd`` / ``k_dd`` may supply
-    the Grams at the current D; stale ones give wrong gradients.
+    the Grams at the current D, ``yd`` its ``inner_products(Y, D)`` and ``W`` /
+    ``WWt`` the products W = A Z and W W^T; stale ones give wrong gradients.
     """
-    Y = np.asarray(Y, dtype=float)
-    D = np.asarray(D, dtype=float)
-    A = np.asarray(A, dtype=float)
-    Z = np.asarray(Z, dtype=float)
+    Y, D, A, Z = (np.asarray(v, dtype=float) for v in (Y, D, A, Z))
     _check_shapes(Y, D, A, Z)
 
-    W = A @ Z
-    M = W @ W.T
+    W = A @ Z if W is None else W
+    M = W @ W.T if WWt is None else WWt
     if spec.family == RBF:
-        scale = spec.rbf_scale
-        if k_dd is None:
-            k_dd = gram(D, D, spec)
-        if k_yd is None:
-            k_yd = gram(Y, D, spec)
+        k_dd = gram(D, D, spec) if k_dd is None else k_dd
+        k_yd = gram(Y, D, spec) if k_yd is None else k_yd
         C = M * k_dd
         E = W * k_yd.T
-        term_dd = (-4.0 / scale) * (D * C.sum(axis=1) - D @ C)
-        term_yd = (4.0 / scale) * (D * E.sum(axis=1) - inner_products(Y.T, E.T))
+        term_dd = (-4.0 / spec.rbf_scale) * (D * C.sum(axis=1) - D @ C)
+        term_yd = (4.0 / spec.rbf_scale) * (D * E.sum(axis=1) - inner_products(Y.T, E.T))
         return term_dd + term_yd
     if spec.family == POLYNOMIAL:
         b = spec.beta
         pd = (D.T @ D + spec.alpha) ** (b - 1)
-        py = (inner_products(Y, D) + spec.alpha) ** (b - 1)
+        py = ((inner_products(Y, D) if yd is None else yd) + spec.alpha) ** (b - 1)
         return 2.0 * b * (D @ (M * pd)) - 2.0 * b * inner_products(Y.T, W.T * py)
     return 2.0 * (D @ M - inner_products(Y.T, W.T))

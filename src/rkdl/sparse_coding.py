@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import inner_products
+
 # Residual-norm early exits. Linear OMP stops on the residual norm itself,
 # kernel OMP on the feature-space squared norm (which is what the Gram
 # quadratic form yields directly).
@@ -73,10 +75,11 @@ def _gram_omp_batch(G, proj, norms_sq, sparsity, stop_sq, stats, counter):
     norms_sq - y.y (an upper bound after a ridged pick), the code x solves
     L^T x = y by one back substitution, and the next correlations are
     proj - X G. Each step runs over all signals at once, with the signal axis
-    last in the factors. Every signal keeps its place in that state: once it
-    stops, its later picks get y = 0 and gain 0, so the back substitution
-    returns its code unchanged. A signal whose squared norm is below
-    ``stop_sq`` never starts.
+    last in the factors and the (N, n) arrays (``proj``, made C-ordered, codes
+    and correlations) read at each pick's flat position. Every signal keeps
+    its place in that state: once it stops, its later picks get y = 0 and
+    gain 0, so the back substitution returns its code unchanged. A signal
+    whose squared norm is below ``stop_sq`` never starts.
 
     A squared pivot at or below ``PIVOT_TOL`` G[k, k] means atom k is
     numerically in the span of S. The pivot is then ridged to
@@ -94,16 +97,19 @@ def _gram_omp_batch(G, proj, norms_sq, sparsity, stop_sq, stats, counter):
     # The output comes before the state: allocated at return instead, it raised
     # code-stream's peak RSS 11 MB in 6 of 10 benchmark runs (1 of 10 this way).
     matrix = np.empty((n, N))
+    proj = np.ascontiguousarray(proj)
     g_diag = np.diag(G)
     live = norms_sq >= stop_sq
     res_sq = norms_sq.copy()
     idle_sq = OMP_GAIN_TOL**2 * res_sq
     X = np.zeros((N, n))                          # codes, one row per signal
     S = np.zeros((sparsity, N), dtype=np.intp)    # supports in pick order
+    pos = np.empty_like(S)                        # their flat positions in X, proj and corr
     L = np.zeros((sparsity, sparsity, N))         # lower-triangular factors
     y = np.zeros((sparsity, N))
-    corr = np.empty_like(X)
-    at = np.arange(N)
+    x = np.empty((sparsity, N))
+    corr = matrix.reshape(N, n)                   # the output's buffer until the codes fill it
+    row = np.arange(N) * n
     ridged = 0
     for t in range(sparsity):
         # in place: a fresh array per round costs more than the product
@@ -113,11 +119,12 @@ def _gram_omp_batch(G, proj, norms_sq, sparsity, stop_sq, stats, counter):
             np.abs(corr, out=corr)
         else:
             np.abs(proj, out=corr)
-        corr[at, S[:t]] = -np.inf
+        corr.reshape(-1)[pos[:t]] = -np.inf
         k = np.argmax(corr, axis=1)
         S[t] = k
+        np.add(row, k, out=pos[t])
         w = L[t]
-        g = G[S[:t], k]
+        g = np.take(G, S[:t] * n + k)
         for i in range(t):
             w[i] = (g[i] - np.einsum("ij,ij->j", L[i, :i], w[:i])) / L[i, i]
         pivot_sq = g_diag[k] - np.einsum("ij,ij->j", w[:t], w[:t])
@@ -125,16 +132,15 @@ def _gram_omp_batch(G, proj, norms_sq, sparsity, stop_sq, stats, counter):
         pivot_sq[weak] = g_diag[k[weak]] + RIDGE
         ridged += int(np.count_nonzero(weak & live))
         w[t] = np.sqrt(pivot_sq)
-        y[t] = (proj[at, k] - np.einsum("ij,ij->j", w[:t], y[:t])) / w[t]
+        y[t] = (np.take(proj, pos[t]) - np.einsum("ij,ij->j", w[:t], y[:t])) / w[t]
         gain = y[t] ** 2
         idle = (gain <= idle_sq) & ~weak
         stopped = ~live | idle
         y[t, stopped] = gain[stopped] = 0.0
         res_sq -= gain
-        x = np.empty((t + 1, N))
         for i in range(t, -1, -1):
-            x[i] = (y[i] - np.einsum("ij,ij->j", L[i + 1:t + 1, i], x[i + 1:])) / L[i, i]
-        X[at, S[:t + 1]] = x
+            x[i] = (y[i] - np.einsum("ij,ij->j", L[i + 1:t + 1, i], x[i + 1:t + 1])) / L[i, i]
+        X.reshape(-1)[pos[:t + 1]] = x[:t + 1]
         live = ~(stopped | (res_sq < stop_sq))
         if not live.any():
             break
@@ -145,12 +151,13 @@ def _gram_omp_batch(G, proj, norms_sq, sparsity, stop_sq, stats, counter):
 
 
 def omp_batch(D: np.ndarray, Y: np.ndarray, sparsity: int, require_normalized: bool = True,
-              stats: dict | None = None, norms_sq: np.ndarray | None = None) -> SparseCode:
+              stats: dict | None = None, norms_sq: np.ndarray | None = None,
+              yd: np.ndarray | None = None) -> SparseCode:
     """OMP of every column of Y on the unit-norm atoms of D: up to ``sparsity``
     greedy picks by largest |d_j . r|, a least-squares refit after each, and
     an early stop once the residual norm drops below ``OMP_RESIDUAL_TOL``.
-    ``norms_sq`` may supply the signals' squared norms, for callers that code
-    the same Y repeatedly. Near-singular picks are counted in
+    ``norms_sq`` and ``yd`` may supply Y's squared norms and the products
+    ``inner_products(Y, D)`` (read only). Near-singular picks are counted in
     ``stats["linear_ridge"]``."""
     D = np.asarray(D, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -159,9 +166,8 @@ def omp_batch(D: np.ndarray, Y: np.ndarray, sparsity: int, require_normalized: b
     if require_normalized:
         _check_unit_columns(D)
     G = D.T @ D
-    proj = (D.T @ Y).T
-    if norms_sq is None:
-        norms_sq = np.einsum("ij,ij->j", Y, Y)
+    proj = inner_products(Y, D) if yd is None else yd
+    norms_sq = np.einsum("ij,ij->j", Y, Y) if norms_sq is None else norms_sq
     return _gram_omp_batch(G, proj, norms_sq, sparsity, OMP_RESIDUAL_TOL**2, stats,
                            "linear_ridge")
 
@@ -172,9 +178,7 @@ def kernel_omp_batch(k_yd, k_yy_diag, k_dd, A, sparsity, stats: dict | None = No
     pursuit stops once the feature-space residual falls below
     ``KOMP_RESIDUAL_SQ_TOL``. Near-singular picks are counted in
     ``stats["ridge"]``."""
-    A = np.asarray(A, dtype=float)
-    k_yd = np.asarray(k_yd, dtype=float)
-    k_dd = np.asarray(k_dd, dtype=float)
+    A, k_yd, k_dd = (np.asarray(v, dtype=float) for v in (A, k_yd, k_dd))
     G = A.T @ (k_dd @ A)
     norms = np.diag(G)
     if np.any(np.abs(norms - 1.0) > 1e-8):

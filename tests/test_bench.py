@@ -483,6 +483,32 @@ def test_cli_code_unreadable_file_is_one_line(tmp_path, model_file, kind, text, 
     assert not (tmp_path / "c.csv").exists()
 
 
+@pytest.mark.parametrize("kind,command", [
+    ("config", "bench"), ("config", "train"), ("model", "code"), ("input", "code")])
+@pytest.mark.parametrize("target,reason", [("missing.file", "No such file or directory"),
+                                           ("a-directory", "Is a directory")],
+                         ids=["missing", "directory"])
+def test_cli_unopenable_file_is_one_line(tmp_path, model_file, kind, command, target, reason):
+    # an OSError on the named file is reported like a file that does not validate
+    bad = tmp_path / target
+    if target == "a-directory":
+        bad.mkdir()
+    good_input = tmp_path / "good.csv"
+    save_csv(synth(16, 5, 12, 3, seed=77)[0].values, str(good_input))
+    args = {
+        "bench": ["bench", "--config", str(bad), "--out", str(tmp_path / "out"), "--quiet"],
+        "train": ["train", "--config", str(bad), "--method", "rkdl-d",
+                  "--out", str(tmp_path / "m.json")],
+        "code": ["code", "--model", str(bad) if kind == "model" else model_file[0],
+                 "--input", str(bad) if kind == "input" else str(good_input),
+                 "--output", str(tmp_path / "c.csv")],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(args)
+    assert exc.value.code == f"invalid {kind} {bad}: {reason}"
+    assert not any((tmp_path / name).exists() for name in ("out", "m.json", "c.csv"))
+
+
 @pytest.mark.parametrize("sparsity", [0, 7])
 def test_cli_code_sparsity_out_of_range_names_the_flag(tmp_path, capsys, monkeypatch, sparsity):
     # the rkdl-d model has 6 atoms; the range is checked before any Gram

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import kdl_train_two_arrays, rkdl_atom_sweep_running_sum, trace_error_from_grams
-from rkdl import kernel_dl, linear_dl
+from rkdl import kernel_dl, kernels, linear_dl, sparse_coding
 from rkdl.datasets import synth
 from rkdl.kernel_dl import (
     KDD_RIDGE,
@@ -26,7 +26,7 @@ from rkdl.kernel_dl import (
     rkdl_atom_sweep,
     rkdl_train,
 )
-from rkdl.kernels import KernelSpec, dictionary_gradient, gram, self_kernel_diag
+from rkdl.kernels import KernelSpec, dictionary_gradient, gram, inner_products, self_kernel_diag
 from rkdl.linear_dl import Dictionary, DLConfig, aksvd_train
 from rkdl.sparse_coding import SparseCode, kernel_omp_batch, omp_batch
 
@@ -770,8 +770,8 @@ def test_one_non_finite_gram_entry_names_the_kernel(method, position, value):
     spec = KernelSpec("polynomial", alpha=1.0, beta=2)
     calls = []
 
-    def spoiled_gram(X, W, kernel, x_sq=None):
-        K = gram(X, W, kernel, x_sq=x_sq)
+    def spoiled_gram(X, W, kernel, **kwargs):
+        K = gram(X, W, kernel, **kwargs)
         calls.append(K)
         if len(calls) == (2 if method.endswith("K_YD") else 1):
             K.flat[position % K.size] = value
@@ -832,6 +832,100 @@ def test_signal_norms_formed_once_reach_every_gram_and_code(monkeypatch):
         assert np.array_equal(kwargs["x_sq"], y_sq)
     for kwargs in codes:
         assert np.array_equal(kwargs["norms_sq"], y_sq)
+
+
+HELD_PRODUCT_SPECS = {"rbf": KernelSpec("rbf", sigma=2.0),
+                      "polynomial": KernelSpec("polynomial", alpha=1.0, beta=2), "linear": LINEAR}
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("spec", HELD_PRODUCT_SPECS.values(), ids=HELD_PRODUCT_SPECS)
+@pytest.mark.parametrize("method", ["orkdl-d", "morkdl-d"])
+def test_held_products_equal_fresh_ones_at_every_use(monkeypatch, method, spec):
+    # the trainers hand each gradient step the iteration's W = A Z and W W^T,
+    # and the current D's Y^T D to the steps and codings that read it (the
+    # polynomial gradient, the mixed coding); every such call returns what it
+    # returns when it forms them itself, bit for bit
+    signals, _, _ = synth(10, 120, 8, 3, seed=7)
+    Y = signals.values
+    vectors = pretrained(Y, 8, 3, seed=2)
+    cfg = KdlConfig(n_atoms=4, sparsity=2, iters=3, seed=3, grad_steps=2,
+                    learning_rate=1e-4, penalty=1.0, dl_sparsity=3)
+    real_gradient, real_omp = kernel_dl.dictionary_gradient, kernel_dl.omp_batch
+    uses, held_yd = [], []
+
+    def gradient(Y_, D, A, Z, kernel, **kwargs):
+        assert kwargs["W"] is not None and kwargs["WWt"] is not None
+        held_yd.append(kwargs["yd"] is not None)
+        if kwargs["yd"] is not None:
+            assert same_bits(kwargs["yd"], inner_products(Y_, D))
+        own = {k: v for k, v in kwargs.items() if k not in ("yd", "W", "WWt")}
+        expected = real_gradient(Y_, D, A, Z, kernel, **own)
+        got = real_gradient(Y_, D, A, Z, kernel, **kwargs)
+        assert same_bits(got, expected)
+        uses.append("gradient")
+        return got
+
+    def coder(D, Y_, sparsity, **kwargs):
+        assert same_bits(kwargs["yd"], inner_products(Y_, D))
+        own_stats, held_stats = {}, {}
+        expected = real_omp(D, Y_, sparsity, **{**kwargs, "yd": None, "stats": own_stats})
+        got = real_omp(D, Y_, sparsity, **{**kwargs, "stats": held_stats})
+        assert same_bits(got.matrix, expected.matrix)
+        assert same_bits(got.residual_sq, expected.residual_sq)
+        assert held_stats == own_stats
+        for key, count in held_stats.items():
+            kwargs["stats"][key] = kwargs["stats"].get(key, 0) + count
+        uses.append("coding")
+        return got
+
+    monkeypatch.setattr(kernel_dl, "dictionary_gradient", gradient)
+    monkeypatch.setattr(kernel_dl, "omp_batch", coder)
+    run_trainer(method, Y, vectors, spec, cfg)
+    steps = cfg.iters * cfg.grad_steps
+    assert uses.count("gradient") == steps
+    assert uses.count("coding") == (cfg.iters if method == "morkdl-d" else 0)
+    assert set(held_yd) == {spec.family == "polynomial" or method == "morkdl-d"}
+
+
+@pytest.mark.parametrize("spec", HELD_PRODUCT_SPECS.values(), ids=HELD_PRODUCT_SPECS)
+def test_each_kernel_vector_set_gets_one_signal_product(monkeypatch, spec):
+    # one Y^T D at start-up and one per gradient step, read by the cross
+    # Gram, the polynomial gradient and the mixed coding alike; the gradient
+    # steps of one iteration share its W = A Z and W W^T
+    signals, _, _ = synth(10, 120, 8, 3, seed=7)
+    Y = signals.values
+    vectors = pretrained(Y, 8, 3, seed=2)
+    cfg = KdlConfig(n_atoms=4, sparsity=2, iters=3, seed=3, grad_steps=2,
+                    learning_rate=1e-4, penalty=1.0, dl_sparsity=3)
+    products, held = [], []
+    real_products, real_gradient = kernels.inner_products, kernel_dl.dictionary_gradient
+
+    def spy(X, V):
+        if X.shape == Y.shape and V.shape == vectors.atoms.shape:
+            products.append(1)
+        return real_products(X, V)
+
+    for module in (kernels, kernel_dl, sparse_coding):
+        monkeypatch.setattr(module, "inner_products", spy)
+    monkeypatch.setattr(kernel_dl, "dictionary_gradient",
+                        lambda *args, **kwargs: held.append((kwargs["W"], kwargs["WWt"]))
+                        or real_gradient(*args, **kwargs))
+    for method in ("rkdl-d", "orkdl-d", "morkdl-d"):
+        products.clear()
+        held.clear()
+        run_trainer(method, Y, vectors, spec, cfg)
+        steps = cfg.iters * cfg.grad_steps if METHODS[method].update else 0
+        assert len(products) == 1 + steps, method
+        assert len(held) == steps
+        firsts = held[::cfg.grad_steps]
+        for it, (W, WWt) in enumerate(firsts):
+            for W_step, WWt_step in held[it * cfg.grad_steps:(it + 1) * cfg.grad_steps]:
+                assert W_step is W and WWt_step is WWt
+        assert len({id(W) for W, _ in firsts}) == len(firsts)
 
 
 @pytest.mark.parametrize("spec", [KernelSpec("rbf", sigma=2.0),

@@ -117,6 +117,25 @@ def test_gram_in_the_products_buffer_matches_the_separate_output_form(spec, layo
     assert np.array_equal(K, reference) and K.flags.c_contiguous
 
 
+@pytest.mark.parametrize("spec", [RBF, KernelSpec("polynomial", alpha=1.0, beta=2),
+                                  KernelSpec("linear")], ids=["rbf", "polynomial", "linear"])
+@pytest.mark.parametrize("layout", ["a>b", "a<b"])
+def test_gram_on_held_products_matches_and_never_writes_them(spec, layout):
+    # a held X^T Y, in any memory order, gives the Gram that gram forms
+    # itself, bit for bit, in a C-ordered array of its own
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((16, 40))
+    Y = rng.standard_normal((16, 9 if layout == "a>b" else 70))
+    reference = gram(X, Y, spec)
+    xy = inner_products(X, Y)
+    for held in (xy, np.ascontiguousarray(xy), np.asfortranarray(xy)):
+        before = held.copy()
+        K = gram(X, Y, spec, xy=held)
+        assert K.tobytes() == reference.tobytes() and K.flags.c_contiguous
+        assert not np.shares_memory(K, held)
+        assert held.tobytes() == before.tobytes()
+
+
 def test_gram_row_count_mismatch():
     with pytest.raises(ValueError):
         gram(np.zeros((3, 2)), np.zeros((4, 2)), RBF)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import kernel_omp, omp
 from rkdl import sparse_coding
-from rkdl.kernels import KernelSpec, gram, self_kernel_diag
+from rkdl.kernels import KernelSpec, gram, inner_products, self_kernel_diag
 from rkdl.sparse_coding import SparseCode, kernel_omp_batch, omp_batch
 
 
@@ -447,6 +447,49 @@ def test_kernel_omp_batch_on_the_atoms_own_products_is_bit_identical(
                                  stats=on_atoms).matrix
     assert atom_code.tobytes() == code.tobytes()
     assert on_atoms == stats
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), extra_rows=st.integers(0, 4),
+       plant=twin_plants, data=st.data())
+def test_batch_coder_reads_any_proj_layout_and_a_held_product_bit_identically(
+        seed, n, extra_rows, plant, data):
+    # the coder reads proj C-ordered at flat positions: a C- or F-ordered
+    # proj, and omp_batch's own Y^T D or a held one in either order, give the
+    # same codes, squared residuals and ridge counts bit for bit, and the held
+    # product is never written into
+    m = n + extra_rows
+    s = data.draw(st.one_of(st.just(n), st.integers(1, n)), label="sparsity")
+    kinds = data.draw(st.lists(signal_kinds, min_size=1, max_size=12), label="signals")
+    rng = np.random.default_rng(seed)
+    D = rng.standard_normal((m, n))
+    plant_twin(D, plant if n >= 2 else "none", rng)
+    D /= np.linalg.norm(D, axis=0)
+    Y = np.zeros((m, len(kinds)))
+    for ell, kind in enumerate(kinds):
+        if kind == "random":
+            Y[:, ell] = rng.standard_normal(m)
+        elif kind == "exact":
+            support = rng.choice(n, size=rng.integers(1, s + 1), replace=False)
+            Y[:, ell] = D[:, support] @ rng.uniform(0.5, 2.0, support.size)
+    yd = inner_products(Y, D)
+    held = yd.copy()
+    runs = []
+    for proj in (np.ascontiguousarray(yd), np.asfortranarray(yd)):
+        stats: dict = {}
+        code = sparse_coding._gram_omp_batch(D.T @ D, proj, np.einsum("ij,ij->j", Y, Y), s,
+                                             sparse_coding.OMP_RESIDUAL_TOL**2, stats,
+                                             "linear_ridge")
+        runs.append((code, stats))
+    for given_yd in (None, yd, np.ascontiguousarray(yd), np.asfortranarray(yd)):
+        stats = {}
+        runs.append((omp_batch(D, Y, s, stats=stats, yd=given_yd), stats))
+    code, stats = runs[0]
+    for other, other_stats in runs[1:]:
+        assert other.matrix.tobytes() == code.matrix.tobytes()
+        assert other.residual_sq.tobytes() == code.residual_sq.tobytes()
+        assert other_stats == stats
+    assert yd.tobytes() == held.tobytes()
 
 
 def check_signals_coded_apart(code, N, counter, twin):
