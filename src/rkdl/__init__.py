@@ -25,6 +25,7 @@ from .kernel_dl import (  # noqa: E402
     KdlConfig,
     KernelDictionary,
     TrainTrace,
+    encode,
     error_metric,
     kdl_train,
     morkdl_train,
@@ -51,7 +52,7 @@ __all__ = [
     "KernelSpec", "gram", "dictionary_gradient", "self_kernel_diag",
     "SparseCode", "omp_batch", "kernel_omp_batch",
     "Dictionary", "DLConfig", "aksvd_train", "init_dictionary",
-    "KdlConfig", "KernelDictionary", "TrainTrace", "error_metric", "rkdl_atom_sweep",
+    "KdlConfig", "KernelDictionary", "TrainTrace", "encode", "error_metric", "rkdl_atom_sweep",
     "kdl_train", "rkdl_train", "orkdl_train", "morkdl_train",
     "DatasetSpec", "SignalMatrix", "load_idx", "load_cifar10", "load_csv", "load_dataset",
     "save_csv", "synth",

@@ -11,9 +11,7 @@ from contextlib import contextmanager
 from . import bench as bench_mod
 from . import model_io
 from .datasets import load_csv, load_dataset, save_csv
-from .kernel_dl import METHODS
-from .kernels import gram, self_kernel_diag
-from .sparse_coding import kernel_omp_batch
+from .kernel_dl import METHODS, encode
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,13 +57,14 @@ def _parse_dataset_override(text: str):
 
 @contextmanager
 def _config_errors(path: str, kind: str = "config"):
-    """A config, model or input file (``kind``) that cannot be read or does not
-    validate exits with one line, ``invalid <kind> <path>: <reason>``, instead
-    of a traceback. A config's reason names the block and field."""
+    """A config, model or input file (``kind``) that cannot be read, does not
+    validate or cannot be coded exits with one line, ``invalid <kind> <path>:
+    <reason>``, instead of a traceback. A config's reason names the block and
+    field, and a file it names that cannot be read, such as its dataset."""
     try:
         yield
-    except (OSError, ValueError) as exc:
-        reason = exc.strerror if isinstance(exc, OSError) and exc.filename == path else str(exc)
+    except (OSError, ValueError, FloatingPointError) as exc:
+        reason = f"{exc.filename}: {exc.strerror}" if getattr(exc, "filename", None) else str(exc)
         raise SystemExit(f"invalid {kind} {path}: {reason.removeprefix(f'{path}: ')}") from None
 
 
@@ -89,7 +88,8 @@ def _cmd_bench(args) -> int:
         def progress(method, rnd):
             print(f"[{method}] round {rnd + 1}/{cfg.rounds}", flush=True)
 
-    result = bench_mod.run_experiment(cfg, progress=progress)
+    with _config_errors(args.config):    # the dataset loads before any method runs
+        result = bench_mod.run_experiment(cfg, progress=progress)
     paths = bench_mod.emit_outputs(result, args.out)
     for method in cfg.methods:
         res = result.methods[method]
@@ -106,11 +106,10 @@ def _cmd_bench(args) -> int:
 def _cmd_train(args) -> int:
     with _config_errors(args.config):
         cfg = bench_mod.ExperimentConfig.from_json(args.config)
+        signals = load_dataset(cfg.dataset)
+        signals.validate()
     seed = cfg.base_seed if args.seed is None else args.seed
-    signals = load_dataset(cfg.dataset)
-    signals.validate()
-    Y = signals.values
-    kdict, trace, kdcfg = bench_mod.train_method(args.method, Y, cfg, seed)
+    kdict, trace, kdcfg = bench_mod.train_method(args.method, signals.values, cfg, seed)
     model_io.save_model(args.out, kdict, args.method,
                         config=dataclasses.asdict(kdcfg), trace=trace)
     print(f"{args.method}: final error {trace.errors[-1]:.6e} after {len(trace.errors) - 1} "
@@ -130,18 +129,9 @@ def _cmd_code(args) -> int:
     with _config_errors(args.input, "input"):
         signals = load_csv(args.input, signals_in=args.signals_in)
         signals.validate()
-    Y = signals.values
-
-    vectors = bundle.kdict.vectors.atoms
-    if Y.shape[0] != vectors.shape[0]:
-        raise SystemExit(f"input signals have dimension {Y.shape[0]}, "
-                         f"model expects {vectors.shape[0]}")
-    k_yd = gram(Y, vectors, bundle.kdict.kernel)
-    k_dd = gram(vectors, vectors, bundle.kdict.kernel)
-    kyy = self_kernel_diag(Y, bundle.kdict.kernel)
-    code = kernel_omp_batch(k_yd, kyy, k_dd, bundle.kdict.coefficients, int(sparsity))
+        code = encode(bundle.kdict, signals.values, int(sparsity))
     save_csv(code.matrix.T, args.output)
-    print(f"coded {Y.shape[1]} signals with {bundle.method or 'model'}; "
+    print(f"coded {code.matrix.shape[1]} signals with {bundle.method or 'model'}; "
           f"codes written to {args.output}")
     return 0
 

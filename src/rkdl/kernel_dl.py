@@ -89,19 +89,29 @@ class KdlConfig:
             raise ValueError("learning_rate and penalty must be non-negative")
 
 
-def _chol_with_ridge(K: np.ndarray, stats: dict) -> tuple:
-    """Cholesky factor of K, adding an escalating ridge if not numerically PD."""
-    Kr = np.empty_like(K, order="F")    # LAPACK's order: every attempt factors Kr in place
+def _ridged_factor(attempt, stats: dict):
+    """``attempt(r)``, a Cholesky factor of a Gram K + r I, on the ridge schedule of
+    every kernel Gram factor: r = 0, then ``KDD_RIDGE`` growing 100-fold up to
+    1e-2, each retry counted in ``stats["kdd_ridge"]``; LinAlgError past 1e-2."""
     ridge = 0.0
     while ridge <= 1e-2:
-        Kr[...] = K
-        Kr.flat[:: K.shape[0] + 1] += ridge
         try:
-            return scipy.linalg.cho_factor(Kr, overwrite_a=True)
+            return attempt(ridge)
         except scipy.linalg.LinAlgError:
             ridge = max(100.0 * ridge, KDD_RIDGE)
             stats["kdd_ridge"] = stats.get("kdd_ridge", 0) + 1
-    raise np.linalg.LinAlgError("kernel-vector Gram is not positive definite even after ridging")
+    raise np.linalg.LinAlgError("kernel Gram is not positive definite even after ridging")
+
+
+def _chol_with_ridge(K: np.ndarray, stats: dict) -> tuple:
+    """Cholesky factor of K, ridged on the ``_ridged_factor`` schedule if not numerically PD."""
+    Kr = np.empty_like(K, order="F")    # LAPACK's order: every attempt factors Kr in place
+
+    def attempt(ridge):
+        Kr[...] = K
+        Kr.flat[:: K.shape[0] + 1] += ridge
+        return scipy.linalg.cho_factor(Kr, overwrite_a=True)
+    return _ridged_factor(attempt, stats)
 
 
 # Column-block width of ``FactoredGram`` products. Each block costs two BLAS
@@ -118,8 +128,7 @@ class FactoredGram:
     The factor is LAPACK's lower one of K^T, so K's upper triangle becomes L
     and its strict lower triangle is untouched: a failed attempt mirrors that
     triangle back over the factored one (K itself, since ``gram(Y, Y)`` is
-    bit-symmetric) and retries at the next ridge r, counted in
-    ``stats["kdd_ridge"]`` as ``_chol_with_ridge`` counts them. ``k @ x`` is
+    bit-symmetric) and retries at the next ridge r of ``_ridged_factor``. ``k @ x`` is
     K x = L (L^T x) - r x, formed from the column-block trapezoids
     L[j0:, j0:j1] in numpy's BLAS, so a product reads about as many bytes as
     one with K. ``chol`` is the ``(factor, lower)`` pair of
@@ -132,20 +141,14 @@ class FactoredGram:
             raise ValueError("FactoredGram needs a square C-ordered Gram to factor in place")
         self.shape = K.shape
         diag = np.diag(K).copy()
-        self.ridge = 0.0
-        while True:
-            try:
-                c, _ = scipy.linalg.cho_factor(K.T, lower=True, overwrite_a=True,
-                                               check_finite=False)
-                break
-            except scipy.linalg.LinAlgError:
-                self.ridge = max(100.0 * self.ridge, KDD_RIDGE)
-                stats["kdd_ridge"] = stats.get("kdd_ridge", 0) + 1
-                if self.ridge > 1e-2:
-                    raise np.linalg.LinAlgError(
-                        "kernel Gram is not positive definite even after ridging") from None
+
+        def attempt(ridge):
+            if ridge:
                 _mirror_upper_from_lower(K)
-                K.flat[:: n + 1] = diag + self.ridge
+                K.flat[:: n + 1] = diag + ridge
+            self.ridge = ridge
+            return scipy.linalg.cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False)[0]
+        c = _ridged_factor(attempt, stats)
         for j0 in range(0, n, FACTOR_BLOCK):    # the blocks' squares hold K's values above L
             square = c[j0:j0 + FACTOR_BLOCK, j0:j0 + FACTOR_BLOCK]
             square[np.triu(np.ones(square.shape, dtype=bool), 1)] = 0.0
@@ -200,14 +203,47 @@ def _trace_error(kyy_sum: float, P, G, Z, m: int, N: int, stats: dict | None = N
     return residual_error(kyy_sum - 2.0 * t2 + t3, m * N, stats)
 
 
+def _check_finite(kernel: KernelSpec, when: str, k_dd, k_yd, kyy=None) -> None:
+    """Raise a FloatingPointError naming ``kernel`` and ``when`` unless the Grams
+    K_DD and K_YD (read once when they are one array) and, when given, the
+    signals' self-kernels ``kyy`` and their sum are finite."""
+    if not (all_finite(k_dd) and (k_yd is k_dd or all_finite(k_yd))):
+        raise FloatingPointError(f"kernel matrices for {kernel} are not finite {when}")
+    if kyy is not None and not np.isfinite(kyy.sum()):
+        raise FloatingPointError(f"signal self-kernels for {kernel} are not finite {when}")
+
+
+def _model_products(kdict: KernelDictionary, Y: np.ndarray) -> tuple:
+    """The atom products P and G of ``_atom_products`` and the self-kernels
+    k(y, y) of the signals Y under the model ``kdict``, from K_YD and K_DD
+    formed once each and checked finite."""
+    D, kernel = kdict.vectors.atoms, kdict.kernel
+    if Y.shape[0] != D.shape[0]:
+        raise ValueError(f"signals have dimension {Y.shape[0]}, the model's vectors {D.shape[0]}")
+    k_yd, k_dd, kyy = gram(Y, D, kernel), gram(D, D, kernel), self_kernel_diag(Y, kernel)
+    _check_finite(kernel, "for these signals; rescale the signals", k_dd, k_yd, kyy)
+    return (*_atom_products(k_yd, k_dd, kdict.coefficients), kyy)
+
+
+def encode(kdict: KernelDictionary, Y, sparsity: int, stats: dict | None = None) -> SparseCode:
+    """Kernel OMP codes of the signals Y (columns) on the atoms of ``kdict``.
+
+    The pursuit runs on the atom products P = K_YD A and G = A^T K_DD A with
+    coefficients I, as the trainers' coding step does. Each signal's squared
+    feature-space residual is in ``residual_sq``, so ``residual_error(
+    code.residual_sq.sum(), Y.size)`` is the code's error with no further
+    product (an upper bound after a pick counted in ``stats["ridge"]``).
+    """
+    P, G, kyy = _model_products(kdict, np.asarray(Y, dtype=float))
+    return kernel_omp_batch(P, kyy, G, np.eye(kdict.n_atoms), sparsity, stats)
+
+
 def error_metric(Y: np.ndarray, kdict: KernelDictionary, Z) -> float:
     """Representation error per signal element, ||phi(Y) - phi(D) A Z||_F / sqrt(mN)."""
     Y = np.asarray(Y, dtype=float)
     Zm = Z.matrix if isinstance(Z, SparseCode) else np.asarray(Z, dtype=float)
-    D = kdict.vectors.atoms
-    P, G = _atom_products(gram(Y, D, kdict.kernel), gram(D, D, kdict.kernel), kdict.coefficients)
-    kyy_sum = float(self_kernel_diag(Y, kdict.kernel).sum())
-    return _trace_error(kyy_sum, P, G, Zm, *Y.shape)
+    P, G, kyy = _model_products(kdict, Y)
+    return _trace_error(float(kyy.sum()), P, G, Zm, *Y.shape)
 
 
 def rkdl_atom_sweep(k_dd: np.ndarray, k_yd: np.ndarray, A: np.ndarray, Z: np.ndarray,
@@ -299,28 +335,23 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
     hold_yd = penalized or descend and kernel.family == POLYNOMIAL    # Y^T D read past its Gram
     lr_hint = f"try a smaller learning rate (currently {cfg.learning_rate})"
 
-    with timed("gram_refresh"):
-        y_sq = np.einsum("ij,ij->j", Y, Y)    # Y is fixed: its norms serve every Gram and code
+    with timed("gram_refresh"):    # Y is fixed: its norms and self-kernels serve every step
+        y_sq = np.einsum("ij,ij->j", Y, Y)
+        kyy = self_kernel_diag(Y, kernel)
+        kyy_sum = float(kyy.sum())
 
-    def grams(D, when: str):
-        """K_DD, K_YD (checked finite) and, with ``hold_yd``, the one Y^T D at D that
-        the cross Gram, the polynomial gradient and the mixed method's coding read.
-        When D is Y, K_YD is K_DD itself: ``kdl`` holds one N x N array."""
+    def grams(D, when: str, kyy=None):
+        """K_DD, K_YD (checked finite, with ``kyy``) and, with ``hold_yd``, the Y^T D
+        that the cross Gram, the polynomial gradient and the mixed method's coding
+        read. When D is Y, K_YD is K_DD itself: ``kdl`` holds one N x N array."""
         with timed("gram_refresh"):
             k_dd = gram(D, D, kernel)
             yd = inner_products(Y, D) if hold_yd else None
             k_yd = k_dd if D is Y else gram(Y, D, kernel, x_sq=y_sq, xy=yd)
-        if not (all_finite(k_dd) and (k_yd is k_dd or all_finite(k_yd))):
-            raise FloatingPointError(f"kernel matrices for {kernel} are not finite {when}")
+        _check_finite(kernel, when, k_dd, k_yd, kyy)
         return k_dd, k_yd, yd
 
-    at_start = "at start-up; lower beta or alpha, or rescale the signals"
-    k_dd, k_yd, yd = grams(D, at_start)
-    with timed("gram_refresh"):
-        kyy = self_kernel_diag(Y, kernel)
-        kyy_sum = float(kyy.sum())
-    if not np.isfinite(kyy_sum):
-        raise FloatingPointError(f"signal self-kernels for {kernel} are not finite {at_start}")
+    k_dd, k_yd, yd = grams(D, "at start-up; lower beta or alpha, or rescale the signals", kyy)
 
     k_dd_diag = np.diag(k_dd).copy()
     if D is Y:    # kdl holds K only as its factor, in K's own buffer

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import inner_products
-from .sparse_coding import SparseCode, omp_batch
+from .sparse_coding import SparseCode, _check_unit_columns, omp_batch
 
 
 @dataclass
@@ -30,9 +30,7 @@ class Dictionary:
 
     def validate(self, tol: float = 1e-10) -> None:
         if self.normalized:
-            norms = np.linalg.norm(self.atoms, axis=0)
-            if np.any(np.abs(norms - 1.0) > tol):
-                raise ValueError("dictionary marked normalized but has non-unit columns")
+            _check_unit_columns(self.atoms, tol)
 
 
 @dataclass

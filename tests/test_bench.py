@@ -11,10 +11,12 @@ import pytest
 from rkdl import bench, cli, kernel_dl
 from rkdl.bench import ExperimentConfig, emit_outputs, pretrain, run_experiment
 from rkdl.cli import main as cli_main
-from rkdl.datasets import load_dataset, save_csv, synth
+from rkdl.datasets import load_csv, load_dataset, save_csv, synth
 from rkdl.linear_dl import Dictionary, aksvd_train, init_dictionary
 from rkdl.kernel_dl import METHODS
+from rkdl.kernels import gram, self_kernel_diag
 from rkdl.model_io import load_model
+from rkdl.sparse_coding import kernel_omp_batch
 
 
 def base_config(**overrides):
@@ -462,9 +464,10 @@ def without_first_row(doc):
     ("input", lambda doc: "1,2\n3\n", "not a rectangular numeric CSV"),
     ("input", lambda doc: "1,x\n3,4\n", "not a rectangular numeric CSV"),
     ("input", lambda doc: "1,nan\n3,4\n", "signal matrix contains non-finite entries"),
+    ("input", lambda doc: "1,2\n3,4\n", "signals have dimension 2, the model's vectors 16"),
 ], ids=["foreign-json", "json-list", "version", "malformed-json", "missing-field",
         "coefficient-rows", "coefficients-1d", "trace-field", "ragged-csv", "non-numeric-csv",
-        "non-finite-csv"])
+        "non-finite-csv", "signal-dimension"])
 def test_cli_code_unreadable_file_is_one_line(tmp_path, model_file, kind, text, reason):
     model_path, doc = model_file
     bad = tmp_path / f"bad.{'json' if kind == 'model' else 'csv'}"
@@ -484,20 +487,26 @@ def test_cli_code_unreadable_file_is_one_line(tmp_path, model_file, kind, text, 
 
 
 @pytest.mark.parametrize("kind,command", [
-    ("config", "bench"), ("config", "train"), ("model", "code"), ("input", "code")])
+    ("config", "bench"), ("config", "train"), ("model", "code"), ("input", "code"),
+    ("dataset", "bench"), ("dataset", "train")])
 @pytest.mark.parametrize("target,reason", [("missing.file", "No such file or directory"),
                                            ("a-directory", "Is a directory")],
                          ids=["missing", "directory"])
 def test_cli_unopenable_file_is_one_line(tmp_path, model_file, kind, command, target, reason):
-    # an OSError on the named file is reported like a file that does not validate
+    # an OSError on the named file is reported like a file that does not validate;
+    # a config's unopenable dataset file is a reason of that config
     bad = tmp_path / target
     if target == "a-directory":
         bad.mkdir()
     good_input = tmp_path / "good.csv"
     save_csv(synth(16, 5, 12, 3, seed=77)[0].values, str(good_input))
+    config = str(bad)
+    if kind == "dataset":
+        config = write_config(tmp_path, dataset={"source": "csv", "path": str(bad)})
+        kind, bad = "config", f"{config}: {bad}"
     args = {
-        "bench": ["bench", "--config", str(bad), "--out", str(tmp_path / "out"), "--quiet"],
-        "train": ["train", "--config", str(bad), "--method", "rkdl-d",
+        "bench": ["bench", "--config", config, "--out", str(tmp_path / "out"), "--quiet"],
+        "train": ["train", "--config", config, "--method", "rkdl-d",
                   "--out", str(tmp_path / "m.json")],
         "code": ["code", "--model", str(bad) if kind == "model" else model_file[0],
                  "--input", str(bad) if kind == "input" else str(good_input),
@@ -507,6 +516,50 @@ def test_cli_unopenable_file_is_one_line(tmp_path, model_file, kind, command, ta
         cli_main(args)
     assert exc.value.code == f"invalid {kind} {bad}: {reason}"
     assert not any((tmp_path / name).exists() for name in ("out", "m.json", "c.csv"))
+
+
+@pytest.mark.parametrize("sparsity", [1, 6])
+def test_cli_code_writes_the_codes_of_the_four_call_sequence(tmp_path, model_file, sparsity):
+    # the file holds, byte for byte, the codes of kernel OMP on the model's
+    # Grams; the input has a zero signal and a duplicated one
+    Y = synth(16, 12, 12, 3, seed=77)[0].values
+    Y[:, 3] = 0.0
+    Y[:, 8] = Y[:, 5]
+    input_path, out_path, ref_path = (str(tmp_path / name) for name in ("in.csv", "c.csv", "r.csv"))
+    save_csv(Y, input_path)
+    kdict = load_model(model_file[0]).kdict
+    D, spec = kdict.vectors.atoms, kdict.kernel
+    Y = load_csv(input_path).values
+    ref = kernel_omp_batch(gram(Y, D, spec), self_kernel_diag(Y, spec), gram(D, D, spec),
+                           kdict.coefficients, sparsity)
+    save_csv(ref.matrix.T, ref_path)
+    assert cli_main(["code", "--model", model_file[0], "--input", input_path,
+                     "--sparsity", str(sparsity), "--output", out_path]) == 0
+    with open(out_path, "rb") as out, open(ref_path, "rb") as expected:
+        assert out.read() == expected.read()
+
+
+def test_cli_code_overflow_is_one_line_and_writes_nothing(tmp_path):
+    # (x.y + 3)^3 of signals scaled by 1e110 overflows; kernel OMP alone would
+    # write NaN codes, since its Gram-normalization check cannot see NaN
+    cfg_path = write_config(
+        tmp_path, kernel={"family": "polynomial", "alpha": 1.0, "beta": 3},
+        dataset={"source": "synthetic", "m": 16, "n_signals": 200, "n_components": 12,
+                 "sparsity": 3, "seed": 1, "coeff_low": 1.0, "coeff_high": 3.0},
+        kernel_dl={"n_atoms": 8, "sparsity": 3, "iters": 3})
+    model_path = str(tmp_path / "model.json")
+    assert cli_main(["train", "--config", cfg_path, "--method", "rkdl-d", "--out", model_path]) == 0
+    input_path = str(tmp_path / "huge.csv")
+    save_csv(1e110 * load_dataset(ExperimentConfig.from_json(cfg_path).dataset).values[:, :5],
+             input_path)
+    with np.errstate(over="ignore"), pytest.raises(SystemExit) as exc:
+        cli_main(["code", "--model", model_path, "--input", input_path,
+                  "--output", str(tmp_path / "c.csv")])
+    message = exc.value.code
+    assert isinstance(message, str) and len(message.splitlines()) == 1, message
+    assert re.match(rf"invalid input {re.escape(input_path)}: kernel matrices for "
+                    r".*beta=3.* not finite .*rescale the signals", message), message
+    assert not (tmp_path / "c.csv").exists()
 
 
 @pytest.mark.parametrize("sparsity", [0, 7])
@@ -522,7 +575,7 @@ def test_cli_code_sparsity_out_of_range_names_the_flag(tmp_path, capsys, monkeyp
     def no_gram(*args, **kwargs):
         raise AssertionError("a Gram was formed before the sparsity check")
 
-    monkeypatch.setattr(cli, "gram", no_gram)
+    monkeypatch.setattr(kernel_dl, "gram", no_gram)
     with pytest.raises(SystemExit, match=r"sparsity .* outside \[1, 6\].*--sparsity"):
         cli_main(["code", "--model", model_path, "--input", input_path,
                   "--sparsity", str(sparsity), "--output", str(tmp_path / "c.csv")])

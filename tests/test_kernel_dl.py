@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import re
 import tracemalloc
 
@@ -19,6 +20,7 @@ from rkdl.kernel_dl import (
     TrainTrace,
     _chol_with_ridge,
     _linear_penalty_products,
+    encode,
     error_metric,
     kdl_train,
     morkdl_train,
@@ -1044,3 +1046,81 @@ def test_kdl_config_validation():
         KdlConfig(n_atoms=3, sparsity=2, iters=-1)
     with pytest.raises(ValueError):
         KdlConfig(n_atoms=3, sparsity=2, iters=1, learning_rate=-1.0)
+
+
+# --------------------------------------------------------------------- encoder
+
+@functools.lru_cache(maxsize=None)
+def trained_model(method, kernel):
+    """A model of ``method`` on the ``HELD_PRODUCT_SPECS`` kernel, 4 atoms over
+    10-dimensional signals."""
+    signals, _, _ = synth(10, 120, 8, 3, seed=7)
+    Y = signals.values
+    cfg = KdlConfig(n_atoms=4, sparsity=2, iters=2, seed=3, grad_steps=2,
+                    learning_rate=1e-4, penalty=1.0, dl_sparsity=3)
+    return run_trainer(method, Y, pretrained(Y, 8, 3, seed=2), HELD_PRODUCT_SPECS[kernel], cfg)[0]
+
+
+@st.composite
+def new_signals(draw):
+    """Fresh 10-dimensional signals, some of them zero and some duplicated."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 12))
+    Y = draw(st.sampled_from([0.3, 1.0, 3.0])) * rng.standard_normal((10, n))
+    Y[:, draw(st.lists(st.integers(0, n - 1), max_size=3))] = 0.0
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3)):
+        Y[:, j] = Y[:, i]
+    return Y
+
+
+@settings(max_examples=120)
+@given(method=st.sampled_from(["rkdl-d", "morkdl-d", "kdl"]),
+       kernel=st.sampled_from(list(HELD_PRODUCT_SPECS)), full=st.booleans(), Y=new_signals())
+def test_encode_equals_the_four_call_sequence(method, kernel, full, Y):
+    # codes and residuals bit for bit those of kernel OMP on the model's Grams;
+    # the residuals give the code's error without a further product
+    kdict = trained_model(method, kernel)
+    D, spec = kdict.vectors.atoms, kdict.kernel
+    sparsity = kdict.n_atoms if full else 1
+    ref_stats, stats = {}, {}
+    ref = kernel_omp_batch(gram(Y, D, spec), self_kernel_diag(Y, spec), gram(D, D, spec),
+                           kdict.coefficients, sparsity, ref_stats)
+    code = encode(kdict, Y, sparsity, stats)
+    assert same_bits(code.matrix, ref.matrix) and same_bits(code.residual_sq, ref.residual_sq)
+    assert stats == ref_stats
+    if "ridge" not in stats:
+        err = linear_dl.residual_error(code.residual_sq.sum(), Y.size)
+        assert err == pytest.approx(error_metric(Y, kdict, code), rel=1e-12, abs=0.0)
+
+
+def test_encode_overflow_names_the_kernel():
+    # (x.y + 3)^3 of signals scaled by 1e110 overflows; kernel OMP alone
+    # would return NaN codes, since its Gram-normalization check cannot see NaN
+    signals, _, _ = synth(16, 200, 12, 3, seed=1, coeff_low=1.0, coeff_high=3.0)
+    Y = signals.values
+    spec = KernelSpec("polynomial", alpha=1.0, beta=3)
+    kdict = rkdl_train(Y, pretrained(Y, 12, 3, seed=0), spec, KdlConfig(8, 3, 3, seed=0))[0]
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match=r"beta=3.*not finite.*rescale the signals"):
+            encode(kdict, 1e110 * Y[:, :5], 3)
+        with pytest.raises(FloatingPointError, match=r"beta=3.*not finite.*rescale the signals"):
+            error_metric(1e110 * Y[:, :5], kdict, np.zeros((8, 5)))
+
+
+def test_encode_names_both_dimensions():
+    kdict = trained_model("rkdl-d", "rbf")
+    with pytest.raises(ValueError, match="signals have dimension 9, the model's vectors 10"):
+        encode(kdict, np.ones((9, 3)), 1)
+
+
+def test_exhausted_ridge_schedule_raises_at_both_factor_sites():
+    # an eigenvalue of -1 stays negative past the last ridge, 1e-2: every
+    # attempt fails, and each of the 6 retries (1e-10 ... 1e-2, then past it)
+    # is counted
+    K = np.diag([-1.0, 1.0, 2.0])
+    for factor in (_chol_with_ridge, kernel_dl.FactoredGram):
+        stats: dict = {}
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite even after ridging"):
+            factor(K.copy(), stats)
+        assert stats == {"kdd_ridge": 6}, factor
