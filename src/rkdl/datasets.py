@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
-import os
 from dataclasses import MISSING, dataclass, field
 
 import numpy as np
@@ -35,15 +34,6 @@ class SignalMatrix:
     """
 
     values: np.ndarray
-    provenance: str = ""
-
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_signals(self) -> int:
-        return self.values.shape[1]
 
     def validate(self) -> None:
         if self.values.ndim != 2 or self.values.shape[1] < 1:
@@ -75,26 +65,25 @@ def _apply_normalization(rows: np.ndarray, normalize: str) -> None:
 
 
 def _select(rows: np.ndarray, labels: np.ndarray | None, label_filter: int | None,
-            max_signals: int | None, note: str) -> tuple[np.ndarray, str]:
+            max_signals: int | None) -> np.ndarray:
     """The file loaders' shared selection: the signal-major ``rows`` labelled
-    ``label_filter``, in file order, then the first ``max_signals`` of them,
-    and the provenance note. Rows are selected before they are converted to
-    float, so no float copy of an unselected signal is made."""
+    ``label_filter``, in file order, then the first ``max_signals`` of them.
+    Rows are selected before they are converted to float, so no float copy of
+    an unselected signal is made."""
     if label_filter is not None:
         rows = rows[labels == label_filter]
         if rows.shape[0] == 0:
-            raise ValueError(f"no signals survived the label filter ({note})")
-        note += f" label={label_filter}"
+            raise ValueError(f"no signals survived the label filter (label_filter={label_filter})")
     if max_signals is not None:
         rows = rows[:max_signals]
-    return rows, note
+    return rows
 
 
-def _signal_matrix(rows: np.ndarray, normalize: str, note: str) -> SignalMatrix:
+def _signal_matrix(rows: np.ndarray, normalize: str) -> SignalMatrix:
     """The file loaders' shared tail: normalize the loader's own float
     ``rows`` in place and return them as signal-major ``values``."""
     _apply_normalization(rows, normalize)
-    return SignalMatrix(values=np.ascontiguousarray(rows).T, provenance=note)
+    return SignalMatrix(values=np.ascontiguousarray(rows).T)
 
 
 def _read_idx(path: str, expected_magic: int) -> np.ndarray:
@@ -135,9 +124,8 @@ def load_idx(images: str, labels: str | None = None, label_filter: int | None = 
     tags = None if labels is None else _read_idx(labels, IDX_LABELS_MAGIC)
     if tags is not None and tags.shape[0] != n:
         raise FormatError(f"{labels}: {tags.shape[0]} labels for {n} images in {images}")
-    flat, note = _select(pixels.reshape(n, rows * cols), tags, label_filter, max_signals,
-                         f"idx:{os.path.basename(images)}")
-    return _signal_matrix(flat.astype(float), normalize, note)
+    flat = _select(pixels.reshape(n, rows * cols), tags, label_filter, max_signals)
+    return _signal_matrix(flat.astype(float), normalize)
 
 
 def _read_cifar_batch(path: str) -> np.ndarray:
@@ -165,8 +153,7 @@ def load_cifar10(batches: list[str], label_filter: int | None = None,
     if grayscale not in ("mean", "luminance"):
         raise ValueError(f"grayscale must be 'mean' or 'luminance', got {grayscale!r}")
     records = np.concatenate([_read_cifar_batch(path) for path in batches])
-    records, note = _select(records, records[:, 0], label_filter, max_signals,
-                            f"cifar10:{len(batches)} batches")
+    records = _select(records, records[:, 0], label_filter, max_signals)
     # the gray plane is formed from the uint8 planes, with no float copy of all three
     planes = records[:, 1:].reshape(-1, 3, 1024)
     if grayscale == "mean":
@@ -175,7 +162,7 @@ def load_cifar10(batches: list[str], label_filter: int | None = None,
         gray = 0.299 * planes[:, 0]
         gray += 0.587 * planes[:, 1]
         gray += 0.114 * planes[:, 2]
-    return _signal_matrix(gray, normalize, note)
+    return _signal_matrix(gray, normalize)
 
 
 def load_csv(path: str, signals_in: str = "columns", max_signals: int | None = None,
@@ -192,11 +179,10 @@ def load_csv(path: str, signals_in: str = "columns", max_signals: int | None = N
             values = np.loadtxt(f, delimiter=",", ndmin=2, dtype=float)
     except ValueError as exc:
         raise ValueError(f"{path}: not a rectangular numeric CSV ({exc})") from exc
-    rows, note = _select(values if signals_in == "rows" else values.T, None, None, max_signals,
-                         f"csv:{os.path.basename(path)}")
+    rows = _select(values if signals_in == "rows" else values.T, None, None, max_signals)
     if signals_in == "rows" and rows.shape[0] < values.shape[0]:
         rows = rows.copy()    # a view would keep the dropped signals alive
-    return _signal_matrix(rows, normalize, note)
+    return _signal_matrix(rows, normalize)
 
 
 def save_csv(matrix: np.ndarray, path: str) -> None:
@@ -213,13 +199,22 @@ def synth(m: int, N: int, n_planted: int, sparsity: int, seed: int, noise_sigma:
 
     D* has ``n_planted`` unit-norm Gaussian atoms; each signal combines
     ``sparsity`` distinct atoms. Coefficients are standard normal unless
-    ``coeff_low``/``coeff_high`` are given, in which case magnitudes are
-    uniform in that range with random signs (useful for keeping signal scales
-    in a band). Returns (SignalMatrix, Dictionary, SparseCode); the signals
-    are signal-major, like every loader's.
+    ``coeff_low``/``coeff_high`` are given (both or neither), in which case
+    magnitudes are uniform in that range with random signs (useful for keeping
+    signal scales in a band). Gaussian noise of standard deviation
+    ``noise_sigma`` >= 0 is added. Returns (SignalMatrix, Dictionary,
+    SparseCode); the signals are signal-major, like every loader's.
     """
     if sparsity > n_planted:
         raise ValueError("sparsity cannot exceed the number of planted atoms")
+    # checked before any draw, so a valid call's stream is that of an unchecked one
+    if (coeff_low is None) != (coeff_high is None):
+        raise ValueError(f"coeff_low and coeff_high must be set together, got "
+                         f"coeff_low={coeff_low}, coeff_high={coeff_high}")
+    if coeff_low is not None and not coeff_low <= coeff_high:
+        raise ValueError(f"coeff_low={coeff_low} must not exceed coeff_high={coeff_high}")
+    if not noise_sigma >= 0:
+        raise ValueError(f"noise_sigma must be at least 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     D = rng.standard_normal((m, n_planted))
     D /= np.linalg.norm(D, axis=0)
@@ -246,8 +241,8 @@ def synth(m: int, N: int, n_planted: int, sparsity: int, seed: int, noise_sigma:
             rng.standard_normal(out=part)
             part *= noise_sigma
             Y.T[:, a:a + part.shape[0]] += part.T
-    signals = SignalMatrix(values=Y, provenance=f"synth(m={m},N={N},seed={seed})")
-    return signals, Dictionary(atoms=D, normalized=True), SparseCode(matrix=X, sparsity=sparsity)
+    return (SignalMatrix(values=Y), Dictionary(atoms=D, normalized=True),
+            SparseCode(matrix=X, sparsity=sparsity))
 
 
 # Each source's loader and the DatasetSpec fields it reads, in ``to_dict``

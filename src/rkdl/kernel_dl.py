@@ -293,21 +293,21 @@ def _linear_penalty_products(Y: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, 
     return inner_products(Y.T, X.T), X @ X.T
 
 
-def _init_coefficients(n_vectors: int, n_atoms: int, k_dd_diag: np.ndarray,
+def _init_coefficients(n_vectors: int, n_atoms: int, self_kernels: np.ndarray,
                        rng: np.random.Generator) -> np.ndarray:
     """Seeded 1-sparse coefficient columns, Gram-normalized.
 
     Each atom starts as a coordinate vector at a distinct kernel-vector index,
-    scaled so a_j^T K_DD a_j = 1.
+    scaled so a_j^T K_DD a_j = 1; ``self_kernels`` is the diagonal of K_DD.
     """
     if n_vectors < n_atoms:
         raise ValueError(f"cannot place {n_atoms} kernel atoms on {n_vectors} vectors")
-    usable = np.flatnonzero(k_dd_diag > 1e-12)
+    usable = np.flatnonzero(self_kernels > 1e-12)
     if usable.size < n_atoms:
         raise ValueError("not enough kernel vectors with nonzero self-kernel")
     chosen = rng.choice(usable, size=n_atoms, replace=False)
     A = np.zeros((n_vectors, n_atoms))
-    A[chosen, np.arange(n_atoms)] = 1.0 / np.sqrt(k_dd_diag[chosen])
+    A[chosen, np.arange(n_atoms)] = 1.0 / np.sqrt(self_kernels[chosen])
     return A
 
 
@@ -353,13 +353,12 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
 
     k_dd, k_yd, yd = grams(D, "at start-up; lower beta or alpha, or rescale the signals", kyy)
 
-    k_dd_diag = np.diag(k_dd).copy()
+    A = _init_coefficients(D.shape[1], cfg.n_atoms, np.diag(k_dd), rng)
     if D is Y:    # kdl holds K only as its factor, in K's own buffer
         with timed("factor"):
             k_dd = k_yd = FactoredGram(k_dd, stats)
     chol = k_dd.chol if D is Y else None    # a reduced K_DD is factored when a sweep reads it
 
-    A = _init_coefficients(D.shape[1], cfg.n_atoms, k_dd_diag, rng)
     Z = np.zeros((cfg.n_atoms, N))
     with timed("error_eval"):    # each (P, G) serves one error and the next coding
         P, G = _atom_products(k_yd, k_dd, A)
@@ -403,7 +402,7 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
                         D = D / np.maximum(norms, 1e-14)
                 k_dd, k_yd, yd = grams(D, f"after gradient step {step}, iteration {it}; {lr_hint}")
             chol = None    # K_DD changed: the next sweep factors it
-            with timed("atom_sweep"):
+            with timed("gradient"):
                 # re-normalize atoms under the refreshed Gram; scaling the code
                 # rows inversely keeps phi(D) A Z (and the error) unchanged
                 norm_sq = np.einsum("ij,ij->j", A, k_dd @ A)

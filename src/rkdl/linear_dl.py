@@ -21,10 +21,6 @@ class Dictionary:
     meta: dict = field(default_factory=dict)
 
     @property
-    def m(self) -> int:
-        return self.atoms.shape[0]
-
-    @property
     def n_atoms(self) -> int:
         return self.atoms.shape[1]
 
@@ -78,12 +74,12 @@ class DLConfig:
 def init_dictionary(Y: np.ndarray, n_atoms: int, seed: int) -> Dictionary:
     """Seeded initialization from data columns.
 
-    Samples ``n_atoms`` distinct columns of Y without replacement and
-    normalizes them. Duplicate columns in Y may produce coinciding atoms;
-    this is allowed and flagged in ``meta['duplicate_atoms']``.
+    Samples ``n_atoms`` distinct nonzero columns of Y without replacement
+    and normalizes them. Duplicate columns in Y may produce coinciding atoms;
+    this is allowed, and ``aksvd_train`` re-seeds a copy that no signal uses.
     """
     Y = np.asarray(Y, dtype=float)
-    m, N = Y.shape
+    N = Y.shape[1]
     if N < n_atoms:
         raise ValueError(f"cannot draw {n_atoms} atoms from {N} signals")
     rng = np.random.default_rng(seed)
@@ -92,14 +88,7 @@ def init_dictionary(Y: np.ndarray, n_atoms: int, seed: int) -> Dictionary:
     if candidates.size < n_atoms:
         raise ValueError("not enough nonzero signals to initialize the dictionary")
     chosen = rng.choice(candidates, size=n_atoms, replace=False)
-    atoms = Y[:, chosen] / norms[chosen]
-    dup = False
-    for j in range(n_atoms):
-        diff = atoms[:, j + 1:] - atoms[:, j:j + 1]
-        if diff.size and np.min(np.einsum("ij,ij->j", diff, diff)) < 1e-24:
-            dup = True
-            break
-    return Dictionary(atoms=atoms, normalized=True, meta={"duplicate_atoms": dup, "source_columns": chosen})
+    return Dictionary(atoms=Y[:, chosen] / norms[chosen], normalized=True)
 
 
 def _reseed_atom(Y, D, XT, norms_sq, used: set) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import inner_products
+from .kernels import all_finite, inner_products
 
 # Residual-norm early exits. Linear OMP stops on the residual norm itself,
 # kernel OMP on the feature-space squared norm (which is what the Gram
@@ -52,7 +52,7 @@ class SparseCode:
 
 def _check_unit_columns(D: np.ndarray, tol: float = 1e-8) -> None:
     norms = np.linalg.norm(D, axis=0)
-    bad = np.abs(norms - 1.0) > tol
+    bad = ~(np.abs(norms - 1.0) <= tol)    # NaN fails it
     if np.any(bad):
         j = int(np.flatnonzero(bad)[0])
         raise ValueError(f"dictionary column {j} is not unit-norm (norm={norms[j]:.6g})")
@@ -177,13 +177,16 @@ def kernel_omp_batch(k_yd, k_yy_diag, k_dd, A, sparsity, stats: dict | None = No
     atoms A normalized so that a_j^T k_dd a_j = 1 (checked to 1e-8); the
     pursuit stops once the feature-space residual falls below
     ``KOMP_RESIDUAL_SQ_TOL``. Near-singular picks are counted in
-    ``stats["ridge"]``."""
-    A, k_yd, k_dd = (np.asarray(v, dtype=float) for v in (A, k_yd, k_dd))
+    ``stats["ridge"]``. Raises FloatingPointError when ``k_yd`` A or
+    ``k_yy_diag`` is not finite; NaN or inf in ``k_dd`` reaches the diagonal
+    of A^T k_dd A and fails the normalization check."""
+    A, k_yd, k_dd, k_yy_diag = (np.asarray(v, dtype=float) for v in (A, k_yd, k_dd, k_yy_diag))
     G = A.T @ (k_dd @ A)
     norms = np.diag(G)
-    if np.any(np.abs(norms - 1.0) > 1e-8):
-        j = int(np.argmax(np.abs(norms - 1.0)))
+    if not np.all(np.abs(norms - 1.0) <= 1e-8):    # NaN fails it
+        j = int(np.argmax(np.abs(norms - 1.0)))    # the worst, or the first NaN
         raise ValueError(f"kernel atom {j} is not Gram-normalized (a^T K a = {norms[j]:.6g})")
     proj = k_yd @ A
-    return _gram_omp_batch(G, proj, np.asarray(k_yy_diag, dtype=float), sparsity,
-                           KOMP_RESIDUAL_SQ_TOL, stats, "ridge")
+    if not (all_finite(proj) and all_finite(k_yy_diag)):
+        raise FloatingPointError("kernel OMP inputs are not finite: k_yd A or k_yy_diag")
+    return _gram_omp_batch(G, proj, k_yy_diag, sparsity, KOMP_RESIDUAL_SQ_TOL, stats, "ridge")

@@ -285,6 +285,18 @@ def test_failed_method_recorded_and_others_continue(tmp_path):
     assert curves_header == "iteration,rkdl-d,orkdl-d,morkdl-d"
 
 
+def test_non_finite_gradient_fails_that_method_only(monkeypatch):
+    monkeypatch.setattr(kernel_dl, "dictionary_gradient",
+                        lambda Y, D, *args, **kwargs: np.full(D.shape, np.inf))
+    result = run_experiment(ExperimentConfig.from_dict(
+        base_config(methods=["rkdl-d", "orkdl-d"], rounds=1)))
+    assert result.methods["orkdl-d"].failed == (
+        "round 0: FloatingPointError: non-finite kernel-vector gradient at iteration 0; "
+        "try a smaller learning rate (currently 1e-05)")
+    assert result.methods["rkdl-d"].failed is None
+    assert len(result.methods["rkdl-d"].traces) == 1
+
+
 def test_failed_pretraining_fails_the_pretrained_methods_only():
     # 40 AK-SVD atoms on 30 signals cannot be initialized; kdl needs no
     # pretraining and completes every round
@@ -409,6 +421,10 @@ def test_thread_cap_env_plumbing():
      "kernel_dl: seed is not read, round r trains with seed base_seed"),
     ("bench", {"linear_dl": {**base_config()["linear_dl"], "seed": 7}}, [],
      "linear_dl: seed is not read, round r trains with seed base_seed"),
+    ("bench", {"dataset": {**base_config()["dataset"], "coeff_low": 1.0}}, [],
+     "coeff_low and coeff_high must be set together"),
+    ("train", {"dataset": {**base_config()["dataset"], "coeff_low": 1.0}}, ["--method", "kdl"],
+     "coeff_low and coeff_high must be set together"),
 ])
 def test_cli_config_error_is_one_line_and_nonzero_exit(tmp_path, command, config, flags, reason):
     cfg_path = write_config(tmp_path, **config)
@@ -560,6 +576,23 @@ def test_cli_code_overflow_is_one_line_and_writes_nothing(tmp_path):
     assert re.match(rf"invalid input {re.escape(input_path)}: kernel matrices for "
                     r".*beta=3.* not finite .*rescale the signals", message), message
     assert not (tmp_path / "c.csv").exists()
+
+
+def test_cli_code_needs_a_sparsity_when_the_model_config_has_none(tmp_path, model_file):
+    model_path = tmp_path / "model.json"
+    doc = model_file[1]
+    model_path.write_text(json.dumps({**doc, "config": {k: v for k, v in doc["config"].items()
+                                                         if k != "sparsity"}}))
+    input_path, out_path = str(tmp_path / "in.csv"), tmp_path / "c.csv"
+    save_csv(synth(16, 5, 12, 3, seed=77)[0].values, input_path)
+    args = ["code", "--model", str(model_path), "--input", input_path, "--output", str(out_path)]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(args)
+    assert exc.value.code == "model config has no sparsity; pass --sparsity"
+    assert not out_path.exists()
+    assert cli_main([*args, "--sparsity", "2"]) == 0
+    codes = np.loadtxt(out_path, delimiter=",", ndmin=2)
+    assert codes.shape == (5, 6) and np.all(np.sum(codes != 0, axis=1) <= 2)
 
 
 @pytest.mark.parametrize("sparsity", [0, 7])

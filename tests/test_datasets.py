@@ -297,6 +297,17 @@ def test_synth_sparsity_bound():
         synth(6, 10, 4, 5, seed=0)
 
 
+@pytest.mark.parametrize("kwargs,reason", [
+    ({"coeff_low": 1.0}, "coeff_low and coeff_high must be set together"),
+    ({"coeff_high": 3.0}, "coeff_low and coeff_high must be set together"),
+    ({"coeff_low": 3.0, "coeff_high": 1.0}, "coeff_low=3.0 must not exceed coeff_high=1.0"),
+    ({"noise_sigma": -0.1}, "noise_sigma must be at least 0"),
+], ids=["low-only", "high-only", "low-above-high", "negative-noise"])
+def test_synth_rejects_a_half_set_or_inverted_band_and_negative_noise(kwargs, reason):
+    with pytest.raises(ValueError, match=reason):
+        synth(6, 10, 4, 2, seed=0, **kwargs)
+
+
 @pytest.mark.parametrize("m,N,n_planted,sparsity,noise_sigma,band", [
     (784, 2000, 60, 5, 0.05, (1.0, 3.0)),     # the benchmark's desk generator
     (BLOCK_ROWS + 37, 333, 20, 4, 0.05, (None, None)),   # a ragged last noise block

@@ -632,6 +632,26 @@ def test_phase_seconds_book_the_cholesky_factor():
     assert traces["kdl"].phase_seconds["factor"] > 0
 
 
+@pytest.mark.parametrize("trainer", [orkdl_train, morkdl_train])
+def test_each_iteration_opens_the_atom_sweep_phase_once(monkeypatch, trainer):
+    # the atoms' renormalization after the gradient steps is booked as gradient
+    opened = []
+    real = TrainTrace.timed
+
+    def spy(self, phase):
+        opened.append(phase)
+        return real(self, phase)
+
+    monkeypatch.setattr(TrainTrace, "timed", spy)
+    signals, _, _ = synth(8, 80, 6, 2, seed=3)
+    Y = signals.values
+    cfg = KdlConfig(n_atoms=4, sparsity=2, iters=3, seed=1, grad_steps=2,
+                    learning_rate=1e-4, dl_sparsity=2)
+    trainer(Y, pretrained(Y, 6, 2, seed=0), KernelSpec("rbf", sigma=2.0), cfg)
+    assert opened.count("atom_sweep") == cfg.iters
+    assert opened.count("gradient") == cfg.iters * (1 + cfg.grad_steps + 1)
+
+
 @pytest.mark.parametrize("iters", [0, 3])
 def test_each_sweep_reads_one_factor_of_a_changed_k_dd(monkeypatch, iters):
     # a reduced K_DD is factored right before the sweep that reads it, and

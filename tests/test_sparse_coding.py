@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import kernel_omp, omp
 from rkdl import sparse_coding
 from rkdl.kernels import KernelSpec, gram, inner_products, self_kernel_diag
+from rkdl.linear_dl import Dictionary
 from rkdl.sparse_coding import SparseCode, kernel_omp_batch, omp_batch
 
 
@@ -216,6 +217,33 @@ def test_kernel_omp_full_support_zeroes_correlation():
     z[support] = coeffs
     corr = A.T @ (k_yd_row - k_dd @ (A @ z))
     assert np.max(np.abs(corr)) < 1e-9
+
+
+def test_omp_batch_and_dictionary_validate_reject_a_nan_atom():
+    D = unit_dictionary(6, 4, 2)
+    D[0, 1] = np.nan
+    with pytest.raises(ValueError, match="column 1 is not unit-norm"):
+        omp_batch(D, np.ones((6, 3)), 2)
+    with pytest.raises(ValueError, match="column 1 is not unit-norm"):
+        Dictionary(atoms=D).validate()
+
+
+@pytest.mark.parametrize("where,index,value,error,reason", [
+    ("k_dd", (0, 1), np.nan, ValueError, "kernel atom 0 is not Gram-normalized"),
+    ("k_yd", (0, 1), np.inf, FloatingPointError, "not finite"),
+    ("k_yd", (3, 5), np.nan, FloatingPointError, "not finite"),
+    ("k_yy", 2, np.nan, FloatingPointError, "not finite"),
+    ("k_yy", 0, np.inf, FloatingPointError, "not finite")])
+def test_kernel_omp_batch_rejects_non_finite_grams(where, index, value, error, reason):
+    # coefficients I on an RBF Gram, as the trainers and encode call it: a NaN
+    # anywhere in K_DD spreads to all of A^T K_DD A, its diagonal included
+    spec = KernelSpec("rbf", sigma=2.0)
+    rng = np.random.default_rng(14)
+    D, Y = rng.standard_normal((5, 6)), rng.standard_normal((5, 4))
+    grams = {"k_yd": gram(Y, D, spec), "k_yy": np.ones(4), "k_dd": gram(D, D, spec)}
+    grams[where][index] = value
+    with np.errstate(invalid="ignore"), pytest.raises(error, match=reason):
+        kernel_omp_batch(grams["k_yd"], grams["k_yy"], grams["k_dd"], np.eye(6), 2)
 
 
 def test_kernel_omp_requires_gram_normalized_atoms():
