@@ -21,8 +21,8 @@ from .linear_dl import Dictionary, DLConfig, aksvd_train
 @dataclass
 class ExperimentConfig:
     dataset: DatasetSpec
-    methods: list[str]
-    kernel: KernelSpec
+    methods: list[str] = field(default_factory=lambda: list(METHODS), kw_only=True)
+    kernel: KernelSpec = field(default_factory=KernelSpec, kw_only=True)
     kernel_dl: KdlConfig
     linear_dl: DLConfig
     rounds: int = 10
@@ -46,8 +46,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Each block read by ``from_fields``; ``methods`` defaults to all, ``kernel`` to {}."""
-        return from_fields(cls, {"methods": list(METHODS), "kernel": {}, **d}, "config",
+        """Each block read by ``from_fields``; ``methods`` defaults to all, ``kernel`` to RBF."""
+        return from_fields(cls, d, "config",
                            dataset=DatasetSpec.from_dict, kernel=KernelSpec.from_dict,
                            kernel_dl=lambda b: from_fields(KdlConfig, b, "kernel_dl"),
                            linear_dl=lambda b: from_fields(DLConfig, b, "linear_dl"))

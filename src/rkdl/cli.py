@@ -123,13 +123,15 @@ def _cmd_code(args) -> int:
     sparsity = args.sparsity if args.sparsity is not None else bundle.config.get("sparsity")
     if sparsity is None:
         raise SystemExit("model config has no sparsity; pass --sparsity")
+    if isinstance(sparsity, bool) or not isinstance(sparsity, int):
+        raise SystemExit(f"model config sparsity {sparsity!r} is not an integer; pass --sparsity")
     if not 1 <= sparsity <= bundle.kdict.n_atoms:
         raise SystemExit(f"sparsity {sparsity} is outside [1, {bundle.kdict.n_atoms}], the "
                          "model's atom count; pass --sparsity in that range")
     with _config_errors(args.input, "input"):
         signals = load_csv(args.input, signals_in=args.signals_in)
         signals.validate()
-        code = encode(bundle.kdict, signals.values, int(sparsity))
+        code = encode(bundle.kdict, signals.values, sparsity)
     save_csv(code.matrix.T, args.output)
     print(f"coded {code.matrix.shape[1]} signals with {bundle.method or 'model'}; "
           f"codes written to {args.output}")

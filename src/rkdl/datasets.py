@@ -241,8 +241,7 @@ def synth(m: int, N: int, n_planted: int, sparsity: int, seed: int, noise_sigma:
             rng.standard_normal(out=part)
             part *= noise_sigma
             Y.T[:, a:a + part.shape[0]] += part.T
-    return (SignalMatrix(values=Y), Dictionary(atoms=D, normalized=True),
-            SparseCode(matrix=X, sparsity=sparsity))
+    return SignalMatrix(values=Y), Dictionary(atoms=D), SparseCode(matrix=X, sparsity=sparsity)
 
 
 # Each source's loader and the DatasetSpec fields it reads, in ``to_dict``

@@ -65,7 +65,7 @@ class KdlConfig:
     """Settings shared by all kernel trainers.
 
     ``grad_steps``/``learning_rate`` only matter for the optimized methods,
-    ``penalty``/``dl_sparsity``/``normalize_vectors`` only for the mixed one.
+    ``penalty``/``dl_sparsity`` only for the mixed one.
     """
 
     n_atoms: int
@@ -75,7 +75,6 @@ class KdlConfig:
     learning_rate: float = 5e-4
     penalty: float = 1.0
     seed: int = 0
-    normalize_vectors: bool = True
     dl_sparsity: int | None = None
 
     def __post_init__(self):
@@ -317,9 +316,7 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
 
     Each iteration codes the signals, sweeps the kernel atoms and, when
     ``update`` is set, takes ``cfg.grad_steps`` gradient steps on D, each
-    followed by fresh Grams. Returns (KernelDictionary, SparseCode,
-    TrainTrace); D keeps the input's ``normalized`` flag when fixed, and is
-    marked normalized when updated only if the mixed update renormalizes it.
+    followed by fresh Grams. Returns (KernelDictionary, SparseCode, TrainTrace).
     """
     t_start = time.perf_counter()
     Y = np.asarray(Y, dtype=float)
@@ -331,7 +328,6 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
     rng = np.random.default_rng(cfg.seed)
     descend = update is not None and cfg.grad_steps > 0 and cfg.learning_rate > 0
     penalized = descend and update == "mixed" and cfg.penalty > 0    # reads the linear code X
-    renormalize = update == "mixed" and cfg.normalize_vectors
     hold_yd = penalized or descend and kernel.family == POLYNOMIAL    # Y^T D read past its Gram
     lr_hint = f"try a smaller learning rate (currently {cfg.learning_rate})"
 
@@ -369,8 +365,7 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
             # kernel OMP on the atoms themselves: cross Gram P, Gram G, coefficients I
             Z = kernel_omp_batch(P, kyy, G, np.eye(cfg.n_atoms), cfg.sparsity, stats).matrix
             if penalized:
-                X = omp_batch(D, Y, cfg.dl_sparsity, require_normalized=cfg.normalize_vectors,
-                              stats=stats, norms_sq=y_sq, yd=yd)
+                X = omp_batch(D, Y, cfg.dl_sparsity, stats=stats, norms_sq=y_sq, yd=yd)
 
         if chol is None:
             with timed("factor"):
@@ -394,7 +389,7 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
                         raise FloatingPointError(
                             f"non-finite kernel-vector gradient at iteration {it}; {lr_hint}")
                     D = D - cfg.learning_rate * grad
-                    if renormalize and step == cfg.grad_steps - 1:
+                    if update == "mixed" and step == cfg.grad_steps - 1:
                         norms = np.linalg.norm(D, axis=0)
                         zero = int(np.sum(norms < 1e-14))
                         if zero:
@@ -416,9 +411,7 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
         if callback is not None:
             callback(it, D, A, Z, k_dd)
 
-    normalized = vectors.normalized if update is None else renormalize
-    kdict = KernelDictionary(coefficients=A, vectors=Dictionary(atoms=D, normalized=normalized),
-                             kernel=kernel)
+    kdict = KernelDictionary(coefficients=A, vectors=Dictionary(atoms=D), kernel=kernel)
     trace.total_seconds = time.perf_counter() - t_start
     return kdict, SparseCode(matrix=Z, sparsity=cfg.sparsity), trace
 
@@ -441,8 +434,7 @@ def kdl_train(Y: np.ndarray, kernel: KernelSpec, cfg: KdlConfig,
             f"{N} signals would need a {N}x{N} Gram of {8 * N * N} bytes, the one N x N "
             f"array kdl holds; cap is max_gram_signals = {max_gram_signals} (raise it to "
             "override)")
-    return _train(Y, Dictionary(atoms=Y, normalized=False), kernel, cfg, update=None,
-                  callback=callback)
+    return _train(Y, Dictionary(atoms=Y), kernel, cfg, update=None, callback=callback)
 
 
 def rkdl_train(Y: np.ndarray, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig,
@@ -471,10 +463,10 @@ def morkdl_train(Y: np.ndarray, vectors: Dictionary, kernel: KernelSpec, cfg: Kd
     -2 * penalty * (Y - D X) X^T, X recoded by OMP in each iteration that takes
     a step with penalty > 0. It is evaluated as -2 * penalty * (Y X^T - D X X^T)
     from the two products Y X^T and X X^T, formed once per iteration from the
-    code X, so no gradient step builds the m x N residual Y - D X; with
-    ``normalize_vectors`` the columns of D are re-normalized after the
-    gradient steps. X stays internal: like every trainer, this returns
-    (KernelDictionary, SparseCode, TrainTrace), the trace recording the
+    code X, so no gradient step builds the m x N residual Y - D X. The columns
+    of D are re-normalized after the gradient steps, so OMP codes X on unit
+    vectors in every iteration. X stays internal: like every trainer, this
+    returns (KernelDictionary, SparseCode, TrainTrace), the trace recording the
     nonlinear representation error only.
     """
     if cfg.dl_sparsity is None or not 1 <= cfg.dl_sparsity <= vectors.n_atoms:

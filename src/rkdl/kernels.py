@@ -60,11 +60,17 @@ class KernelSpec:
         return from_fields(cls, d, "kernel")
 
 
+# What a field annotated ``int`` or ``float`` (or either ``| None``) accepts; bool is neither.
+_NUMBERS = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}
+
+
 def from_fields(cls, d: dict, block: str, **readers):
     """The config dataclass ``cls`` from the dict ``d`` of its fields, each built by
-    ``readers[field]`` when given. Unknown keys, missing required fields and a
-    non-integer (or bool) for a field annotated ``int`` or ``int | None`` are a
-    ValueError that names them and the config ``block``."""
+    ``readers[field]`` when given. A ``d`` that is not a dict, unknown keys, missing
+    required fields and a value of the wrong kind for a number field (``_NUMBERS``)
+    are a ValueError that names them and the config ``block``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{block} must be a JSON object, got {d!r}")
     fields = dataclasses.fields(cls)
     unknown = sorted(set(d) - {f.name for f in fields})
     if unknown:
@@ -74,10 +80,10 @@ def from_fields(cls, d: dict, block: str, **readers):
     if missing:
         raise ValueError(f"missing {block} fields: {missing}")
     for f in fields:  # annotations are strings under `from __future__ import annotations`
-        v = d.get(f.name)
-        if (f.type == "int" or f.type == "int | None" and v is not None) and f.name in d \
-                and (isinstance(v, bool) or not isinstance(v, int)):
-            raise ValueError(f"{block}: {f.name} must be an integer, got {v!r}")
+        kind, v = _NUMBERS.get(f.type.removesuffix(" | None")), d.get(f.name)
+        if kind and f.name in d and not (v is None and f.type.endswith(" | None")) \
+                and (isinstance(v, bool) or not isinstance(v, kind[0])):
+            raise ValueError(f"{block}: {f.name} must be {kind[1]}, got {v!r}")
     return cls(**{k: readers[k](v) if k in readers else v for k, v in d.items()})
 
 

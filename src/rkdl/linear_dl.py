@@ -14,10 +14,9 @@ from .sparse_coding import SparseCode, _check_unit_columns, omp_batch
 
 @dataclass
 class Dictionary:
-    """Column dictionary of unit-norm atoms (when ``normalized`` is set)."""
+    """Column dictionary ``atoms`` plus ``meta``; ``validate`` checks for unit atoms."""
 
     atoms: np.ndarray
-    normalized: bool = True
     meta: dict = field(default_factory=dict)
 
     @property
@@ -25,8 +24,7 @@ class Dictionary:
         return self.atoms.shape[1]
 
     def validate(self, tol: float = 1e-10) -> None:
-        if self.normalized:
-            _check_unit_columns(self.atoms, tol)
+        _check_unit_columns(self.atoms, tol)
 
 
 @dataclass
@@ -51,10 +49,11 @@ class TrainTrace:
 
 def residual_error(res_sq: float, size: int, stats: dict | None = None) -> float:
     """sqrt(res_sq / size) for a squared residual summed over ``size`` elements;
-    a negative sum is clamped to zero and counted in ``stats["residual_clamp"]``."""
+    a negative sum is clamped to zero and counted in ``stats["residual_clamp"]``,
+    a NaN sum gives NaN."""
     if res_sq < 0.0 and stats is not None:
         stats["residual_clamp"] = stats.get("residual_clamp", 0) + 1
-    return float(np.sqrt(max(0.0, res_sq)) / np.sqrt(size))
+    return float(np.sqrt(res_sq if np.isnan(res_sq) else max(0.0, res_sq)) / np.sqrt(size))
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ def init_dictionary(Y: np.ndarray, n_atoms: int, seed: int) -> Dictionary:
     if candidates.size < n_atoms:
         raise ValueError("not enough nonzero signals to initialize the dictionary")
     chosen = rng.choice(candidates, size=n_atoms, replace=False)
-    return Dictionary(atoms=Y[:, chosen] / norms[chosen], normalized=True)
+    return Dictionary(atoms=Y[:, chosen] / norms[chosen])
 
 
 def _reseed_atom(Y, D, XT, norms_sq, used: set) -> np.ndarray:
@@ -226,7 +225,8 @@ def aksvd_train(Y: np.ndarray, cfg: DLConfig, D_init: Dictionary | None = None,
     ``TrainTrace``: each coding pass's error from OMP's ``residual_sq``, the
     seconds of OMP (``coding``) and of the sweeps, re-seeds included
     (``sweep``), and the counters ``linear_ridge``, ``residual_clamp``,
-    ``unused_atom`` and ``degenerate_atom`` (re-seeded atoms).
+    ``unused_atom`` and ``degenerate_atom`` (re-seeded atoms). A pass whose
+    error is not finite raises FloatingPointError before any sweep.
 
     Returns the trained dictionary and the sparse code of the last coding
     pass, updated in place by the atom sweeps (so without ``residual_sq``).
@@ -249,6 +249,8 @@ def aksvd_train(Y: np.ndarray, cfg: DLConfig, D_init: Dictionary | None = None,
         with trace.timed("coding"):
             code = omp_batch(D, Y, cfg.sparsity, stats=trace.warnings, norms_sq=norms_sq)
             trace.errors.append(residual_error(code.residual_sq.sum(), Y.size, trace.warnings))
+        if not np.isfinite(trace.errors[-1]):    # NaN or inf in Y, or an overflow
+            raise FloatingPointError(f"non-finite AK-SVD coding error of the signals at pass {it}")
         X = code.matrix
         if it == cfg.iters:    # iters = 0: the initial code only
             break
@@ -261,5 +263,5 @@ def aksvd_train(Y: np.ndarray, cfg: DLConfig, D_init: Dictionary | None = None,
             callback(it, D, X)
 
     trace.total_seconds = time.perf_counter() - t_start
-    return (Dictionary(atoms=D, normalized=True, meta={**dictionary.meta, "trace": trace}),
+    return (Dictionary(atoms=D, meta={**dictionary.meta, "trace": trace}),
             SparseCode(matrix=X, sparsity=cfg.sparsity))

@@ -33,7 +33,6 @@ def save_model(path: str, kdict: KernelDictionary, method: str, config: dict,
         "method": method,
         "kernel": kdict.kernel.to_dict(),
         "vectors": kdict.vectors.atoms.tolist(),
-        "vectors_normalized": bool(kdict.vectors.normalized),
         "coefficients": kdict.coefficients.tolist(),
         "config": config,
         "trace": None if trace is None else dataclasses.asdict(trace),
@@ -53,17 +52,17 @@ def load_model(path: str) -> ModelBundle:
     missing = [k for k in ("kernel", "vectors", "coefficients") if k not in doc]
     if missing:
         raise ValueError(f"{path}: missing model fields: {missing}")
+    config = doc.get("config", {})
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: config must be a JSON object, got {config!r}")
     coefficients = np.asarray(doc["coefficients"], dtype=float)
     vectors = np.asarray(doc["vectors"], dtype=float)
     if coefficients.ndim != 2 or vectors.ndim != 2 or coefficients.shape[0] != vectors.shape[1]:
         raise ValueError(f"{path}: coefficients of shape {coefficients.shape} do not fit vectors "
                          f"of shape {vectors.shape}; both must be 2-D, with one coefficient row "
                          "per vector")
-    kdict = KernelDictionary(
-        coefficients=coefficients,
-        vectors=Dictionary(atoms=vectors, normalized=doc.get("vectors_normalized", False)),
-        kernel=KernelSpec.from_dict(doc["kernel"]),
-    )
-    return ModelBundle(kdict=kdict, method=doc.get("method", ""), config=doc.get("config", {}),
+    kdict = KernelDictionary(coefficients=coefficients, vectors=Dictionary(atoms=vectors),
+                             kernel=KernelSpec.from_dict(doc["kernel"]))
+    return ModelBundle(kdict=kdict, method=doc.get("method", ""), config=config,
                        trace=None if doc.get("trace") is None
                        else from_fields(TrainTrace, doc["trace"], "trace"))

@@ -150,11 +150,11 @@ def _gram_omp_batch(G, proj, norms_sq, sparsity, stop_sq, stats, counter):
     return SparseCode(matrix=matrix, sparsity=sparsity, residual_sq=res_sq)
 
 
-def omp_batch(D: np.ndarray, Y: np.ndarray, sparsity: int, require_normalized: bool = True,
-              stats: dict | None = None, norms_sq: np.ndarray | None = None,
-              yd: np.ndarray | None = None) -> SparseCode:
-    """OMP of every column of Y on the unit-norm atoms of D: up to ``sparsity``
-    greedy picks by largest |d_j . r|, a least-squares refit after each, and
+def omp_batch(D: np.ndarray, Y: np.ndarray, sparsity: int, stats: dict | None = None,
+              norms_sq: np.ndarray | None = None, yd: np.ndarray | None = None) -> SparseCode:
+    """OMP of every column of Y on the unit-norm atoms of D (checked to 1e-8, a
+    ValueError otherwise): up to ``sparsity`` greedy picks by largest |d_j . r|,
+    which ranks atoms only when they are unit, a least-squares refit after each, and
     an early stop once the residual norm drops below ``OMP_RESIDUAL_TOL``.
     ``norms_sq`` and ``yd`` may supply Y's squared norms and the products
     ``inner_products(Y, D)`` (read only). Near-singular picks are counted in
@@ -163,8 +163,7 @@ def omp_batch(D: np.ndarray, Y: np.ndarray, sparsity: int, require_normalized: b
     Y = np.asarray(Y, dtype=float)
     if D.shape[0] != Y.shape[0]:
         raise ValueError(f"dictionary rows {D.shape[0]} do not match signal rows {Y.shape[0]}")
-    if require_normalized:
-        _check_unit_columns(D)
+    _check_unit_columns(D)
     G = D.T @ D
     proj = inner_products(Y, D) if yd is None else yd
     norms_sq = np.einsum("ij,ij->j", Y, Y) if norms_sq is None else norms_sq

@@ -161,7 +161,7 @@ def kdl_train_two_arrays(Y, kernel, cfg):
     return A, Z, errors, stats
 
 
-def omp(D: np.ndarray, y: np.ndarray, sparsity: int, require_normalized: bool = True):
+def omp(D: np.ndarray, y: np.ndarray, sparsity: int):
     """Orthogonal matching pursuit for a single signal.
 
     Greedy selection of at most ``sparsity`` atoms by largest |d_j . r| on the
@@ -179,8 +179,7 @@ def omp(D: np.ndarray, y: np.ndarray, sparsity: int, require_normalized: bool = 
         raise ValueError(f"signal length {y.shape[0]} does not match dictionary rows {m}")
     if not 1 <= sparsity <= min(m, n):
         raise ValueError(f"sparsity must be in [1, {min(m, n)}], got {sparsity}")
-    if require_normalized:
-        _check_unit_columns(D)
+    _check_unit_columns(D)
 
     support: list[int] = []
     coeffs = np.zeros(0)

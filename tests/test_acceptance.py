@@ -129,8 +129,7 @@ def test_criterion_2_linear_kernel_oracle_equivalence():
         Dv = rng.standard_normal((8, 5))
         A = rng.standard_normal((5, 4))
         Z = rng.standard_normal((4, 15))
-        kdict = KernelDictionary(coefficients=A, vectors=Dictionary(Dv, normalized=False),
-                                 kernel=LINEAR)
+        kdict = KernelDictionary(coefficients=A, vectors=Dictionary(Dv), kernel=LINEAR)
         explicit = np.linalg.norm(Y - Dv @ A @ Z) / np.sqrt(Y.size)
         diff = abs(error_metric(Y, kdict, Z) - explicit)
         worst_metric = max(worst_metric, diff)
@@ -140,7 +139,7 @@ def test_criterion_2_linear_kernel_oracle_equivalence():
     Y = rng.standard_normal((8, 100))
     cfg = KdlConfig(n_atoms=6, sparsity=3, iters=5, seed=17)
     _, _, full = kdl_train(Y, LINEAR, cfg)
-    _, _, reduced = rkdl_train(Y, Dictionary(atoms=Y.copy(), normalized=False), LINEAR, cfg)
+    _, _, reduced = rkdl_train(Y, Dictionary(atoms=Y.copy()), LINEAR, cfg)
     worst_red = max(abs(a - b) for a, b in zip(full.errors, reduced.errors))
     assert worst_red <= 1e-9
 

@@ -14,7 +14,7 @@ from rkdl.cli import main as cli_main
 from rkdl.datasets import load_csv, load_dataset, save_csv, synth
 from rkdl.linear_dl import Dictionary, aksvd_train, init_dictionary
 from rkdl.kernel_dl import METHODS
-from rkdl.kernels import gram, self_kernel_diag
+from rkdl.kernels import KernelSpec, gram, self_kernel_diag
 from rkdl.model_io import load_model
 from rkdl.sparse_coding import kernel_omp_batch
 
@@ -425,6 +425,21 @@ def test_thread_cap_env_plumbing():
      "coeff_low and coeff_high must be set together"),
     ("train", {"dataset": {**base_config()["dataset"], "coeff_low": 1.0}}, ["--method", "kdl"],
      "coeff_low and coeff_high must be set together"),
+    ("bench", {"kernel": {"family": "rbf", "sigma": "10"}}, [],
+     "kernel: sigma must be a number, got '10'"),
+    ("train", {"kernel_dl": {**base_config()["kernel_dl"], "learning_rate": "5e-4"}},
+     ["--method", "kdl"], "kernel_dl: learning_rate must be a number, got '5e-4'"),
+    ("bench", {"kernel_dl": {**base_config()["kernel_dl"], "penalty": True}}, [],
+     "kernel_dl: penalty must be a number, got True"),
+    ("bench", {"dataset": {**base_config()["dataset"], "noise_sigma": "0.1"}}, [],
+     "dataset: noise_sigma must be a number, got '0.1'"),
+    ("train", {"dataset": {**base_config()["dataset"], "coeff_low": "1", "coeff_high": 3.0}},
+     ["--method", "kdl"], "dataset: coeff_low must be a number, got '1'"),
+    ("bench", {"kernel": 5}, [], "kernel must be a JSON object, got 5"),
+    ("train", {"linear_dl": [10, 3, 3]}, ["--method", "rkdl-d"],
+     r"linear_dl must be a JSON object, got \[10, 3, 3\]"),
+    ("bench", {"kernel_dl": {**base_config()["kernel_dl"], "normalize_vectors": False}}, [],
+     r"unknown kernel_dl fields: \['normalize_vectors'\]"),
 ])
 def test_cli_config_error_is_one_line_and_nonzero_exit(tmp_path, command, config, flags, reason):
     cfg_path = write_config(tmp_path, **config)
@@ -477,13 +492,22 @@ def without_first_row(doc):
      r"coefficients of shape \(6,\) do not fit"),
     ("model", lambda doc: json.dumps({**doc, "trace": {**doc["trace"], "bogus": 1}}),
      r"unknown trace fields: \['bogus'\]"),
+    ("model", lambda doc: json.dumps({**doc, "kernel": 5}), "kernel must be a JSON object, got 5"),
+    ("model", lambda doc: json.dumps({**doc, "trace": 5}), "trace must be a JSON object, got 5"),
+    ("model", lambda doc: json.dumps({**doc, "kernel": {**doc["kernel"], "sigma": "10"}}),
+     "kernel: sigma must be a number, got '10'"),
+    ("model", lambda doc: json.dumps({**doc, "config": None}),
+     "config must be a JSON object, got None"),
+    ("model", lambda doc: json.dumps({**doc, "config": [1]}),
+     r"config must be a JSON object, got \[1\]"),
     ("input", lambda doc: "1,2\n3\n", "not a rectangular numeric CSV"),
     ("input", lambda doc: "1,x\n3,4\n", "not a rectangular numeric CSV"),
     ("input", lambda doc: "1,nan\n3,4\n", "signal matrix contains non-finite entries"),
     ("input", lambda doc: "1,2\n3,4\n", "signals have dimension 2, the model's vectors 16"),
 ], ids=["foreign-json", "json-list", "version", "malformed-json", "missing-field",
-        "coefficient-rows", "coefficients-1d", "trace-field", "ragged-csv", "non-numeric-csv",
-        "non-finite-csv", "signal-dimension"])
+        "coefficient-rows", "coefficients-1d", "trace-field", "kernel-not-object",
+        "trace-not-object", "kernel-string-sigma", "config-null", "config-list", "ragged-csv",
+        "non-numeric-csv", "non-finite-csv", "signal-dimension"])
 def test_cli_code_unreadable_file_is_one_line(tmp_path, model_file, kind, text, reason):
     model_path, doc = model_file
     bad = tmp_path / f"bad.{'json' if kind == 'model' else 'csv'}"
@@ -556,8 +580,8 @@ def test_cli_code_writes_the_codes_of_the_four_call_sequence(tmp_path, model_fil
 
 
 def test_cli_code_overflow_is_one_line_and_writes_nothing(tmp_path):
-    # (x.y + 3)^3 of signals scaled by 1e110 overflows; kernel OMP alone would
-    # write NaN codes, since its Gram-normalization check cannot see NaN
+    # (x.y + 3)^3 of signals scaled by 1e110 overflows; encode's Gram check
+    # names the kernel before kernel OMP, which rejects non-finite inputs too
     cfg_path = write_config(
         tmp_path, kernel={"family": "polynomial", "alpha": 1.0, "beta": 3},
         dataset={"source": "synthetic", "m": 16, "n_signals": 200, "n_components": 12,
@@ -593,6 +617,51 @@ def test_cli_code_needs_a_sparsity_when_the_model_config_has_none(tmp_path, mode
     assert cli_main([*args, "--sparsity", "2"]) == 0
     codes = np.loadtxt(out_path, delimiter=",", ndmin=2)
     assert codes.shape == (5, 6) and np.all(np.sum(codes != 0, axis=1) <= 2)
+
+
+@pytest.mark.parametrize("stored", ["2", 2.7, True])
+def test_cli_code_rejects_a_stored_sparsity_that_is_not_an_integer(tmp_path, model_file, stored):
+    model_path = tmp_path / "model.json"
+    doc = model_file[1]
+    model_path.write_text(json.dumps({**doc, "config": {**doc["config"], "sparsity": stored}}))
+    input_path, out_path = str(tmp_path / "in.csv"), tmp_path / "c.csv"
+    save_csv(synth(16, 5, 12, 3, seed=77)[0].values, input_path)
+    args = ["code", "--model", str(model_path), "--input", input_path, "--output", str(out_path)]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(args)
+    assert exc.value.code == (f"model config sparsity {stored!r} is not an integer; "
+                              "pass --sparsity")
+    assert not out_path.exists()
+    assert cli_main([*args, "--sparsity", "2"]) == 0
+
+
+def test_top_level_config_must_be_an_object_and_defaults_methods_and_kernel(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text("[1]")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["bench", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert exc.value.code == f"invalid config {cfg_path}: config must be a JSON object, got [1]"
+    # a config without methods or kernel runs every method on the default kernel
+    d = base_config()
+    del d["methods"], d["kernel"]
+    cfg = ExperimentConfig.from_dict(d)
+    assert cfg.methods == list(METHODS) and cfg.kernel == KernelSpec()
+
+
+def test_model_file_has_no_unit_norm_flag_and_one_with_it_codes_alike(tmp_path, model_file):
+    # files written before the flag was dropped carry "vectors_normalized"; it is not read
+    model_path, doc = model_file
+    assert "vectors_normalized" not in doc
+    flagged = tmp_path / "flagged.json"
+    flagged.write_text(json.dumps({**doc, "vectors_normalized": True}))
+    input_path = str(tmp_path / "in.csv")
+    save_csv(synth(16, 25, 12, 3, seed=77)[0].values, input_path)
+    outputs = []
+    for path in (model_path, str(flagged)):
+        outputs.append(tmp_path / f"codes-{len(outputs)}.csv")
+        assert cli_main(["code", "--model", path, "--input", input_path,
+                         "--output", str(outputs[-1])]) == 0
+    assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 @pytest.mark.parametrize("sparsity", [0, 7])

@@ -67,7 +67,7 @@ def test_error_metric_zero_code_rbf():
     Y = rng.standard_normal((9, 14))
     D = rng.standard_normal((9, 5))
     spec = KernelSpec("rbf", sigma=1.7)
-    kdict = KernelDictionary(coefficients=np.zeros((5, 3)), vectors=Dictionary(D, normalized=False),
+    kdict = KernelDictionary(coefficients=np.zeros((5, 3)), vectors=Dictionary(D),
                              kernel=spec)
     err = error_metric(Y, kdict, np.zeros((3, 14)))
     assert err == pytest.approx(1.0 / np.sqrt(9), abs=1e-14)
@@ -81,7 +81,7 @@ def test_error_metric_exact_linear_representation():
     A = rng.standard_normal((4, 3))
     Z = rng.standard_normal((3, 10))
     Y = D @ A @ Z
-    kdict = KernelDictionary(coefficients=A, vectors=Dictionary(D, normalized=False), kernel=LINEAR)
+    kdict = KernelDictionary(coefficients=A, vectors=Dictionary(D), kernel=LINEAR)
     assert error_metric(Y, kdict, Z) < 1e-7
 
 
@@ -108,7 +108,7 @@ def test_error_metric_matches_explicit_linear_residual():
     D = rng.standard_normal((8, 5))
     A = rng.standard_normal((5, 4))
     Z = rng.standard_normal((4, 12))
-    kdict = KernelDictionary(coefficients=A, vectors=Dictionary(D, normalized=False), kernel=LINEAR)
+    kdict = KernelDictionary(coefficients=A, vectors=Dictionary(D), kernel=LINEAR)
     explicit = np.linalg.norm(Y - D @ A @ Z) / np.sqrt(Y.size)
     assert error_metric(Y, kdict, Z) == pytest.approx(explicit, abs=1e-10)
 
@@ -482,7 +482,7 @@ def test_rkdl_reduction_identity():
     Y = rng.standard_normal((8, 80))
     cfg = KdlConfig(n_atoms=5, sparsity=3, iters=5, seed=33)
     _, _, full = kdl_train(Y, LINEAR, cfg)
-    _, _, reduced = rkdl_train(Y, Dictionary(atoms=Y.copy(), normalized=False), LINEAR, cfg)
+    _, _, reduced = rkdl_train(Y, Dictionary(atoms=Y.copy()), LINEAR, cfg)
     np.testing.assert_allclose(full.errors, reduced.errors, atol=1e-9)
 
 
@@ -543,7 +543,8 @@ def test_orkdl_gradient_phase_decreases_objective_at_small_rate():
 
 
 def test_morkdl_zero_penalty_matches_orkdl(monkeypatch):
-    # with no penalty the linear code X is never read, so it is never coded
+    # with no penalty the linear code X is never read, so it is never coded,
+    # and the first iteration's steps are orkdl-d's; morkdl-d then renormalizes
     calls = []
     monkeypatch.setattr(kernel_dl, "omp_batch",
                         lambda *args, **kwargs: calls.append(1) or omp_batch(*args, **kwargs))
@@ -554,12 +555,14 @@ def test_morkdl_zero_penalty_matches_orkdl(monkeypatch):
     base_cfg = KdlConfig(n_atoms=5, sparsity=2, iters=4, seed=9, grad_steps=2,
                          learning_rate=1e-5)
     mixed_cfg = KdlConfig(n_atoms=5, sparsity=2, iters=4, seed=9, grad_steps=2,
-                          learning_rate=1e-5, penalty=0.0, normalize_vectors=False,
-                          dl_sparsity=3)
-    _, _, opt = orkdl_train(Y, vectors, spec, base_cfg)
-    _, _, mix = morkdl_train(Y, vectors, spec, mixed_cfg)
-    assert opt.errors == mix.errors
-    assert mix.warnings == opt.warnings
+                          learning_rate=1e-5, penalty=0.0, dl_sparsity=3)
+    first = {}
+
+    def keep_first(name):
+        return lambda it, D, A, Z, k_dd: first.setdefault(name, D.copy())
+    orkdl_train(Y, vectors, spec, base_cfg, callback=keep_first("opt"))
+    morkdl_train(Y, vectors, spec, mixed_cfg, callback=keep_first("mix"))
+    assert np.array_equal(first["mix"], first["opt"] / np.linalg.norm(first["opt"], axis=0))
     assert calls == []
     morkdl_train(Y, vectors, spec, dataclasses.replace(mixed_cfg, penalty=1.0))
     assert len(calls) == mixed_cfg.iters
@@ -815,7 +818,7 @@ def test_no_kernel_vectors_is_named_past_the_empty_gram_check():
     Y = np.random.default_rng(9).standard_normal((5, 30))
     cfg = KdlConfig(n_atoms=3, sparsity=2, iters=1, seed=0)
     with pytest.raises(ValueError, match="cannot place 3 kernel atoms on 0 vectors"):
-        rkdl_train(Y, Dictionary(atoms=np.zeros((5, 0)), normalized=False), LINEAR, cfg)
+        rkdl_train(Y, Dictionary(atoms=np.zeros((5, 0))), LINEAR, cfg)
     with pytest.raises(ValueError, match="cannot place 3 kernel atoms on 0 vectors"):
         kdl_train(np.zeros((5, 0)), LINEAR, cfg)
 

@@ -6,9 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import aksvd_sweep_residual
+from rkdl import linear_dl
 from rkdl.datasets import synth
 from rkdl.kernel_dl import rkdl_atom_sweep
-from rkdl.linear_dl import Dictionary, DLConfig, _aksvd_sweep, aksvd_train, init_dictionary
+from rkdl.linear_dl import (Dictionary, DLConfig, _aksvd_sweep, aksvd_train, init_dictionary,
+                            residual_error)
 from rkdl.sparse_coding import omp_batch
 
 
@@ -314,3 +316,26 @@ def test_replaced_atom_counts_in_meta():
     assert abs(dictionary.atoms[-1, -1]) < 1e-15
     clean, _ = aksvd_train(Y, DLConfig(n_atoms=4, sparsity=2, iters=3, seed=0))
     assert clean.meta["trace"].warnings == {}
+
+
+def test_residual_error_keeps_nan_and_clamps_negative_sums():
+    stats: dict = {}
+    assert np.isnan(residual_error(float("nan"), 4, stats))
+    assert stats == {}
+    for res_sq, expected in ((-1e-12, 0.0), (-0.0, 0.0), (0.0, 0.0), (9.0, 1.5)):
+        got = residual_error(res_sq, 4, stats)
+        assert got == expected and np.signbit(got) == np.signbit(expected)
+    assert stats == {"residual_clamp": 1}
+
+
+@pytest.mark.parametrize("iters", [0, 1, 3])
+def test_aksvd_train_names_a_non_finite_coding_error_before_any_sweep(iters, monkeypatch):
+    signals, _, _ = synth(16, 200, 10, 3, seed=0)
+    Y = signals.values.copy()
+    Y[4, 7] = np.nan
+    sweeps = []
+    monkeypatch.setattr(linear_dl, "_aksvd_sweep", lambda *args: sweeps.append(1))
+    with pytest.raises(FloatingPointError, match="non-finite AK-SVD coding error of the signals "
+                                                  "at pass 0"):
+        aksvd_train(Y, DLConfig(10, 3, iters))
+    assert sweeps == []

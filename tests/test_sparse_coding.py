@@ -379,18 +379,22 @@ def test_omp_batch_matches_oracle_or_counts_ridges(seed, n, extra_rows, plant, u
         elif kind == "exact":
             support = rng.choice(n, size=rng.integers(1, s + 1), replace=False)
             Y[:, ell] = D[:, support] @ rng.uniform(0.5, 2.0, support.size)
+    if not unit:
+        with pytest.raises(ValueError, match="not unit-norm"):
+            omp_batch(D, Y, s)
+        return
     stats: dict = {}
-    code = omp_batch(D, Y, s, require_normalized=unit, stats=stats).matrix
+    code = omp_batch(D, Y, s, stats=stats).matrix
     assert "ridge" not in stats
     if stats.get("linear_ridge", 0) == 0:
         expected = np.zeros_like(code)
         for ell in range(len(kinds)):
-            support, coeffs = omp(D, Y[:, ell], s, require_normalized=unit)
+            support, coeffs = omp(D, Y[:, ell], s)
             expected[support, ell] = coeffs
         twin = plant == "duplicate"
         np.testing.assert_allclose(fold_twin(code, twin), fold_twin(expected, twin), atol=1e-10)
     else:
-        prev = omp_batch(D, Y, s - 1, require_normalized=unit).matrix if s > 1 else None
+        prev = omp_batch(D, Y, s - 1).matrix if s > 1 else None
         check_ridged_codes(code, prev, lambda X: np.sum((Y - D @ X) ** 2, axis=0))
 
 
