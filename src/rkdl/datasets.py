@@ -297,6 +297,10 @@ class DatasetSpec:
                                                 else f.default)]
         if unread:
             raise ValueError(f"dataset source {self.source!r} does not read {unread}")
+        for name in ("m", "n_signals", "max_signals"):    # array sizes and a slice bound
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"dataset {name} must be at least 1, got {value}")
         if "normalize" in reads and self.normalize is None:
             self.normalize = inspect.signature(loader).parameters["normalize"].default
 

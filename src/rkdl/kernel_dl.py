@@ -88,29 +88,36 @@ class KdlConfig:
             raise ValueError("learning_rate and penalty must be non-negative")
 
 
-def _ridged_factor(attempt, stats: dict):
-    """``attempt(r)``, a Cholesky factor of a Gram K + r I, on the ridge schedule of
-    every kernel Gram factor: r = 0, then ``KDD_RIDGE`` growing 100-fold up to
-    1e-2, each retry counted in ``stats["kdd_ridge"]``; LinAlgError past 1e-2."""
+def _ridged_cholesky(K: np.ndarray, stats: dict) -> tuple[np.ndarray, float]:
+    """(L, r): the lower Cholesky factor L of K + r I, written over the symmetric
+    C-ordered K, at the first ridge r of 0, then ``KDD_RIDGE`` growing 100-fold
+    up to 1e-2, each retry counted in ``stats["kdd_ridge"]``; LinAlgError past 1e-2.
+
+    L is LAPACK's lower factor of K^T, an F-ordered view of K, so K's upper
+    triangle becomes L^T and its strict lower triangle is untouched: a failed
+    attempt mirrors that triangle back (K itself when K is bit-symmetric, as
+    ``gram(Y, Y)`` is) and restores the diagonal, ridged.
+    """
+    n = K.shape[0]
+    if K.shape != (n, n) or not K.flags.c_contiguous:
+        raise ValueError("a kernel Gram is factored in place, so it must be square and C-ordered")
+    diag = np.diag(K).copy()
     ridge = 0.0
     while ridge <= 1e-2:
         try:
-            return attempt(ridge)
+            return scipy.linalg.cho_factor(K.T, lower=True, overwrite_a=True,
+                                           check_finite=False)[0], ridge
         except scipy.linalg.LinAlgError:
             ridge = max(100.0 * ridge, KDD_RIDGE)
             stats["kdd_ridge"] = stats.get("kdd_ridge", 0) + 1
+            _mirror_upper_from_lower(K)
+            K.flat[:: n + 1] = diag + ridge
     raise np.linalg.LinAlgError("kernel Gram is not positive definite even after ridging")
 
 
 def _chol_with_ridge(K: np.ndarray, stats: dict) -> tuple:
-    """Cholesky factor of K, ridged on the ``_ridged_factor`` schedule if not numerically PD."""
-    Kr = np.empty_like(K, order="F")    # LAPACK's order: every attempt factors Kr in place
-
-    def attempt(ridge):
-        Kr[...] = K
-        Kr.flat[:: K.shape[0] + 1] += ridge
-        return scipy.linalg.cho_factor(Kr, overwrite_a=True)
-    return _ridged_factor(attempt, stats)
+    """``scipy.linalg.cho_solve``'s ``(factor, lower)`` for K: ``_ridged_cholesky`` of a copy."""
+    return _ridged_cholesky(np.array(K, dtype=float, order="C"), stats)[0], True
 
 
 # Column-block width of ``FactoredGram`` products. Each block costs two BLAS
@@ -122,33 +129,18 @@ FACTOR_BLOCK = 512
 
 class FactoredGram:
     """A symmetric Gram K held only as its Cholesky factor L, L L^T = K + r I,
-    written over K's own buffer.
+    written over K's own buffer by ``_ridged_cholesky``.
 
-    The factor is LAPACK's lower one of K^T, so K's upper triangle becomes L
-    and its strict lower triangle is untouched: a failed attempt mirrors that
-    triangle back over the factored one (K itself, since ``gram(Y, Y)`` is
-    bit-symmetric) and retries at the next ridge r of ``_ridged_factor``. ``k @ x`` is
-    K x = L (L^T x) - r x, formed from the column-block trapezoids
-    L[j0:, j0:j1] in numpy's BLAS, so a product reads about as many bytes as
-    one with K. ``chol`` is the ``(factor, lower)`` pair of
+    ``k @ x`` is K x = L (L^T x) - r x, formed from the column-block
+    trapezoids L[j0:, j0:j1] in numpy's BLAS, so a product reads about as
+    many bytes as one with K. ``chol`` is the ``(factor, lower)`` pair of
     ``scipy.linalg.cho_solve``.
     """
 
     def __init__(self, K: np.ndarray, stats: dict):
-        n = K.shape[0]
-        if K.shape != (n, n) or not K.flags.c_contiguous:
-            raise ValueError("FactoredGram needs a square C-ordered Gram to factor in place")
+        c, self.ridge = _ridged_cholesky(K, stats)
         self.shape = K.shape
-        diag = np.diag(K).copy()
-
-        def attempt(ridge):
-            if ridge:
-                _mirror_upper_from_lower(K)
-                K.flat[:: n + 1] = diag + ridge
-            self.ridge = ridge
-            return scipy.linalg.cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False)[0]
-        c = _ridged_factor(attempt, stats)
-        for j0 in range(0, n, FACTOR_BLOCK):    # the blocks' squares hold K's values above L
+        for j0 in range(0, self.shape[0], FACTOR_BLOCK):    # the blocks' squares hold K above L
             square = c[j0:j0 + FACTOR_BLOCK, j0:j0 + FACTOR_BLOCK]
             square[np.triu(np.ones(square.shape, dtype=bool), 1)] = 0.0
         self.chol = (c, True)
@@ -250,18 +242,15 @@ def rkdl_atom_sweep(k_dd: np.ndarray, k_yd: np.ndarray, A: np.ndarray, Z: np.nda
     """``linear_dl.atom_sweep`` on the kernel vectors' Gram, with a Cholesky
     solve (``chol``, factored here when not given), on copies of A and Z.
     ``k_dd`` may be a ``FactoredGram`` (``kdl``'s K, then also ``k_yd``),
-    which brings its own factor.
+    whose own factor serves when ``chol`` is not given.
 
     Unused and degenerate atoms are left untouched and counted in
     ``stats["unused_kernel_atom"]`` and ``stats["degenerate_kernel_atom"]``.
 
     Returns updated copies of (A, Z).
     """
-    if isinstance(k_dd, FactoredGram):
-        chol = k_dd.chol
-    else:
-        k_dd = np.asarray(k_dd, dtype=float)
-        k_yd = np.asarray(k_yd, dtype=float)
+    if not isinstance(k_dd, FactoredGram):
+        k_dd, k_yd = np.asarray(k_dd, dtype=float), np.asarray(k_yd, dtype=float)
     A = np.array(A, dtype=float, copy=True)
     Z = np.array(Z, dtype=float, copy=True)
     n_d, n_a = A.shape
@@ -270,7 +259,7 @@ def rkdl_atom_sweep(k_dd: np.ndarray, k_yd: np.ndarray, A: np.ndarray, Z: np.nda
     if stats is None:
         stats = {}
     if chol is None:
-        chol = _chol_with_ridge(k_dd, stats)
+        chol = k_dd.chol if isinstance(k_dd, FactoredGram) else _chol_with_ridge(k_dd, stats)
 
     counts = atom_sweep(k_yd, A, Z, k_dd=k_dd,
                         solve=lambda v: scipy.linalg.cho_solve(chol, v, check_finite=False))
@@ -379,6 +368,7 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
                 WWt = W @ W.T
                 if penalized:
                     YXt, XXt = _linear_penalty_products(Y, X.matrix)
+                    X = None    # its last reader: not held through the steps or the next coding
             for step in range(cfg.grad_steps):
                 with timed("gradient"):
                     grad = dictionary_gradient(Y, D, A, Z, kernel, k_yd=k_yd, k_dd=k_dd, yd=yd,
@@ -395,7 +385,9 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
                         if zero:
                             stats["zero_vector"] = stats.get("zero_vector", 0) + zero
                         D = D / np.maximum(norms, 1e-14)
+                k_dd = k_yd = yd = None    # not held while grams forms the next ones
                 k_dd, k_yd, yd = grams(D, f"after gradient step {step}, iteration {it}; {lr_hint}")
+            W = WWt = YXt = XXt = grad = None    # the steps' products, read by no later phase
             chol = None    # K_DD changed: the next sweep factors it
             with timed("gradient"):
                 # re-normalize atoms under the refreshed Gram; scaling the code

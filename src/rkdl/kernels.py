@@ -60,15 +60,16 @@ class KernelSpec:
         return from_fields(cls, d, "kernel")
 
 
-# What a field annotated ``int`` or ``float`` (or either ``| None``) accepts; bool is neither.
-_NUMBERS = {"int": ((int,), "an integer"), "float": ((int, float), "a number")}
+# What a field annotated ``int``, ``float`` (either may be ``| None``) or ``list[str]`` accepts.
+_KINDS = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+          "list[str]": ((list,), "a list of strings")}
 
 
 def from_fields(cls, d: dict, block: str, **readers):
     """The config dataclass ``cls`` from the dict ``d`` of its fields, each built by
     ``readers[field]`` when given. A ``d`` that is not a dict, unknown keys, missing
-    required fields and a value of the wrong kind for a number field (``_NUMBERS``)
-    are a ValueError that names them and the config ``block``."""
+    required fields and a value of the wrong kind for a number or list field
+    (``_KINDS``) are a ValueError that names them and the config ``block``."""
     if not isinstance(d, dict):
         raise ValueError(f"{block} must be a JSON object, got {d!r}")
     fields = dataclasses.fields(cls)
@@ -80,9 +81,10 @@ def from_fields(cls, d: dict, block: str, **readers):
     if missing:
         raise ValueError(f"missing {block} fields: {missing}")
     for f in fields:  # annotations are strings under `from __future__ import annotations`
-        kind, v = _NUMBERS.get(f.type.removesuffix(" | None")), d.get(f.name)
+        kind, v = _KINDS.get(f.type.removesuffix(" | None")), d.get(f.name)
         if kind and f.name in d and not (v is None and f.type.endswith(" | None")) \
-                and (isinstance(v, bool) or not isinstance(v, kind[0])):
+                and (isinstance(v, bool) or not isinstance(v, kind[0])
+                     or isinstance(v, list) and not all(isinstance(s, str) for s in v)):
             raise ValueError(f"{block}: {f.name} must be {kind[1]}, got {v!r}")
     return cls(**{k: readers[k](v) if k in readers else v for k, v in d.items()})
 

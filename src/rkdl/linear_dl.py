@@ -247,6 +247,7 @@ def aksvd_train(Y: np.ndarray, cfg: DLConfig, D_init: Dictionary | None = None,
     Y = np.asfortranarray(Y)
     for it in range(max(cfg.iters, 1)):
         with trace.timed("coding"):
+            code = X = None    # the last pass's code is not held while the next one forms
             code = omp_batch(D, Y, cfg.sparsity, stats=trace.warnings, norms_sq=norms_sq)
             trace.errors.append(residual_error(code.residual_sq.sum(), Y.size, trace.warnings))
         if not np.isfinite(trace.errors[-1]):    # NaN or inf in Y, or an overflow

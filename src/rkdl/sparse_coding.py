@@ -164,11 +164,10 @@ def omp_batch(D: np.ndarray, Y: np.ndarray, sparsity: int, stats: dict | None = 
     if D.shape[0] != Y.shape[0]:
         raise ValueError(f"dictionary rows {D.shape[0]} do not match signal rows {Y.shape[0]}")
     _check_unit_columns(D)
-    G = D.T @ D
-    proj = inner_products(Y, D) if yd is None else yd
     norms_sq = np.einsum("ij,ij->j", Y, Y) if norms_sq is None else norms_sq
-    return _gram_omp_batch(G, proj, norms_sq, sparsity, OMP_RESIDUAL_TOL**2, stats,
-                           "linear_ridge")
+    # the product is passed unnamed, so it is freed once the coder takes its C-ordered copy
+    return _gram_omp_batch(D.T @ D, inner_products(Y, D) if yd is None else yd, norms_sq,
+                           sparsity, OMP_RESIDUAL_TOL**2, stats, "linear_ridge")
 
 
 def kernel_omp_batch(k_yd, k_yy_diag, k_dd, A, sparsity, stats: dict | None = None) -> SparseCode:

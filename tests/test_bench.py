@@ -440,6 +440,20 @@ def test_thread_cap_env_plumbing():
      r"linear_dl must be a JSON object, got \[10, 3, 3\]"),
     ("bench", {"kernel_dl": {**base_config()["kernel_dl"], "normalize_vectors": False}}, [],
      r"unknown kernel_dl fields: \['normalize_vectors'\]"),
+    ("bench", {"methods": 5}, [], "config: methods must be a list of strings, got 5"),
+    ("bench", {"methods": "kdl"}, [], "config: methods must be a list of strings, got 'kdl'"),
+    ("bench", {"methods": ["kdl", 2]}, [],
+     r"config: methods must be a list of strings, got \['kdl', 2\]"),
+    ("train", {"dataset": {"source": "cifar10", "batches": "a.bin"}}, ["--method", "kdl"],
+     "dataset: batches must be a list of strings, got 'a.bin'"),
+    ("bench", {"dataset": {"source": "csv", "path": "m.csv", "max_signals": -1}}, [],
+     "dataset max_signals must be at least 1, got -1"),
+    ("train", {"dataset": {"source": "csv", "path": "m.csv", "max_signals": 0}},
+     ["--method", "kdl"], "dataset max_signals must be at least 1, got 0"),
+    ("bench", {"dataset": {**base_config()["dataset"], "n_signals": 0}}, [],
+     "dataset n_signals must be at least 1, got 0"),
+    ("train", {"dataset": {**base_config()["dataset"], "m": -1}}, ["--method", "kdl"],
+     "dataset m must be at least 1, got -1"),
 ])
 def test_cli_config_error_is_one_line_and_nonzero_exit(tmp_path, command, config, flags, reason):
     cfg_path = write_config(tmp_path, **config)

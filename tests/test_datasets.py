@@ -428,6 +428,20 @@ def test_load_csv_max_signals_keeps_the_first_signals(tmp_path):
     np.testing.assert_array_equal(load_dataset(spec).values, M[:, :4])
 
 
+@pytest.mark.parametrize("fields,name,value", [
+    ({"source": "csv", "path": "m.csv", "max_signals": -1}, "max_signals", -1),
+    ({"source": "csv", "path": "m.csv", "max_signals": 0}, "max_signals", 0),
+    ({"source": "idx", "images": "i.idx", "max_signals": -5}, "max_signals", -5),
+    ({"source": "synthetic", "n_signals": 0}, "n_signals", 0),
+    ({"source": "synthetic", "m": -2}, "m", -2),
+])
+def test_dataset_spec_rejects_a_size_below_one(fields, name, value):
+    # a negative max_signals would slice signals off the end (2 of 3 at -1),
+    # 0 would load none, and a synthetic size below 1 is no array shape
+    with pytest.raises(ValueError, match=rf"^dataset {name} must be at least 1, got {value}$"):
+        DatasetSpec.from_dict(fields)
+
+
 @pytest.mark.parametrize("signals_in", ["rows", "columns"])
 def test_load_csv_max_signals_holds_only_the_kept_signals(tmp_path, signals_in):
     # the returned values (or the array they view) hold the kept signals

@@ -329,15 +329,18 @@ def test_train_reaches_the_sweep_through_its_module_binding(monkeypatch):
 @pytest.mark.parametrize("m", [30, 5])
 def test_chol_ridge_matches_explicit_identity_ridge(m):
     # m = 5 signals of 20 give a rank-deficient linear Gram, factored at the
-    # first ridge; m = 30 a positive definite one, factored unridged
+    # first ridge; m = 30 a positive definite one, factored unridged. The
+    # factor is the lower one, in a copy: K itself is left as it was
     Y = np.random.default_rng(m).standard_normal((m, 20))
     K = gram(Y, Y, LINEAR)
+    K_before = K.copy()
     stats: dict = {}
     c, lower = _chol_with_ridge(K, stats)
     ridge = KDD_RIDGE if m < 20 else 0.0
-    c_ref, lower_ref = scipy.linalg.cho_factor(K + ridge * np.eye(20))
-    assert lower == lower_ref
-    np.testing.assert_array_equal(c, c_ref)
+    c_ref = scipy.linalg.cho_factor(K + ridge * np.eye(20), lower=True)[0]
+    assert lower is True
+    np.testing.assert_array_equal(np.tril(c), np.tril(c_ref))
+    np.testing.assert_array_equal(K, K_before)
     assert stats == ({"kdd_ridge": 1} if m < 20 else {})
 
 
@@ -474,6 +477,31 @@ def test_kdl_peak_allocation_is_one_n_by_n_array(spec, m):
         tracemalloc.stop()
     assert trace.warnings.get("kdd_ridge", 0) == (1 if spec is LINEAR else 0)
     assert peak <= 1.25 * 8 * N**2
+
+
+def test_trainer_peaks_hold_no_dead_signal_sized_product():
+    # N = 2000 signals, n_d = 50 vectors or linear atoms, n_a = 20 kernel
+    # atoms; the peaks count N x n_d arrays. Each product is dropped after
+    # its last reader: the last AK-SVD code while the next one forms, OMP's
+    # F-ordered product once the coder copies it, the mixed method's linear
+    # code after its penalty products, the old Grams and Y^T D while grams
+    # forms the next ones, and the gradient products after the steps
+    signals, _, _ = synth(64, 2000, 30, 4, 5, 0.05, 1.0, 3.0)
+    Y = signals.values
+    vectors = pretrained(Y, 50, 4, seed=0)
+    spec = KernelSpec("rbf", sigma=4.0, denom_factor=1.0)
+    cfg = KdlConfig(n_atoms=20, sparsity=4, iters=3, seed=0, dl_sparsity=4)
+    runs = {"aksvd": (lambda: aksvd_train(Y, DLConfig(50, 4, 3, seed=0)), 4.5),
+            "orkdl-d": (lambda: orkdl_train(Y, vectors, spec, cfg), 4.5),
+            "morkdl-d": (lambda: morkdl_train(Y, vectors, spec, cfg), 7.5)}
+    for name, (run, bound) in runs.items():
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * 8 * 2000 * 50, (name, peak / (8 * 2000 * 50))
 
 
 def test_rkdl_reduction_identity():
