@@ -32,6 +32,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be at least 0, got {self.base_seed}")
         if not self.methods:
             raise ValueError("method list is empty")
         for i, m in enumerate(self.methods):
@@ -214,11 +216,10 @@ def emit_outputs(result: RunResult, out_dir: str) -> dict[str, str]:
     with open(paths["curves"], "w") as f:
         f.write("iteration," + ",".join(completed) + "\n")
         if completed:
-            means = {m: result.methods[m].errors.mean(axis=0) for m in completed}
-            n_iter = max(v.shape[0] for v in means.values())
-            for it in range(n_iter):
-                cells = [_fmt(means[m][it]) if it < means[m].shape[0] else "" for m in completed]
-                f.write(f"{it}," + ",".join(cells) + "\n")
+            # every trace has kernel_dl.iters + 1 errors
+            means = np.array([result.methods[m].errors.mean(axis=0) for m in completed])
+            for it, row in enumerate(means.T):
+                f.write(f"{it}," + ",".join(map(_fmt, row)) + "\n")
 
     summary: dict = {"config": result.config.to_dict(), "methods": {}}
     for method in result.config.methods:

@@ -106,10 +106,11 @@ def _cmd_bench(args) -> int:
 def _cmd_train(args) -> int:
     with _config_errors(args.config):
         cfg = bench_mod.ExperimentConfig.from_json(args.config)
+        if args.seed is not None:    # checked as the config's base_seed, as in bench
+            cfg = dataclasses.replace(cfg, base_seed=args.seed)
         signals = load_dataset(cfg.dataset)
         signals.validate()
-    seed = cfg.base_seed if args.seed is None else args.seed
-    kdict, trace, kdcfg = bench_mod.train_method(args.method, signals.values, cfg, seed)
+    kdict, trace, kdcfg = bench_mod.train_method(args.method, signals.values, cfg, cfg.base_seed)
     model_io.save_model(args.out, kdict, args.method,
                         config=dataclasses.asdict(kdcfg), trace=trace)
     print(f"{args.method}: final error {trace.errors[-1]:.6e} after {len(trace.errors) - 1} "

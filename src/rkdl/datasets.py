@@ -218,7 +218,7 @@ def synth(m: int, N: int, n_planted: int, sparsity: int, seed: int, noise_sigma:
     rng = np.random.default_rng(seed)
     D = rng.standard_normal((m, n_planted))
     D /= np.linalg.norm(D, axis=0)
-    X = np.zeros((n_planted, N))
+    XT = np.zeros((N, n_planted))    # the planted code, signal-major
     for ell in range(N):
         support = np.sort(rng.choice(n_planted, size=sparsity, replace=False))
         if coeff_low is None:
@@ -226,10 +226,10 @@ def synth(m: int, N: int, n_planted: int, sparsity: int, seed: int, noise_sigma:
         else:
             coeffs = rng.uniform(coeff_low, coeff_high, size=sparsity)
             coeffs *= SIGNS[rng.integers(0, 2, size=sparsity)]   # as rng.choice(SIGNS, sparsity)
-        X.T[ell, support] = coeffs
+        XT[ell, support] = coeffs
     # D X formed signal-major. A BLAS need not round a product and its
     # transpose alike, so this is D @ X to round-off, bit for bit where it does.
-    Y = (X.T @ D.T).T
+    Y = (XT @ D.T).T
     if noise_sigma > 0:
         # The noise fills an m x N array row by row from the generator's
         # stream. Drawing it in blocks of rows gives the same numbers with no
@@ -241,7 +241,7 @@ def synth(m: int, N: int, n_planted: int, sparsity: int, seed: int, noise_sigma:
             rng.standard_normal(out=part)
             part *= noise_sigma
             Y.T[:, a:a + part.shape[0]] += part.T
-    return SignalMatrix(values=Y), Dictionary(atoms=D), SparseCode(matrix=X, sparsity=sparsity)
+    return SignalMatrix(values=Y), Dictionary(atoms=D), SparseCode(matrix=XT.T, sparsity=sparsity)
 
 
 # Each source's loader and the DatasetSpec fields it reads, in ``to_dict``
@@ -301,6 +301,8 @@ class DatasetSpec:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"dataset {name} must be at least 1, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"dataset seed must be at least 0, got {self.seed}")
         if "normalize" in reads and self.normalize is None:
             self.normalize = inspect.signature(loader).parameters["normalize"].default
 

@@ -84,8 +84,9 @@ class KdlConfig:
             raise ValueError("sparsity cannot exceed the number of kernel atoms")
         if self.iters < 0 or self.grad_steps < 0:
             raise ValueError("iters and grad_steps must be non-negative")
-        if self.learning_rate < 0 or self.penalty < 0:
-            raise ValueError("learning_rate and penalty must be non-negative")
+        for name in ("learning_rate", "penalty"):
+            if not 0 <= getattr(self, name) < np.inf:    # NaN fails it
+                raise ValueError(f"{name} must be finite and at least 0, got {getattr(self, name)}")
 
 
 def _ridged_cholesky(K: np.ndarray, stats: dict) -> tuple[np.ndarray, float]:
@@ -247,12 +248,12 @@ def rkdl_atom_sweep(k_dd: np.ndarray, k_yd: np.ndarray, A: np.ndarray, Z: np.nda
     Unused and degenerate atoms are left untouched and counted in
     ``stats["unused_kernel_atom"]`` and ``stats["degenerate_kernel_atom"]``.
 
-    Returns updated copies of (A, Z).
+    Returns updated copies of (A, Z), Z signal-major.
     """
     if not isinstance(k_dd, FactoredGram):
         k_dd, k_yd = np.asarray(k_dd, dtype=float), np.asarray(k_yd, dtype=float)
     A = np.array(A, dtype=float, copy=True)
-    Z = np.array(Z, dtype=float, copy=True)
+    Z = np.array(Z, dtype=float, order="F", copy=True)    # signal-major, as a coder's code
     n_d, n_a = A.shape
     if k_yd.shape[1] != n_d or k_dd.shape != (n_d, n_d) or Z.shape[0] != n_a:
         raise ValueError("Gram/coefficient/code shapes are inconsistent")
@@ -344,7 +345,7 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
             k_dd = k_yd = FactoredGram(k_dd, stats)
     chol = k_dd.chol if D is Y else None    # a reduced K_DD is factored when a sweep reads it
 
-    Z = np.zeros((cfg.n_atoms, N))
+    Z = np.zeros((N, cfg.n_atoms)).T    # signal-major, as every code the coder returns
     with timed("error_eval"):    # each (P, G) serves one error and the next coding
         P, G = _atom_products(k_yd, k_dd, A)
         trace.errors.append(_trace_error(kyy_sum, P, G, Z, m, N, stats))

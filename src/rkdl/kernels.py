@@ -38,6 +38,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
+        for name in ("sigma", "denom_factor", "alpha"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.family == RBF:
             if not self.sigma > 0:
                 raise ValueError("sigma must be positive for the RBF kernel")

@@ -149,22 +149,23 @@ def atom_sweep(k_yd: np.ndarray, A: np.ndarray, Z: np.ndarray, solve=None,
 
     K_DY Z^T is formed once per sweep: row j of Z changes only at atom j's
     own turn, so its column j is exact when it is read. For the same reason
-    every atom's support is found once per sweep. Z_S is gathered from a
-    signal-major copy of Z kept in step with Z, and K_YD[S] a from the |S|
-    rows of ``k_yd``, block by block; when ``k_yd`` is ``k_dd`` it is
-    (K a)[S], read off the K a the normalization formed.
+    every atom's support is found once per sweep. Z is read and written
+    through its signal-major view Z^T, copied (and written back at the end)
+    only when Z is not signal-major, so that any layout of Z gives the same
+    numbers. K_YD[S] a is gathered from the |S| rows of ``k_yd``, block by
+    block; when ``k_yd`` is ``k_dd`` it is (K a)[S], read off the K a the
+    normalization formed.
 
     An atom used by no signal (unused), or with ||u||_K^2 <= 1e-24
-    (degenerate), is counted. With ``reseed`` it becomes ``reseed(ZT)``, ZT
-    the signal-major code, and a degenerate atom's code row is cleared;
-    without, it is left untouched.
+    (degenerate), is counted. With ``reseed`` it becomes ``reseed(Z^T)``, and
+    a degenerate atom's code row is cleared; without, it is left untouched.
 
     Returns the counts of (unused, degenerate) atoms.
     """
     unused = degenerate = 0
     d_is_y = k_yd is k_dd
-    Q = k_dd @ Z.T if d_is_y else inner_products(k_yd, Z.T)
-    ZT = Z.T.copy()
+    ZT = np.ascontiguousarray(Z.T)    # Z's own buffer when Z is signal-major
+    Q = k_dd @ ZT if d_is_y else inner_products(k_yd, ZT)
     atoms, signals = np.nonzero(Z)
     bounds = np.searchsorted(atoms, np.arange(A.shape[1] + 1))
     if not d_is_y:
@@ -177,7 +178,7 @@ def atom_sweep(k_yd: np.ndarray, A: np.ndarray, Z: np.ndarray, solve=None,
             if reseed is not None:
                 A[:, j] = reseed(ZT)
             continue
-        z = Z[j, support]
+        z = ZT[support, j]
         Z_S = ZT[support]
         a_j = A[:, j]
         u = (Q[:, j] if solve is None else solve(Q[:, j])) - A @ (z @ Z_S) + a_j * (z @ z)
@@ -187,14 +188,16 @@ def atom_sweep(k_yd: np.ndarray, A: np.ndarray, Z: np.ndarray, solve=None,
             degenerate += 1
             if reseed is not None:
                 A[:, j] = reseed(ZT)
-                Z[j, support] = ZT[support, j] = 0.0
+                ZT[support, j] = 0.0
             continue
         norm = np.sqrt(norm_sq)
         a = u / norm
         Ka = a if k_dd is None else Ku / norm
         k_sa = Ka[support] if d_is_y else _gathered_dot(k_yd, support, a, block)
-        Z[j, support] = ZT[support, j] = k_sa - Z_S @ (A.T @ Ka) + z * (a_j @ Ka)
+        ZT[support, j] = k_sa - Z_S @ (A.T @ Ka) + z * (a_j @ Ka)
         A[:, j] = a
+    if not np.may_share_memory(ZT, Z):
+        Z[...] = ZT.T
     return unused, degenerate
 
 

@@ -35,8 +35,9 @@ PIVOT_TOL = 1e-10
 
 @dataclass
 class SparseCode:
-    """Dense code ``matrix`` with at most ``sparsity`` nonzeros per column;
-    ``residual_sq``, when the coder's, each signal's squared residual."""
+    """Dense code ``matrix`` (n_atoms, N) with at most ``sparsity`` nonzeros per
+    column; ``residual_sq``, when the coder's, each signal's squared residual.
+    A code the library returns is signal-major: ``matrix.T`` is C-ordered."""
 
     matrix: np.ndarray
     sparsity: int
@@ -86,29 +87,26 @@ def _gram_omp_batch(G, proj, norms_sq, sparsity, stop_sq, stats, counter):
     sqrt(G[k, k] + RIDGE), so the atom's coefficient stays at the size of its
     (vanishing) correlation with the residual instead of being divided by a
     vanishing pivot; each such pick of a live signal is counted in
-    ``stats[counter]``. Returns the (n, N) code, with every signal's
-    norms_sq - y.y as ``residual_sq``: exact up to round-off, and after a ridged
-    pick an upper bound, above the true one by x^T Delta x for the diagonal
-    Delta >= 0 that the ridges add to L L^T.
+    ``stats[counter]``. Returns ``SparseCode(matrix=X.T)`` on the code state X
+    itself, with every signal's norms_sq - y.y as ``residual_sq``: exact up to
+    round-off, and after a ridged pick an upper bound, above the true one by
+    x^T Delta x for the diagonal Delta >= 0 that the ridges add to L L^T.
     """
     N, n = proj.shape
     if not 1 <= sparsity <= n:
         raise ValueError(f"sparsity must be in [1, {n}] (the atom count), got {sparsity}")
-    # The output comes before the state: allocated at return instead, it raised
-    # code-stream's peak RSS 11 MB in 6 of 10 benchmark runs (1 of 10 this way).
-    matrix = np.empty((n, N))
     proj = np.ascontiguousarray(proj)
     g_diag = np.diag(G)
     live = norms_sq >= stop_sq
     res_sq = norms_sq.copy()
     idle_sq = OMP_GAIN_TOL**2 * res_sq
-    X = np.zeros((N, n))                          # codes, one row per signal
+    X = np.zeros((N, n))                          # codes, one row per signal: the output
     S = np.zeros((sparsity, N), dtype=np.intp)    # supports in pick order
     pos = np.empty_like(S)                        # their flat positions in X, proj and corr
     L = np.zeros((sparsity, sparsity, N))         # lower-triangular factors
     y = np.zeros((sparsity, N))
     x = np.empty((sparsity, N))
-    corr = matrix.reshape(N, n)                   # the output's buffer until the codes fill it
+    corr = np.empty((N, n))
     row = np.arange(N) * n
     ridged = 0
     for t in range(sparsity):
@@ -146,8 +144,7 @@ def _gram_omp_batch(G, proj, norms_sq, sparsity, stop_sq, stats, counter):
             break
     if ridged and stats is not None:
         stats[counter] = stats.get(counter, 0) + ridged
-    np.copyto(matrix, X.T)
-    return SparseCode(matrix=matrix, sparsity=sparsity, residual_sq=res_sq)
+    return SparseCode(matrix=X.T, sparsity=sparsity, residual_sq=res_sq)
 
 
 def omp_batch(D: np.ndarray, Y: np.ndarray, sparsity: int, stats: dict | None = None,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 from rkdl import bench, cli, kernel_dl
 from rkdl.bench import ExperimentConfig, emit_outputs, pretrain, run_experiment
 from rkdl.cli import main as cli_main
-from rkdl.datasets import load_csv, load_dataset, save_csv, synth
+from rkdl.datasets import DatasetSpec, load_csv, load_dataset, save_csv, synth
 from rkdl.linear_dl import Dictionary, aksvd_train, init_dictionary
 from rkdl.kernel_dl import METHODS
 from rkdl.kernels import KernelSpec, gram, self_kernel_diag
@@ -454,6 +455,24 @@ def test_thread_cap_env_plumbing():
      "dataset n_signals must be at least 1, got 0"),
     ("train", {"dataset": {**base_config()["dataset"], "m": -1}}, ["--method", "kdl"],
      "dataset m must be at least 1, got -1"),
+    ("bench", {"kernel_dl": {**base_config()["kernel_dl"], "learning_rate": float("nan")}}, [],
+     "learning_rate must be finite and at least 0, got nan"),
+    ("train", {"kernel_dl": {**base_config()["kernel_dl"], "penalty": float("inf")}},
+     ["--method", "morkdl-d"], "penalty must be finite and at least 0, got inf"),
+    ("bench", {"kernel": {"family": "rbf", "sigma": float("inf")}}, [],
+     "sigma must be finite, got inf"),
+    ("bench", {"kernel": {"family": "rbf", "sigma": 2.0, "denom_factor": float("inf")}}, [],
+     "denom_factor must be finite, got inf"),
+    ("train", {"kernel": {"family": "polynomial", "alpha": float("nan"), "beta": 2}},
+     ["--method", "kdl"], "alpha must be finite, got nan"),
+    ("bench", {"base_seed": -1}, [], "base_seed must be at least 0, got -1"),
+    ("train", {"base_seed": -1}, ["--method", "kdl"], "base_seed must be at least 0, got -1"),
+    ("bench", {}, ["--seed", "-2"], "base_seed must be at least 0, got -2"),
+    ("train", {}, ["--method", "kdl", "--seed", "-2"], "base_seed must be at least 0, got -2"),
+    ("bench", {"dataset": {**base_config()["dataset"], "seed": -1}}, [],
+     "dataset seed must be at least 0, got -1"),
+    ("train", {"dataset": {**base_config()["dataset"], "seed": -1}}, ["--method", "kdl"],
+     "dataset seed must be at least 0, got -1"),
 ])
 def test_cli_config_error_is_one_line_and_nonzero_exit(tmp_path, command, config, flags, reason):
     cfg_path = write_config(tmp_path, **config)
@@ -465,6 +484,16 @@ def test_cli_config_error_is_one_line_and_nonzero_exit(tmp_path, command, config
     assert len(lines) == 1, proc.stderr
     assert re.search(rf"^invalid config .*config\.json: {reason}", lines[0]), lines[0]
     assert not (tmp_path / "out").exists()
+
+
+def test_negative_seeds_are_rejected_by_field_name():
+    # numpy's own error for a negative seed names no field
+    with pytest.raises(ValueError, match=r"^dataset seed must be at least 0, got -1$"):
+        DatasetSpec(source="synthetic", seed=-1)
+    cfg = ExperimentConfig.from_dict(base_config())
+    with pytest.raises(ValueError, match=r"^base_seed must be at least 0, got -3$"):
+        dataclasses.replace(cfg, base_seed=-3)
+    assert dataclasses.replace(cfg, base_seed=0).base_seed == 0
 
 
 def test_cli_code_dimension_mismatch(tmp_path, capsys):

@@ -1097,6 +1097,10 @@ def test_kdl_config_validation():
         KdlConfig(n_atoms=3, sparsity=2, iters=-1)
     with pytest.raises(ValueError):
         KdlConfig(n_atoms=3, sparsity=2, iters=1, learning_rate=-1.0)
+    for name in ("learning_rate", "penalty"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and at least 0"):
+                KdlConfig(n_atoms=3, sparsity=2, iters=1, **{name: value})
 
 
 # --------------------------------------------------------------------- encoder

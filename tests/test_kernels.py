@@ -47,6 +47,12 @@ def test_kernel_spec_validation():
         KernelSpec("polynomial", beta=0)
     with pytest.raises(ValueError):
         KernelSpec("sigmoid")
+    for family, name, value in (("rbf", "sigma", float("inf")), ("rbf", "sigma", float("nan")),
+                                ("rbf", "denom_factor", float("inf")),
+                                ("polynomial", "alpha", float("nan")),
+                                ("polynomial", "alpha", float("-inf"))):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            KernelSpec(family, beta=2, **{name: value})
 
 
 def test_gram_linear_identity():

@@ -2,16 +2,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import aksvd_sweep_residual
 from rkdl import linear_dl
 from rkdl.datasets import synth
-from rkdl.kernel_dl import rkdl_atom_sweep
-from rkdl.linear_dl import (Dictionary, DLConfig, _aksvd_sweep, aksvd_train, init_dictionary,
-                            residual_error)
-from rkdl.sparse_coding import omp_batch
+from rkdl.kernel_dl import _chol_with_ridge, rkdl_atom_sweep
+from rkdl.kernels import KernelSpec, gram
+from rkdl.linear_dl import (Dictionary, DLConfig, _aksvd_sweep, aksvd_train, atom_sweep,
+                            init_dictionary, residual_error)
+from rkdl.sparse_coding import kernel_omp_batch, omp_batch
 
 
 def frobenius_error(Y, D, X):
@@ -261,6 +263,66 @@ def test_reseeding_sweep_allocates_no_signal_sized_array():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * Y.nbytes
+
+
+def test_sweep_on_the_coders_code_copies_no_code():
+    # the coder hands out its signal-major buffer and the sweep updates it
+    # through Z^T; at small m the gather block and the nonzero indices are
+    # small beside one N x n array, so a copy of the code alone breaks the bound
+    rng = np.random.default_rng(12)
+    m, N, n, s = 16, 20000, 50, 3
+    Y = np.asfortranarray(rng.standard_normal((m, N)))
+    D = rng.standard_normal((m, n))
+    D /= np.linalg.norm(D, axis=0)
+    X = omp_batch(D, Y, s).matrix
+    tracemalloc.start()
+    try:
+        assert _aksvd_sweep(Y, D, X) == (0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * X.nbytes
+    assert X.shape == (n, N) and X.T.flags.c_contiguous
+
+
+@st.composite
+def coded_signals(draw):
+    """(Y, D, sparsity): F-ordered signals, among them duplicates of the first
+    and trailing zero signals, and unit atoms, sparsity up to the atom count."""
+    n_atoms = draw(st.integers(1, 10))
+    m = draw(st.integers(2, 16))
+    N = draw(st.integers(n_atoms + 8, 300))
+    sparsity = draw(st.integers(1, n_atoms))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Y = np.asfortranarray(rng.standard_normal((m, N)))
+    Y[:, 1:1 + draw(st.integers(0, 3))] = Y[:, :1]
+    Y[:, N - draw(st.integers(0, 3)):] = 0.0
+    D = rng.standard_normal((m, n_atoms))
+    D /= np.linalg.norm(D, axis=0)
+    return Y, D, sparsity
+
+
+@settings(max_examples=100)
+@given(coded_signals())
+def test_sweep_on_the_coders_buffer_equals_a_c_ordered_copy(inputs):
+    # bit for bit, on the AK-SVD sweep (re-seeds included) and on a reduced
+    # kernel sweep over the atoms as kernel vectors
+    Y, D, sparsity = inputs
+    X = omp_batch(D, Y, sparsity).matrix
+    Xc, Dc = np.array(X, order="C"), D.copy()
+    assert _aksvd_sweep(Y, D, X) == _aksvd_sweep(Y, Dc, Xc)
+    assert D.tobytes() == Dc.tobytes() and X.tobytes(order="C") == Xc.tobytes()
+
+    spec = KernelSpec("rbf", sigma=float(np.sqrt(Y.shape[0])))
+    k_dd, k_yd = gram(D, D, spec), gram(Y, D, spec)
+    chol = _chol_with_ridge(k_dd, {})
+    A = np.eye(D.shape[1])    # RBF self-kernels are 1: the vectors are Gram-normalized atoms
+    Z = kernel_omp_batch(k_yd, np.ones(Y.shape[1]), k_dd, A, sparsity).matrix
+    Zc, Ac = np.array(Z, order="C"), A.copy()
+    for A_, Z_ in ((A, Z), (Ac, Zc)):
+        atom_sweep(k_yd, A_, Z_, k_dd=k_dd,
+                   solve=lambda v: scipy.linalg.cho_solve(chol, v, check_finite=False))
+    assert A.tobytes() == Ac.tobytes() and Z.tobytes(order="C") == Zc.tobytes()
 
 
 def test_pretraining_phases_in_meta():
