@@ -3,7 +3,9 @@
 The four methods differ only in where the kernel vectors D come from and how
 D is updated; ``METHODS`` maps each method to both and to its public trainer.
 All trainers run one alternating loop, ``_train``, on Gram matrices only;
-feature vectors are never formed.
+feature vectors are never formed. A trainer's ``callback(it, D, A, Z, k_dd)``
+receives the loop's own arrays after iteration ``it``; later iterations update
+A and Z in place, so a callback copies what it keeps.
 """
 
 from __future__ import annotations
@@ -82,8 +84,9 @@ class KdlConfig:
             raise ValueError("n_atoms and sparsity must be positive")
         if self.sparsity > self.n_atoms:
             raise ValueError("sparsity cannot exceed the number of kernel atoms")
-        if self.iters < 0 or self.grad_steps < 0:
-            raise ValueError("iters and grad_steps must be non-negative")
+        for name in ("iters", "grad_steps", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be at least 0, got {getattr(self, name)}")
         for name in ("learning_rate", "penalty"):
             if not 0 <= getattr(self, name) < np.inf:    # NaN fails it
                 raise ValueError(f"{name} must be finite and at least 0, got {getattr(self, name)}")
@@ -239,21 +242,21 @@ def error_metric(Y: np.ndarray, kdict: KernelDictionary, Z) -> float:
 
 
 def rkdl_atom_sweep(k_dd: np.ndarray, k_yd: np.ndarray, A: np.ndarray, Z: np.ndarray,
-                    chol=None, stats: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+                    chol=None, stats: dict | None = None) -> None:
     """``linear_dl.atom_sweep`` on the kernel vectors' Gram, with a Cholesky
-    solve (``chol``, factored here when not given), on copies of A and Z.
-    ``k_dd`` may be a ``FactoredGram`` (``kdl``'s K, then also ``k_yd``),
-    whose own factor serves when ``chol`` is not given.
+    solve (``chol``, factored here when not given), in place on the caller's
+    coefficients A and code Z (fastest when Z is signal-major, as a coder's
+    code is). ``k_dd`` may be a ``FactoredGram`` (``kdl``'s K, then also
+    ``k_yd``), whose own factor serves when ``chol`` is not given.
 
     Unused and degenerate atoms are left untouched and counted in
     ``stats["unused_kernel_atom"]`` and ``stats["degenerate_kernel_atom"]``.
-
-    Returns updated copies of (A, Z), Z signal-major.
     """
+    for name, M in (("A", A), ("Z", Z)):    # np.asarray would sweep a copy, unseen
+        if not (isinstance(M, np.ndarray) and M.dtype == np.float64 and M.flags.writeable):
+            raise TypeError(f"{name} is swept in place, so it must be a writeable float64 ndarray")
     if not isinstance(k_dd, FactoredGram):
         k_dd, k_yd = np.asarray(k_dd, dtype=float), np.asarray(k_yd, dtype=float)
-    A = np.array(A, dtype=float, copy=True)
-    Z = np.array(Z, dtype=float, order="F", copy=True)    # signal-major, as a coder's code
     n_d, n_a = A.shape
     if k_yd.shape[1] != n_d or k_dd.shape != (n_d, n_d) or Z.shape[0] != n_a:
         raise ValueError("Gram/coefficient/code shapes are inconsistent")
@@ -267,7 +270,6 @@ def rkdl_atom_sweep(k_dd: np.ndarray, k_yd: np.ndarray, A: np.ndarray, Z: np.nda
     for key, count in zip(("unused_kernel_atom", "degenerate_kernel_atom"), counts):
         if count:
             stats[key] = stats.get(key, 0) + count
-    return A, Z
 
 
 def _linear_penalty_products(Y: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,7 +354,7 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
 
     for it in range(cfg.iters):
         with timed("coding"):
-            # kernel OMP on the atoms themselves: cross Gram P, Gram G, coefficients I
+            Z = None    # freed first; kernel OMP on the atoms: cross Gram P, Gram G, coefficients I
             Z = kernel_omp_batch(P, kyy, G, np.eye(cfg.n_atoms), cfg.sparsity, stats).matrix
             if penalized:
                 X = omp_batch(D, Y, cfg.dl_sparsity, stats=stats, norms_sq=y_sq, yd=yd)
@@ -361,7 +363,7 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
             with timed("factor"):
                 chol = _chol_with_ridge(k_dd, stats)
         with timed("atom_sweep"):
-            A, Z = rkdl_atom_sweep(k_dd, k_yd, A, Z, chol=chol, stats=stats)
+            rkdl_atom_sweep(k_dd, k_yd, A, Z, chol=chol, stats=stats)
 
         if descend:
             with timed("gradient"):    # A and Z stay fixed through the steps
@@ -395,8 +397,8 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
                 # rows inversely keeps phi(D) A Z (and the error) unchanged
                 norm_sq = np.einsum("ij,ij->j", A, k_dd @ A)
                 scale = np.sqrt(np.maximum(norm_sq, 1e-24))
-                A = A / scale
-                Z = Z * scale[:, None]
+                A /= scale
+                Z *= scale[:, None]
 
         with timed("error_eval"):
             P, G = _atom_products(k_yd, k_dd, A)
@@ -419,6 +421,11 @@ def kdl_train(Y: np.ndarray, kernel: KernelSpec, cfg: KdlConfig,
     through the factor (``FactoredGram``), which the callback receives as
     ``k_dd``. Refuses signal sets whose Gram would exceed ``max_gram_signals``
     columns. Returns (KernelDictionary, SparseCode, TrainTrace).
+
+    Where K is numerically singular (duplicate signals, a rank-deficient
+    kernel), the sweep's Cholesky solve fixes the coefficients only up to K's
+    null space: their part there is round-off noise, while K A, the codes and
+    the error do not depend on it.
     """
     Y = np.asarray(Y, dtype=float)
     N = Y.shape[1]

@@ -141,23 +141,11 @@ def _sq_distances(X: np.ndarray, Y: np.ndarray, x_sq: np.ndarray | None = None,
 
 def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
          x_sq: np.ndarray | None = None, xy: np.ndarray | None = None) -> np.ndarray:
-    """Gram matrix of kernel evaluations between the columns of X and Y.
-
-    Parameters
-    ----------
-    X : (m, a) array
-    Y : (m, b) array
-    spec : KernelSpec
-    x_sq : (a,) array, optional
-        Squared column norms of X, for callers that hold them across calls
-        (the RBF kernel reads them; the others do not need them).
-    xy : (a, b) array, optional
-        ``inner_products(X, Y)``, read only (RBF on the same data forms its own).
-
-    Returns
-    -------
-    C-contiguous (a, b) array with entry [i, j] = k(X[:, i], Y[:, j]).
-    """
+    """The C-ordered (a, b) Gram k(X[:, i], Y[:, j]) of the columns of X (m, a)
+    and Y (m, b). ``x_sq`` may give X's squared column norms, for callers that
+    hold them across calls (only the RBF kernel reads them), and ``xy`` the
+    products ``inner_products(X, Y)``, read only (RBF on the same data forms
+    its own)."""
     X = np.asarray(X, dtype=float)
     Y = X if Y is X else np.asarray(Y, dtype=float)
     if X.ndim != 2 or Y.ndim != 2:

@@ -66,6 +66,8 @@ class DLConfig:
     def __post_init__(self):
         if self.n_atoms < 1 or self.sparsity < 1 or self.iters < 0:
             raise ValueError("n_atoms and sparsity must be positive, iters non-negative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.sparsity > self.n_atoms:
             raise ValueError("sparsity cannot exceed the number of atoms")
 

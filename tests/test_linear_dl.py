@@ -6,10 +6,10 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import aksvd_sweep_residual
+from oracles import aksvd_sweep_residual, swept
 from rkdl import linear_dl
 from rkdl.datasets import synth
-from rkdl.kernel_dl import _chol_with_ridge, rkdl_atom_sweep
+from rkdl.kernel_dl import _chol_with_ridge
 from rkdl.kernels import KernelSpec, gram
 from rkdl.linear_dl import (Dictionary, DLConfig, _aksvd_sweep, aksvd_train, atom_sweep,
                             init_dictionary, residual_error)
@@ -151,6 +151,8 @@ def test_dlconfig_validation():
         DLConfig(n_atoms=4, sparsity=5, iters=1)
     with pytest.raises(ValueError):
         DLConfig(n_atoms=0, sparsity=1, iters=1)
+    with pytest.raises(ValueError, match=r"^seed must be at least 0, got -1$"):
+        DLConfig(n_atoms=8, sparsity=3, iters=2, seed=-1)
 
 
 @st.composite
@@ -227,7 +229,7 @@ def test_kernel_sweep_on_identity_gram_is_the_aksvd_sweep(inputs):
     Y, D, X = inputs
     D_ref, X_ref = D.copy(), X.copy()
     assume(aksvd_sweep_residual(Y, D_ref, X_ref) == (0, 0))
-    D2, X2 = rkdl_atom_sweep(np.eye(Y.shape[0]), Y.T, D, X)
+    D2, X2 = swept(np.eye(Y.shape[0]), Y.T, D, X)
     np.testing.assert_allclose(D2, D_ref, rtol=0, atol=1e-10)
     np.testing.assert_allclose(X2, X_ref, rtol=0, atol=1e-10)
 
