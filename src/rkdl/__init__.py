@@ -18,6 +18,28 @@ if _threads:
                  "NUMEXPR_NUM_THREADS"):
         _os.environ[_var] = _threads
 
+# scipy bundles a second OpenBLAS, whose idle workers spin after each threaded
+# call and take cores from numpy's products. That library reads
+# OPENBLAS_THREAD_TIMEOUT when it loads, so scipy.linalg loads under the
+# shortest one (workers sleep at once) and the caller's environment is then
+# restored; numpy, loaded first, keeps its own pool as it was.
+import numpy as _np  # noqa: E402,F401
+
+if "scipy" in _sys.modules:
+    _warnings.warn(
+        "scipy was imported before rkdl, so its OpenBLAS may have loaded without rkdl's "
+        "short thread timeout and its idle workers spin, slowing numpy's products; "
+        "import rkdl before scipy", UserWarning, stacklevel=2)
+_timeout = _os.environ.get("OPENBLAS_THREAD_TIMEOUT")
+_os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+try:
+    import scipy.linalg as _scipy_linalg  # noqa: E402,F401
+finally:
+    if _timeout is None:
+        del _os.environ["OPENBLAS_THREAD_TIMEOUT"]
+    else:
+        _os.environ["OPENBLAS_THREAD_TIMEOUT"] = _timeout
+
 from .kernels import KernelSpec, dictionary_gradient, gram, self_kernel_diag  # noqa: E402
 from .sparse_coding import SparseCode, kernel_omp_batch, omp_batch  # noqa: E402
 from .linear_dl import Dictionary, DLConfig, aksvd_train, init_dictionary  # noqa: E402

@@ -10,6 +10,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from . import kernel_dl
 from .datasets import DatasetSpec, load_dataset
@@ -167,6 +168,26 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> RunResult:
     return RunResult(config=cfg, methods=results)
 
 
+def runtime_env() -> dict:
+    """What the last bits of a run depend on beyond its config: the BLAS thread
+    count (``OPENBLAS_NUM_THREADS``, which ``RKDL_THREADS`` sets, else the
+    usable cores, OpenBLAS's default) and the numpy, scipy and BLAS versions
+    (numpy's BLAS runs the products, scipy's the Cholesky factors and solves
+    and ``kdl``'s products with K)."""
+    def blas(module) -> str:
+        try:
+            info = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        except (TypeError, KeyError):    # a release without the dict mode or the entry
+            return "unknown"
+        return f"{info.get('name')} {info.get('version')}"
+
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "")
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"blas_threads": int(threads) if threads.isdigit() else cores,
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "numpy_blas": blas(np), "scipy_blas": blas(scipy)}
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -191,9 +212,9 @@ def emit_outputs(result: RunResult, out_dir: str) -> dict[str, str]:
     errors.csv has one row per (method, round, iteration); curves.csv holds
     the per-iteration mean error with one column per method; summary.json
     mirrors the final-error and timing tables and holds each method's warning
-    counters summed over rounds (``_summary``). A method on pre-trained vectors
-    also has a ``"pretrain"`` entry, the same summary of its rounds'
-    pretraining traces. Returns the file paths.
+    counters summed over rounds (``_summary``), and the run's ``runtime_env``.
+    A method on pre-trained vectors also has a ``"pretrain"`` entry, the same
+    summary of its rounds' pretraining traces. Returns the file paths.
     """
     if not result.methods:
         raise ValueError("experiment result contains no methods")
@@ -221,7 +242,7 @@ def emit_outputs(result: RunResult, out_dir: str) -> dict[str, str]:
             for it, row in enumerate(means.T):
                 f.write(f"{it}," + ",".join(map(_fmt, row)) + "\n")
 
-    summary: dict = {"config": result.config.to_dict(), "methods": {}}
+    summary: dict = {"config": result.config.to_dict(), "env": runtime_env(), "methods": {}}
     for method in result.config.methods:
         res = result.methods[method]
         entry: dict = {"failed": res.failed, "rounds_completed": len(res.traces)}

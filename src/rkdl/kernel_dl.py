@@ -17,8 +17,8 @@ import numpy as np
 import scipy.linalg
 
 from .kernels import (POLYNOMIAL, KernelSpec, all_finite, dictionary_gradient, gram,
-                      inner_products, self_kernel_diag)
-from .linear_dl import GATHER_BYTES, Dictionary, TrainTrace, atom_sweep, residual_error
+                      inner_products, mirror_upper_from_lower, self_kernel_diag)
+from .linear_dl import Dictionary, TrainTrace, atom_sweep, residual_error
 from .sparse_coding import SparseCode, kernel_omp_batch, omp_batch
 
 KDD_RIDGE = 1e-10
@@ -114,7 +114,7 @@ def _ridged_cholesky(K: np.ndarray, stats: dict) -> tuple[np.ndarray, float]:
         except scipy.linalg.LinAlgError:
             ridge = max(100.0 * ridge, KDD_RIDGE)
             stats["kdd_ridge"] = stats.get("kdd_ridge", 0) + 1
-            _mirror_upper_from_lower(K)
+            mirror_upper_from_lower(K)
             K.flat[:: n + 1] = diag + ridge
     raise np.linalg.LinAlgError("kernel Gram is not positive definite even after ridging")
 
@@ -124,56 +124,29 @@ def _chol_with_ridge(K: np.ndarray, stats: dict) -> tuple:
     return _ridged_cholesky(np.array(K, dtype=float, order="C"), stats)[0], True
 
 
-# Column-block width of ``FactoredGram`` products. Each block costs two BLAS
-# calls, and its diagonal square multiplies B(B-1)/2 zeros; at N = 2000
-# (2 cores) one K u took about 1.0 ms in 512-column blocks, 1.4 ms in 256 and
-# 0.7 ms as one product with the full square K.
-FACTOR_BLOCK = 512
-
-
 class FactoredGram:
-    """A symmetric Gram K held only as its Cholesky factor L, L L^T = K + r I,
-    written over K's own buffer by ``_ridged_cholesky``.
+    """A symmetric Gram K whose buffer holds its Cholesky factor L, L L^T = K + r I,
+    written over K's upper triangle by ``_ridged_cholesky``.
 
-    ``k @ x`` is K x = L (L^T x) - r x, formed from the column-block
-    trapezoids L[j0:, j0:j1] in numpy's BLAS, so a product reads about as
-    many bytes as one with K. ``chol`` is the ``(factor, lower)`` pair of
-    ``scipy.linalg.cho_solve``.
+    ``k @ x`` is K x, exact: BLAS symm (symv for a vector) reads K's strict
+    lower triangle, which the factor leaves untouched, with L's diagonal in
+    place of K's, mended by ``(diag(K) - diag(L)) * x``. ``chol`` is the
+    ``(factor, lower)`` pair of ``scipy.linalg.cho_solve``.
     """
 
     def __init__(self, K: np.ndarray, stats: dict):
+        diag = np.diag(K).copy()
         c, self.ridge = _ridged_cholesky(K, stats)
         self.shape = K.shape
-        for j0 in range(0, self.shape[0], FACTOR_BLOCK):    # the blocks' squares hold K above L
-            square = c[j0:j0 + FACTOR_BLOCK, j0:j0 + FACTOR_BLOCK]
-            square[np.triu(np.ones(square.shape, dtype=bool), 1)] = 0.0
         self.chol = (c, True)
+        self.diag_fix = diag - np.diag(c)
 
     def __matmul__(self, x):
         x = np.asarray(x, dtype=float)
-        L = self.chol[0]
-        y = np.zeros(x.shape)
-        w = np.empty((FACTOR_BLOCK,) + x.shape[1:])
-        part = np.empty(x.shape)
-        for j0 in range(0, self.shape[0], FACTOR_BLOCK):
-            block = L[j0:, j0:j0 + FACTOR_BLOCK]
-            wb = np.matmul(block.T, x[j0:], out=w[:block.shape[1]])
-            y[j0:] += np.matmul(block, wb, out=part[j0:])
-        if self.ridge:
-            y -= self.ridge * x
-        return y
-
-
-def _mirror_upper_from_lower(K: np.ndarray) -> None:
-    """K[i, j] = K[j, i] for every j > i, in row blocks of at most GATHER_BYTES."""
-    n = K.shape[0]
-    rows = max(1, GATHER_BYTES // (8 * n))
-    for i0 in range(0, n, rows):
-        i1 = min(i0 + rows, n)
-        square = K[i0:i1, i0:i1]
-        upper = np.triu_indices(i1 - i0, 1)
-        square[upper] = square.T[upper]
-        K[i0:i1, i1:] = K[i1:, i0:i1].T
+        c = self.chol[0]    # F-ordered: its upper triangle is K's strict lower one
+        if x.ndim == 1:
+            return scipy.linalg.blas.dsymv(1.0, c, x) + self.diag_fix * x
+        return scipy.linalg.blas.dsymm(1.0, c, x) + self.diag_fix[:, None] * x
 
 
 def _atom_products(k_yd: np.ndarray, k_dd: np.ndarray, A: np.ndarray) -> tuple:
@@ -342,7 +315,7 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
     k_dd, k_yd, yd = grams(D, "at start-up; lower beta or alpha, or rescale the signals", kyy)
 
     A = _init_coefficients(D.shape[1], cfg.n_atoms, np.diag(k_dd), rng)
-    if D is Y:    # kdl holds K only as its factor, in K's own buffer
+    if D is Y:    # kdl factors K in its own buffer and multiplies by its untouched triangle
         with timed("factor"):
             k_dd = k_yd = FactoredGram(k_dd, stats)
     chol = k_dd.chol if D is Y else None    # a reduced K_DD is factored when a sweep reads it
@@ -417,10 +390,10 @@ def kdl_train(Y: np.ndarray, kernel: KernelSpec, cfg: KdlConfig,
 
     The N x N Gram K is the one N x N array a run holds, for every kernel:
     ``gram`` builds it in the buffer of its product, its finiteness check
-    copies nothing, it is factored in place, and every product with K goes
-    through the factor (``FactoredGram``), which the callback receives as
-    ``k_dd``. Refuses signal sets whose Gram would exceed ``max_gram_signals``
-    columns. Returns (KernelDictionary, SparseCode, TrainTrace).
+    copies nothing, it is factored in place, and every product with K reads
+    the triangle of K that the factor leaves (``FactoredGram``), which the
+    callback receives as ``k_dd``. Refuses signal sets whose Gram would exceed
+    ``max_gram_signals`` columns. Returns (KernelDictionary, SparseCode, TrainTrace).
 
     Where K is numerically singular (duplicate signals, a rank-deficient
     kernel), the sweep's Cholesky solve fixes the coefficients only up to K's

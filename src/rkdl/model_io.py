@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bench import runtime_env
 from .kernel_dl import KernelDictionary, TrainTrace
 from .kernels import KernelSpec, from_fields
 from .linear_dl import Dictionary
@@ -22,11 +23,13 @@ class ModelBundle:
     method: str
     config: dict
     trace: TrainTrace | None = None
+    env: dict | None = None    # ``bench.runtime_env`` at save; None in older files
 
 
 def save_model(path: str, kdict: KernelDictionary, method: str, config: dict,
                trace: TrainTrace | None = None) -> None:
-    """Write {kernel, vectors, coefficients, config, trace} as one JSON file."""
+    """Write {kernel, vectors, coefficients, config, trace, env} as one JSON file,
+    ``env`` being ``bench.runtime_env()``."""
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -36,6 +39,7 @@ def save_model(path: str, kdict: KernelDictionary, method: str, config: dict,
         "coefficients": kdict.coefficients.tolist(),
         "config": config,
         "trace": None if trace is None else dataclasses.asdict(trace),
+        "env": runtime_env(),
     }
     # dumps runs the C encoder; dump streams through the pure-Python one
     with open(path, "w") as f:
@@ -65,4 +69,4 @@ def load_model(path: str) -> ModelBundle:
                              kernel=KernelSpec.from_dict(doc["kernel"]))
     return ModelBundle(kdict=kdict, method=doc.get("method", ""), config=config,
                        trace=None if doc.get("trace") is None
-                       else from_fields(TrainTrace, doc["trace"], "trace"))
+                       else from_fields(TrainTrace, doc["trace"], "trace"), env=doc.get("env"))

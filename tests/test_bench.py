@@ -412,6 +412,55 @@ def test_thread_cap_env_plumbing():
     assert out.stdout.strip() == "1"
 
 
+@pytest.mark.parametrize("timeout", [None, "17"])
+def test_import_leaves_the_callers_openblas_thread_timeout(timeout):
+    # scipy's BLAS loads under rkdl's own short timeout; afterwards the
+    # environment holds the caller's value, or none, as before the import
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    if timeout is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import os, rkdl, scipy.linalg; print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == str(timeout)
+
+
+def test_import_warns_when_scipy_came_first():
+    def stderr(code):
+        return subprocess.run([sys.executable, "-W", "always", "-c", code],
+                              capture_output=True, text=True, check=True).stderr
+
+    late = stderr("import scipy, rkdl")
+    assert "UserWarning" in late and "import rkdl before scipy" in late
+    assert "scipy" not in stderr("import rkdl")
+
+
+def without_seconds(doc):
+    """``doc`` without the keys that name seconds, at every depth."""
+    if isinstance(doc, dict):
+        return {k: without_seconds(v) for k, v in doc.items() if "seconds" not in k}
+    return doc
+
+
+def test_bench_reruns_at_one_blas_thread_write_the_same_outputs(tmp_path):
+    # bit-identity holds at a fixed thread count and BLAS, so both runs take
+    # RKDL_THREADS=1; nothing is asserted across thread counts, where the
+    # BLAS may sum in another order
+    cfg_path = write_config(tmp_path, rounds=1)
+    env = {**os.environ, "RKDL_THREADS": "1"}
+    for run in ("r1", "r2"):
+        subprocess.run([sys.executable, "-m", "rkdl.cli", "bench", "--config", cfg_path,
+                        "--out", str(tmp_path / run), "--quiet"],
+                       env=env, capture_output=True, check=True)
+    r1, r2 = tmp_path / "r1", tmp_path / "r2"
+    assert (r1 / "errors.csv").read_bytes() == (r2 / "errors.csv").read_bytes()
+    s1, s2 = (json.loads((r / "summary.json").read_text()) for r in (r1, r2))
+    assert without_seconds(s1) == without_seconds(s2)
+    assert s1["env"]["blas_threads"] == 1 and s1["env"]["numpy"] == np.__version__
+    assert all(s1["methods"][m]["rounds_completed"] == 1 for m in METHODS)
+
+
 @pytest.mark.parametrize("command,config,flags,reason", [
     ("bench", {}, ["--method", "kdl", "--method", "kdl"], "method 'kdl' is listed twice"),
     ("bench", {"kernel": {"family": "rbf", "sigam": 2.0}}, [],

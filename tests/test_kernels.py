@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from oracles import kernel_eval, kernel_grad_first, kernel_vector_gradient
-from rkdl.kernels import KernelSpec, dictionary_gradient, gram, inner_products, self_kernel_diag
+from rkdl import kernels
+from rkdl.kernels import (KernelSpec, dictionary_gradient, gram, inner_products,
+                          mirror_upper_from_lower, self_kernel_diag)
 
 RBF = KernelSpec("rbf", sigma=1.0, denom_factor=2.0)
 
@@ -156,6 +158,37 @@ def test_gram_symmetry_and_rbf_diagonal():
     # a bitwise-equal copy is also recognized as the same set
     K2 = gram(X, X.copy(), RBF)
     assert np.all(np.diag(K2) == 1.0)
+
+
+@pytest.mark.parametrize("block", [3, 7, 256])
+def test_same_data_gram_is_bit_symmetric_in_row_blocks(monkeypatch, block):
+    # K is built as its lower triangle in gemm row blocks and mirrored, never
+    # by numpy's X.T @ X (BLAS syrk, which crashes at large N); 20 columns in
+    # 3 or 7 rows leave a short last block, 256 is one block. Equal copies of
+    # X count as the same data
+    monkeypatch.setattr(kernels, "GRAM_BLOCK", block)
+    rng = np.random.default_rng(4)
+    X = np.asfortranarray(rng.standard_normal((8, 20)))
+    XtX = X.T @ X
+    xx = np.einsum("ij,ij->j", X, X)
+    poly = KernelSpec("polynomial", alpha=0.5, beta=3)
+    expected = {RBF: np.exp(-np.maximum(xx[:, None] + xx - 2.0 * XtX, 0.0) / RBF.rbf_scale),
+                poly: (XtX + 0.5) ** 3, KernelSpec("linear"): XtX}
+    for spec, reference in expected.items():
+        for Y in (X, X.copy(order="C")):
+            K = gram(X, Y, spec)
+            assert K.tobytes() == np.ascontiguousarray(K.T).tobytes(), spec
+            np.testing.assert_allclose(K, reference, rtol=1e-12,
+                                       atol=1e-12 * np.abs(reference).max())
+
+
+@pytest.mark.parametrize("block", [3, 256])
+def test_mirror_copies_the_lower_triangle_over_the_upper(monkeypatch, block):
+    monkeypatch.setattr(kernels, "GRAM_BLOCK", block)
+    K = np.random.default_rng(5).standard_normal((11, 11))
+    lower = np.tril(K)
+    mirror_upper_from_lower(K)
+    assert np.array_equal(np.tril(K), lower) and np.array_equal(K, K.T)
 
 
 def test_self_kernel_diag_matches_gram_diagonal():

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rkdl.bench import runtime_env
 from rkdl.kernel_dl import KdlConfig, rkdl_train
 from rkdl.kernels import KernelSpec
 from rkdl.linear_dl import DLConfig, aksvd_train
@@ -47,6 +48,19 @@ def test_saved_bytes_are_the_json_text_and_arrays_round_trip(tmp_path):
     np.testing.assert_array_equal(bundle.kdict.coefficients, kdict.coefficients)
     assert np.signbit(bundle.kdict.coefficients[1, 0])
     np.testing.assert_array_equal(bundle.kdict.vectors.atoms, kdict.vectors.atoms)
+
+
+def test_model_records_the_runtime_env_and_files_without_it_load(tmp_path):
+    kdict, trace = trained_model()
+    path = tmp_path / "model.json"
+    save_model(str(path), kdict, "rkdl-d", config={"sparsity": 2}, trace=trace)
+    assert load_model(str(path)).env == runtime_env()
+    doc = json.loads(path.read_text())
+    del doc["env"]    # as written before the env was recorded
+    path.write_text(json.dumps(doc))
+    bundle = load_model(str(path))
+    assert bundle.env is None and bundle.trace.errors == trace.errors
+    np.testing.assert_array_equal(bundle.kdict.coefficients, kdict.coefficients)
 
 
 def test_model_without_trace(tmp_path):
