@@ -389,12 +389,16 @@ def test_chol_ridge_matches_explicit_identity_ridge(m):
     assert stats == ({"kdd_ridge": 1} if m < 20 else {})
 
 
+@pytest.mark.parametrize("block", [3, 512])
 @pytest.mark.parametrize("m", [30, 5])
-def test_factored_gram_is_the_factor_of_k_and_multiplies_like_k(m):
+def test_factored_gram_is_the_factor_of_k_and_multiplies_like_k(monkeypatch, block, m):
+    # in 3-row blocks the 20 x 20 Gram is built in 7 row blocks and mirrored,
+    # and the ridge retry restores it, in 3 x 3 tiles; in 512 in one each.
     # m = 5 gives a singular Gram (rank-deficient linear, or RBF with a
     # duplicated signal), restored and factored ridged: exactly K + r I, since
     # gram(Y, Y) is bit-symmetric. Products read K's untouched triangle and
     # its saved diagonal, so they are K's own, ridged or not
+    monkeypatch.setattr(kernels, "GRAM_BLOCK", block)
     for spec in (LINEAR, KernelSpec("rbf", sigma=3.0)):
         rng = np.random.default_rng(m)
         Y = rng.standard_normal((m, 20))
