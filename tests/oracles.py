@@ -13,14 +13,16 @@ factored copy of it, the reference for ``kdl_train``, which holds one N x N
 array. ``swept`` runs the in-place kernel sweep on copies, for tests that
 compare a sweep's output with its input. ``synth_reference`` is the planted-model
 generator in one piece, the reference for ``datasets.synth``, which builds
-the same signals signal-major in blocks.
+the same signals signal-major in blocks. ``poly_features`` is the polynomial
+kernel's explicit feature map, on which the kernel trainers' errors and kernel
+OMP are checked against plain linear algebra.
 """
 
 import numpy as np
 import scipy.linalg
 
-from rkdl.kernel_dl import (_atom_products, _chol_with_ridge, _init_coefficients, _trace_error,
-                            rkdl_atom_sweep)
+from rkdl.kernel_dl import (CODE_RISE_RTOL, _atom_products, _chol_with_ridge, _init_coefficients,
+                            _trace_error, rkdl_atom_sweep)
 from rkdl.kernels import (POLYNOMIAL, RBF, KernelSpec, _check_shapes, _sq_distances, gram,
                           self_kernel_diag)
 from rkdl.sparse_coding import (KOMP_RESIDUAL_SQ_TOL, OMP_RESIDUAL_TOL, RIDGE, _check_unit_columns,
@@ -143,13 +145,23 @@ def trace_error_from_grams(kyy_sum, k_yd, k_dd, A, Z, m, N, stats=None):
     return float(np.sqrt(max(0.0, res_sq)) / np.sqrt(m * N))
 
 
+def _rise_limit_on_k(K, kyy, W):
+    """Each signal's squared residual k(y, y) - 2 (K W)_nn + w_n^T K w_n for the
+    N x N coefficients W = A Z, plus ``CODE_RISE_RTOL`` times the sum of the
+    terms' magnitudes."""
+    KW = K @ W
+    kw, wkw = np.diag(KW), np.einsum("in,in->n", W, KW)
+    return kyy - 2.0 * kw + wkw + CODE_RISE_RTOL * (np.abs(kyy) + 2.0 * np.abs(kw) + np.abs(wkw))
+
+
 def kdl_train_two_arrays(Y, kernel, cfg):
     """``kdl_train`` as it ran on K itself plus a factored copy of K: the
     products with K read the full square, and the sweep gathers K's rows for
     K_YD[S] a (K's view is not K, so ``atom_sweep`` takes its gather path).
     The reference for ``FactoredGram``, which holds K only as its factor.
 
-    Returns (A, Z, errors, warning counters).
+    Returns (A, Z, errors, warning counters). ``code_rise`` is counted from the
+    codes' residuals formed on K itself.
     """
     Y = np.asarray(Y, dtype=float)
     m, N = Y.shape
@@ -163,7 +175,12 @@ def kdl_train_two_arrays(Y, kernel, cfg):
     P, G = _atom_products(K, K, A)
     errors = [_trace_error(kyy_sum, P, G, Z, m, N, stats)]
     for _ in range(cfg.iters):
-        Z = kernel_omp_batch(P, kyy, G, np.eye(cfg.n_atoms), cfg.sparsity, stats).matrix
+        limit = _rise_limit_on_k(K, kyy, A @ Z)
+        code = kernel_omp_batch(P, kyy, G, np.eye(cfg.n_atoms), cfg.sparsity, stats)
+        rise = int(np.count_nonzero(code.residual_sq > limit))
+        if rise:
+            stats["code_rise"] = stats.get("code_rise", 0) + rise
+        Z = code.matrix
         rkdl_atom_sweep(K, K.view(), A, Z, chol=chol, stats=stats)
         P, G = _atom_products(K, K, A)
         errors.append(_trace_error(kyy_sum, P, G, Z, m, N, stats))
@@ -276,6 +293,21 @@ def kernel_omp(k_yd_row, k_yy, k_dd, A, sparsity, stats=None):
         raise ValueError(f"kernel atom {j} is not Gram-normalized (a^T K a = {norms[j]:.6g})")
     proj = A.T @ k_yd_row
     return _greedy_gram_select(proj, G, float(k_yy), sparsity, KOMP_RESIDUAL_SQ_TOL, stats)
+
+
+def poly_features(X: np.ndarray, alpha: float, beta: int) -> np.ndarray:
+    """The explicit feature map of the polynomial kernel (x.y + alpha)^beta for
+    beta <= 3 and m <= 5: column n is the beta-fold tensor power of
+    [sqrt(alpha), x_n], so Phi^T Phi is the Gram. Shape ((m + 1)^beta, N)."""
+    X = np.asarray(X, dtype=float)
+    m, N = X.shape
+    if not (1 <= beta <= 3 and m <= 5):
+        raise ValueError(f"poly_features covers beta <= 3 and m <= 5, got beta {beta}, m {m}")
+    v = np.vstack([np.full((1, N), np.sqrt(alpha)), X])
+    phi = v
+    for _ in range(beta - 1):
+        phi = (phi[:, None, :] * v[None, :, :]).reshape(-1, N)
+    return phi
 
 
 def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:

@@ -55,6 +55,18 @@ def test_method_seconds_are_the_trainer_traces_totals(tmp_path):
         assert summary["methods"][method]["seconds_mean"] == float(np.mean(res.seconds))
 
 
+def test_summary_elapsed_seconds_are_round_means(tmp_path):
+    result = run_experiment(ExperimentConfig.from_dict(base_config(methods=["kdl", "rkdl-d"])))
+    summary = json.load(open(emit_outputs(result, str(tmp_path))["summary"]))
+    for method, res in result.methods.items():
+        means = np.mean([t.elapsed_seconds for t in res.traces], axis=0).tolist()
+        assert summary["methods"][method]["elapsed_seconds_mean"] == means
+        assert len(means) == 4
+    pretrain = result.methods["rkdl-d"].pretrain_traces
+    assert summary["methods"]["rkdl-d"]["pretrain"]["elapsed_seconds_mean"] == np.mean(
+        [t.elapsed_seconds for t in pretrain], axis=0).tolist()
+
+
 def test_row_counting_contract(tmp_path):
     cfg = ExperimentConfig.from_dict(base_config())
     result = run_experiment(cfg)
@@ -81,7 +93,9 @@ def test_summary_round_trip_and_mean_consistency(tmp_path):
     for method, finals in per_method_finals.items():
         assert len(finals) == 3
         assert abs(summary["methods"][method]["final_error_mean"] - np.mean(finals)) < 1e-12
-        assert summary["methods"][method]["warnings"] == {}
+        # no fallback fires; greedy codes worse than the swept ones are counted
+        rises = sum(t.warnings.get("code_rise", 0) for t in result.methods[method].traces)
+        assert summary["methods"][method]["warnings"] == ({"code_rise": rises} if rises else {})
 
 
 def test_summary_warnings_summed_over_rounds(tmp_path):
@@ -90,7 +104,8 @@ def test_summary_warnings_summed_over_rounds(tmp_path):
     cfg = ExperimentConfig.from_dict(base_config(kernel={"family": "linear"}))
     result = run_experiment(cfg)
     summary = json.load(open(emit_outputs(result, str(tmp_path))["summary"]))
-    assert summary["methods"]["kdl"]["warnings"] == {"kdd_ridge": 2}
+    rises = sum(t.warnings.get("code_rise", 0) for t in result.methods["kdl"].traces)
+    assert summary["methods"]["kdl"]["warnings"] == {"kdd_ridge": 2, "code_rise": rises}
     for method in ("rkdl-d", "orkdl-d", "morkdl-d"):
         expected: dict = {}
         for trace in result.methods[method].traces:
@@ -271,12 +286,13 @@ def test_readme_library_example_runs():
     assert ns["trace"].errors[-1] == pytest.approx(final, rel=1e-12, abs=0.0)
 
 
-def test_failed_method_recorded_and_others_continue(tmp_path):
-    # KDL trips over the Gram cap; the reduced methods still complete
-    cfg = ExperimentConfig.from_dict(base_config(max_gram_signals=100, rounds=1))
+def test_failed_method_recorded_and_others_continue(tmp_path, monkeypatch):
+    # KDL trips over the Gram's byte limit; the reduced methods still complete
+    monkeypatch.setattr(kernel_dl, "MAX_GRAM_BYTES", 8 * 100**2)
+    cfg = ExperimentConfig.from_dict(base_config(rounds=1))
     result = run_experiment(cfg)
     assert result.methods["kdl"].failed is not None
-    assert "cap" in result.methods["kdl"].failed
+    assert "MAX_GRAM_BYTES" in result.methods["kdl"].failed
     assert result.methods["rkdl-d"].failed is None
     assert result.any_failed
     paths = emit_outputs(result, str(tmp_path))
@@ -371,8 +387,9 @@ def test_cli_bench_dataset_override(tmp_path, capsys):
     assert summary["config"]["dataset"]["m"] == 8
 
 
-def test_cli_bench_nonzero_exit_on_failure(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, max_gram_signals=100, rounds=1)
+def test_cli_bench_nonzero_exit_on_failure(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(kernel_dl, "MAX_GRAM_BYTES", 8 * 100**2)
+    cfg_path = write_config(tmp_path, rounds=1)
     rc = cli_main(["bench", "--config", cfg_path, "--out", str(tmp_path / "out"), "--quiet"])
     assert rc == 1
 

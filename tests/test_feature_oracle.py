@@ -1,0 +1,123 @@
+"""The polynomial kernel on its explicit features: the Gram, the trainers'
+error traces and kernel OMP against plain linear algebra on Phi = poly_features.
+
+Draws keep m <= 5 and beta <= 3 (at most 216 features), include duplicate
+signals and reach N above the feature dimension, where K is singular."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import poly_features
+from rkdl import kernel_dl
+from rkdl.kernel_dl import KdlConfig, kdl_train, rkdl_train
+from rkdl.kernels import KernelSpec, gram, self_kernel_diag
+from rkdl.linear_dl import Dictionary
+from rkdl.sparse_coding import kernel_omp_batch, omp_batch
+
+
+@st.composite
+def poly_draws(draw, max_n=30):
+    """(Y, spec, rng): N signals of dimension m, some of them copies of others, a
+    polynomial kernel, and the generator that drew them."""
+    m, beta, N = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(4, max_n))
+    alpha = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Y = rng.standard_normal((m, N))
+    for _ in range(draw(st.integers(0, N // 2))):
+        i, j = rng.integers(N, size=2)
+        Y[:, i] = Y[:, j]
+    return Y, KernelSpec("polynomial", alpha=alpha, beta=beta), rng
+
+
+@settings(max_examples=60)
+@given(poly_draws(max_n=40))
+def test_gram_is_the_feature_inner_product(draw):
+    Y, spec, rng = draw
+    D = rng.standard_normal((Y.shape[0], 3))
+    phi_y, phi_d = (poly_features(X, spec.alpha, spec.beta) for X in (Y, D))
+    for K, ref in ((gram(Y, Y, spec), phi_y.T @ phi_y), (gram(Y, D, spec), phi_y.T @ phi_d)):
+        np.testing.assert_allclose(K, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    np.testing.assert_allclose(self_kernel_diag(Y, spec), np.einsum("ij,ij->j", phi_y, phi_y),
+                               rtol=1e-12)
+
+
+@settings(max_examples=60)
+@given(poly_draws(), st.sampled_from(["kdl", "rkdl-d"]), st.data())
+def test_trace_errors_and_code_rises_on_the_features(draw, method, data):
+    # every trace error is ||Phi(Y) - Phi(D) A Z||_F / sqrt(mN), with A and Z read
+    # through the callback; code_rise counts the signals whose fresh code (read
+    # through the coder) leaves a larger feature residual than the swept code
+    Y, spec, rng = draw
+    m, N = Y.shape
+    n_a = data.draw(st.integers(1, 4))
+    cfg = KdlConfig(n_atoms=n_a, sparsity=data.draw(st.integers(1, n_a)), iters=3, seed=1)
+    D = Y if method == "kdl" else rng.standard_normal((m, data.draw(st.integers(n_a, 6))))
+    phi_y, phi_d = poly_features(Y, spec.alpha, spec.beta), poly_features(D, spec.alpha, spec.beta)
+    kyy = np.einsum("ij,ij->j", phi_y, phi_y)
+    live = {}    # the trainer's own A, updated in place
+    swept, fresh, fitted = [kyy], [], [0.0]    # per-signal squared residuals; ||Phi(D) A Z||^2
+
+    def residuals(A, Z):
+        R = phi_y - phi_d @ (A @ Z)
+        return np.einsum("ij,ij->j", R, R)
+
+    def init(*args):
+        live["A"] = init_coefficients(*args)
+        return live["A"]
+
+    def coder(*args):
+        code = kernel_omp_batch(*args)
+        fresh.append(residuals(live["A"], code.matrix))
+        return code
+
+    def callback(it, D_, A, Z, k_dd):
+        swept.append(residuals(A, Z))
+        fitted.append(float(np.sum((phi_d @ (A @ Z)) ** 2)))
+
+    init_coefficients = kernel_dl._init_coefficients
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_dl, "_init_coefficients", init)
+        mp.setattr(kernel_dl, "kernel_omp_batch", coder)
+        if method == "kdl":
+            _, _, trace = kdl_train(Y, spec, cfg, callback=callback)
+        else:
+            _, _, trace = rkdl_train(Y, Dictionary(D), spec, cfg, callback=callback)
+    assert len(trace.errors) == len(swept) == cfg.iters + 1
+    for got, r, f in zip(trace.errors, swept, fitted):
+        assert abs(got**2 * m * N - r.sum()) <= 1e-9 * (kyy.sum() + f)
+    if "ridge" not in trace.warnings:    # a ridged pick's residual_sq is only an upper bound
+        rises = [int(np.count_nonzero(f > s + sign * 1e-6 * kyy))
+                 for f, s in zip(fresh, swept) for sign in (1, -1)]
+        assert sum(rises[0::2]) <= trace.warnings.get("code_rise", 0) <= sum(rises[1::2])
+
+
+@settings(max_examples=100)
+@given(poly_draws(), st.data())
+def test_kernel_omp_is_linear_omp_on_the_features(draw, data):
+    # atoms Phi(D) A, Gram-normalized and linearly independent (n_a <= n_d, at
+    # most the dimension of the polynomials of degree beta, homogeneous when
+    # alpha = 0), so no two tie; compared on draws where no signal stops early,
+    # since the coders' stop floors differ
+    Y, spec, rng = draw
+    m = Y.shape[0] - (spec.alpha == 0)
+    n_d = data.draw(st.integers(1, min(6, math.comb(m + spec.beta, spec.beta))))
+    n_a = data.draw(st.integers(1, n_d))
+    s = data.draw(st.integers(1, n_a))
+    D = rng.standard_normal((Y.shape[0], n_d))
+    k_dd = gram(D, D, spec)
+    A = rng.standard_normal((n_d, n_a))
+    A /= np.sqrt(np.einsum("ij,ij->j", A, k_dd @ A))
+    kernel = kernel_omp_batch(gram(Y, D, spec), self_kernel_diag(Y, spec), k_dd, A, s)
+    atoms = poly_features(D, spec.alpha, spec.beta) @ A
+    linear = omp_batch(atoms, poly_features(Y, spec.alpha, spec.beta), s)
+    for code in (kernel, linear):
+        assume(np.all(np.count_nonzero(code.matrix, axis=0) == s))
+    np.testing.assert_array_equal(kernel.matrix != 0, linear.matrix != 0)
+    np.testing.assert_allclose(kernel.matrix, linear.matrix, rtol=1e-6,
+                               atol=1e-6 * np.abs(linear.matrix).max())
+    np.testing.assert_allclose(kernel.residual_sq, linear.residual_sq, rtol=1e-6,
+                               atol=1e-9 * np.abs(self_kernel_diag(Y, spec)).max())

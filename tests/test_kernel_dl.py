@@ -475,10 +475,28 @@ def test_kdl_train_zero_iters_single_error_entry():
     assert trace.errors == [pytest.approx(1.0 / np.sqrt(6), abs=1e-12)]
 
 
-def test_kdl_train_gram_cap():
+def test_kdl_train_gram_cap(monkeypatch):
+    monkeypatch.setattr(kernel_dl, "MAX_GRAM_BYTES", 8 * 49**2)
     Y = np.random.default_rng(11).standard_normal((4, 50))
-    with pytest.raises(ValueError, match=r"50x50 Gram of 20000 bytes.*max_gram_signals = 49"):
-        kdl_train(Y, LINEAR, KdlConfig(4, 2, 1), max_gram_signals=49)
+    with pytest.raises(ValueError, match=r"50x50 Gram of 20000 bytes.*MAX_GRAM_BYTES = 19208"):
+        kdl_train(Y, LINEAR, KdlConfig(4, 2, 1))
+
+
+def test_kdl_refuses_an_oversized_gram_before_building_anything(monkeypatch):
+    # the default limit admits N = 20000 and refuses N = 20001 before gram is called
+    class Built(Exception):
+        pass
+
+    def stub(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(kernel_dl, "gram", stub)
+    rng = np.random.default_rng(12)
+    with pytest.raises(Built):
+        kdl_train(rng.standard_normal((1, 20000)), LINEAR, KdlConfig(1, 1, 1))
+    with pytest.raises(ValueError, match=r"20001x20001 Gram of 3200320008 bytes, over kdl's "
+                                         r"MAX_GRAM_BYTES = 3200000000; train a reduced method"):
+        kdl_train(rng.standard_normal((1, 20001)), LINEAR, KdlConfig(1, 1, 1))
 
 
 @pytest.mark.parametrize("spec,m,duplicates", [(KernelSpec("rbf", sigma=3.0), 10, False),
@@ -569,6 +587,22 @@ def test_trace_has_iters_plus_one_entries():
     _, _, trace = rkdl_train(Y, vectors, spec, KdlConfig(4, 2, 6, seed=2))
     assert len(trace.errors) == 7
     assert all(np.isfinite(trace.errors))
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_elapsed_seconds_align_with_errors(method):
+    # one entry per error, from the run's start: rising, within the total
+    signals, _, _ = synth(10, 120, 8, 3, seed=14)
+    Y = signals.values
+    vectors = pretrained(Y, 8, 3, seed=1)
+    cfg = KdlConfig(4, 2, 3, seed=2, dl_sparsity=3)
+    train = getattr(kernel_dl, METHODS[method].trainer)
+    args = (Y, KernelSpec("rbf", sigma=2.0), cfg) if method == "kdl" else (
+        Y, vectors, KernelSpec("rbf", sigma=2.0), cfg)
+    trace = train(*args)[2]
+    assert len(trace.elapsed_seconds) == len(trace.errors) == 4
+    assert 0.0 < trace.elapsed_seconds[0] and np.all(np.diff(trace.elapsed_seconds) > 0.0)
+    assert trace.elapsed_seconds[-1] <= trace.total_seconds
 
 
 def test_orkdl_zero_rate_identical_to_rkdl():

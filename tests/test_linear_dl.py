@@ -340,6 +340,15 @@ def test_pretraining_phases_in_meta():
     assert idle.meta["trace"].phase_seconds["sweep"] == 0.0
 
 
+@pytest.mark.parametrize("iters", [0, 4])
+def test_pretraining_elapsed_seconds_per_coding_pass(iters):
+    signals, _, _ = synth(12, 150, 10, 3, seed=5)
+    trace = aksvd_train(signals.values, DLConfig(10, 3, iters, seed=4))[0].meta["trace"]
+    assert len(trace.elapsed_seconds) == len(trace.errors) == max(iters, 1)
+    assert 0.0 < trace.elapsed_seconds[0] and np.all(np.diff(trace.elapsed_seconds) > 0.0)
+    assert trace.elapsed_seconds[-1] <= trace.total_seconds
+
+
 @pytest.mark.parametrize("iters", [0, 1, 5])
 def test_pretraining_errors_match_recoded_oracle(iters):
     # coding pass i codes the dictionary the callback saw after sweep i - 1

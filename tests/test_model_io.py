@@ -63,6 +63,19 @@ def test_model_records_the_runtime_env_and_files_without_it_load(tmp_path):
     np.testing.assert_array_equal(bundle.kdict.coefficients, kdict.coefficients)
 
 
+def test_model_carries_elapsed_seconds_and_files_without_them_load(tmp_path):
+    kdict, trace = trained_model()
+    path = tmp_path / "model.json"
+    save_model(str(path), kdict, "rkdl-d", config={"sparsity": 2}, trace=trace)
+    assert len(trace.elapsed_seconds) == len(trace.errors)
+    assert load_model(str(path)).trace.elapsed_seconds == trace.elapsed_seconds
+    doc = json.loads(path.read_text())
+    del doc["trace"]["elapsed_seconds"]    # as written before they were recorded
+    path.write_text(json.dumps(doc))
+    bundle = load_model(str(path))
+    assert bundle.trace.elapsed_seconds == [] and bundle.trace.errors == trace.errors
+
+
 def test_model_without_trace(tmp_path):
     kdict, _ = trained_model()
     path = str(tmp_path / "bare.json")
