@@ -126,50 +126,26 @@ def mirror_upper_from_lower(K: np.ndarray) -> None:
             K[i0:i0 + t, j0:j0 + t] = K[j0:j0 + t, i0:i0 + t].T
 
 
-def self_products(X: np.ndarray) -> np.ndarray:
-    """X^T X, bit-symmetric: its lower triangle formed in row blocks of gemm,
-    then mirrored. numpy's own ``X.T @ X`` (BLAS syrk) killed the process with
-    SIGSEGV at m = 784 from N = 15500 on 2 threads of OpenBLAS 0.3.31."""
-    n = X.shape[1]
-    K = np.empty((n, n))
-    for i0 in range(0, n, GRAM_BLOCK):
-        i1 = min(i0 + GRAM_BLOCK, n)
-        np.matmul(X[:, i0:i1].T, X[:, :i1], out=K[i0:i1, :i1])
-    mirror_upper_from_lower(K)
-    return K
-
-
 def _same(X: np.ndarray, Y: np.ndarray) -> bool:
     return Y is X or (X.shape == Y.shape and np.array_equal(X, Y))
 
 
-SQ_BLOCK_ROWS = 64
-
-
-def _sq_distances(X: np.ndarray, Y: np.ndarray, x_sq: np.ndarray | None = None,
-                  xy: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise squared distances between columns, clamped at 0.
-
-    Uses the expansion ||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y, assembled in
-    place on the product; round-off can make the result slightly negative,
-    hence the clamp. When both arguments are the same data, ||x_i||^2 +
-    ||x_j||^2 is added to the bit-symmetric -2 X^T X (``self_products``) as
-    one term, in blocks of ``SQ_BLOCK_ROWS`` rows, so the result equals its
-    transpose bit for bit; its diagonal is set to exact zero. ``x_sq`` may give X's squared norms
-    and ``xy`` the products X^T Y of distinct data, read into one C-ordered copy.
-    """
-    xx = np.einsum("ij,ij->j", X, X) if x_sq is None else x_sq
-    same = _same(X, Y)
-    sq = self_products(X) if same else inner_products(X, Y) if xy is None else xy
-    sq = np.multiply(sq, -2.0, order="C") if sq is xy else np.multiply(sq, -2.0, out=sq)
-    if same:
-        for a in range(0, sq.shape[0], SQ_BLOCK_ROWS):
-            sq[a:a + SQ_BLOCK_ROWS] += xx[a:a + SQ_BLOCK_ROWS, None] + xx
-        np.fill_diagonal(sq, 0.0)
-    else:
-        sq += xx[:, None]
-        sq += np.einsum("ij,ij->j", Y, Y)[None, :]
-    return np.maximum(sq, 0.0, out=sq)
+def _kernel_values(P: np.ndarray, spec: KernelSpec, xx: np.ndarray | None,
+                   yy: np.ndarray | None) -> None:
+    """Map the products P = X^T Y to the kernel values k(x_i, y_j), in place.
+    The RBF kernel reads ``xx`` and ``yy``, the squared column norms of X and Y,
+    and forms ||x - y||^2 = -2 x.y + ||x||^2 + ||y||^2, clamped at 0 because
+    round-off can make it slightly negative."""
+    if spec.family == RBF:
+        P *= -2.0
+        P += xx[:, None]
+        P += yy
+        np.maximum(P, 0.0, out=P)
+        P /= -spec.rbf_scale
+        np.exp(P, out=P)
+    elif spec.family == POLYNOMIAL:
+        P += spec.alpha
+        P **= spec.beta
 
 
 def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
@@ -177,27 +153,41 @@ def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
     """The C-ordered (a, b) Gram k(X[:, i], Y[:, j]) of the columns of X (m, a)
     and Y (m, b). ``x_sq`` may give X's squared column norms, for callers that
     hold them across calls (only the RBF kernel reads them), and ``xy`` the
-    products ``inner_products(X, Y)``, read only. On the same data (Y is X, or
-    equal to it) K is ``self_products(X)`` and bit-symmetric, for every family."""
+    products ``inner_products(X, Y)``, read only.
+
+    On the same data (Y is X, or equal to it) K is bit-symmetric, for every
+    family: each ``GRAM_BLOCK``-row block of its lower triangle is formed by
+    gemm and mapped to kernel values, an RBF diagonal is set to exactly 1, and
+    the triangle is mirrored. numpy's own ``X.T @ X`` (BLAS syrk) killed the
+    process with SIGSEGV at m = 784 from N = 15500 on 2 threads of OpenBLAS 0.3.31.
+    """
     X = np.asarray(X, dtype=float)
     Y = X if Y is X else np.asarray(Y, dtype=float)
     if X.ndim != 2 or Y.ndim != 2:
         raise ValueError("gram expects 2-D column-major signal matrices")
     if X.shape[0] != Y.shape[0]:
         raise ValueError(f"row counts differ: {X.shape[0]} vs {Y.shape[0]}")
+    same = _same(X, Y)
+    xx = yy = None
     if spec.family == RBF:
-        sq = _sq_distances(X, Y, x_sq, xy)
-        sq /= -spec.rbf_scale
+        xx = np.einsum("ij,ij->j", X, X) if x_sq is None else x_sq
+        yy = xx if same else np.einsum("ij,ij->j", Y, Y)
+    if not same:
         # rows of K_YD are gathered per atom, so the output is C-ordered
-        return np.exp(sq, out=sq if sq.flags.c_contiguous else np.empty(sq.shape))
-    if _same(X, Y):
-        out = self_products(X)
-    else:
-        out = np.ascontiguousarray(inner_products(X, Y)) if xy is None else np.array(xy, order="C")
-    if spec.family == POLYNOMIAL:
-        out += spec.alpha
-        out **= spec.beta
-    return out
+        K = np.ascontiguousarray(inner_products(X, Y)) if xy is None else np.array(xy, order="C")
+        _kernel_values(K, spec, xx, yy)
+        return K
+    n = X.shape[1]
+    K = np.empty((n, n))
+    for i0 in range(0, n, GRAM_BLOCK):
+        i1 = min(i0 + GRAM_BLOCK, n)
+        block = K[i0:i1, :i1]
+        np.matmul(X[:, i0:i1].T, X[:, :i1], out=block)
+        _kernel_values(block, spec, *((None, None) if xx is None else (xx[i0:i1], xx[:i1])))
+    if spec.family == RBF:
+        np.fill_diagonal(K, 1.0)
+    mirror_upper_from_lower(K)
+    return K
 
 
 def self_kernel_diag(X: np.ndarray, spec: KernelSpec) -> np.ndarray:

@@ -235,8 +235,9 @@ def aksvd_train(Y: np.ndarray, cfg: DLConfig, D_init: Dictionary | None = None,
     """Train a linear dictionary with alternating OMP / AK-SVD sweeps.
 
     Each iteration recodes all signals with OMP, then runs one approximate
-    K-SVD sweep (``_aksvd_sweep``). Y is taken F-ordered once per run (a copy
-    unless it already is), and its squared norms are formed once and serve
+    K-SVD sweep (``_aksvd_sweep``), from ``D_init`` (which must have
+    ``cfg.n_atoms`` atoms) or ``init_dictionary``. Y is taken F-ordered once
+    per run (a copy unless it already is), and its squared norms are formed once and serve
     every OMP call and every re-seed. ``meta["trace"]`` is the run's
     ``TrainTrace``: each coding pass's error from OMP's ``residual_sq`` and its
     elapsed seconds, the seconds of OMP (``coding``) and of the sweeps, re-seeds
@@ -257,6 +258,9 @@ def aksvd_train(Y: np.ndarray, cfg: DLConfig, D_init: Dictionary | None = None,
         raise ValueError(f"need at least n_atoms = {cfg.n_atoms} nonzero signals, got {nonzero}")
     if cfg.sparsity > Y.shape[0]:
         raise ValueError("sparsity cannot exceed the signal dimension")
+    if D_init is not None and D_init.n_atoms != cfg.n_atoms:
+        raise ValueError(f"D_init has {D_init.n_atoms} atoms but the config asks for "
+                         f"n_atoms = {cfg.n_atoms}")
 
     dictionary = D_init if D_init is not None else init_dictionary(Y, cfg.n_atoms, cfg.seed)
     D = dictionary.atoms.copy()

@@ -10,7 +10,7 @@ import numpy as np
 
 from .bench import runtime_env
 from .kernel_dl import KernelDictionary, TrainTrace
-from .kernels import KernelSpec, from_fields
+from .kernels import KernelSpec, all_finite, from_fields
 from .linear_dl import Dictionary
 
 MODEL_FORMAT = "rkdl-model"
@@ -65,6 +65,9 @@ def load_model(path: str) -> ModelBundle:
         raise ValueError(f"{path}: coefficients of shape {coefficients.shape} do not fit vectors "
                          f"of shape {vectors.shape}; both must be 2-D, with one coefficient row "
                          "per vector")
+    for name, values in (("vectors", vectors), ("coefficients", coefficients)):
+        if not all_finite(values):
+            raise ValueError(f"{path}: model {name} must be finite, the file holds NaN or infinity")
     kdict = KernelDictionary(coefficients=coefficients, vectors=Dictionary(atoms=vectors),
                              kernel=KernelSpec.from_dict(doc["kernel"]))
     return ModelBundle(kdict=kdict, method=doc.get("method", ""), config=config,

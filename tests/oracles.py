@@ -23,8 +23,7 @@ import scipy.linalg
 
 from rkdl.kernel_dl import (CODE_RISE_RTOL, _atom_products, _chol_with_ridge, _init_coefficients,
                             _trace_error, rkdl_atom_sweep)
-from rkdl.kernels import (POLYNOMIAL, RBF, KernelSpec, _check_shapes, _sq_distances, gram,
-                          self_kernel_diag)
+from rkdl.kernels import POLYNOMIAL, RBF, KernelSpec, _check_shapes, gram, self_kernel_diag
 from rkdl.sparse_coding import (KOMP_RESIDUAL_SQ_TOL, OMP_RESIDUAL_TOL, RIDGE, _check_unit_columns,
                                 kernel_omp_batch)
 
@@ -310,6 +309,28 @@ def poly_features(X: np.ndarray, alpha: float, beta: int) -> np.ndarray:
     return phi
 
 
+def ksvd_sweep(phi: np.ndarray, atoms: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One approximate K-SVD pass over the columns of ``atoms`` in ascending
+    order, on the signals ``phi`` and their code Z (copies of both updated).
+    Atom j's signals S give the residual without it, E = phi_S - atoms Z_S +
+    atom_j Z[j, S]; the atom becomes E Z[j, S] normalized and its code row E^T
+    atom. An atom with no signal or with E Z[j, S] of squared norm at most
+    1e-24 is left as it is."""
+    atoms, Z = atoms.copy(), Z.copy()
+    for j in range(Z.shape[0]):
+        S = np.flatnonzero(Z[j])
+        if S.size == 0:
+            continue
+        z = Z[j, S]
+        E = phi[:, S] - atoms @ Z[:, S] + np.outer(atoms[:, j], z)
+        d = E @ z
+        if d @ d <= 1e-24:
+            continue
+        atoms[:, j] = d / np.linalg.norm(d)
+        Z[j, S] = E.T @ atoms[:, j]
+    return atoms, Z
+
+
 def kernel_eval(x: np.ndarray, y: np.ndarray, spec: KernelSpec) -> float:
     """Evaluate k(x, y) for two single signals."""
     x = np.asarray(x, dtype=float).ravel()
@@ -376,8 +397,8 @@ def kernel_vector_gradient(
 
     if spec.family == RBF:
         scale = spec.rbf_scale
-        kd = k_dd[j] if k_dd is not None else np.exp(-_sq_distances(D, d[:, None]).ravel() / scale)
-        ky = k_yd[:, j] if k_yd is not None else np.exp(-_sq_distances(Y, d[:, None]).ravel() / scale)
+        kd = k_dd[j] if k_dd is not None else np.exp(-((D - d[:, None]) ** 2).sum(axis=0) / scale)
+        ky = k_yd[:, j] if k_yd is not None else np.exp(-((Y - d[:, None]) ** 2).sum(axis=0) / scale)
         c = m_row * kd
         e = w * ky
         term_dd = (-4.0 / scale) * (d * c.sum() - D @ c)

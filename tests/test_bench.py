@@ -588,6 +588,12 @@ def without_first_row(doc):
     return {**doc, "coefficients": doc["coefficients"][1:]}
 
 
+def with_first_entry(doc, field, value):
+    # json.dumps writes NaN and -Infinity, which json.load reads back
+    rows = doc[field]
+    return {**doc, field: [[value, *rows[0][1:]], *rows[1:]]}
+
+
 @pytest.mark.parametrize("kind,text,reason", [
     ("model", lambda doc: '{"hello": "world"}', "not a rkdl-model container"),
     ("model", lambda doc: "[1, 2]", "not a rkdl-model container"),
@@ -609,13 +615,18 @@ def without_first_row(doc):
      "config must be a JSON object, got None"),
     ("model", lambda doc: json.dumps({**doc, "config": [1]}),
      r"config must be a JSON object, got \[1\]"),
+    ("model", lambda doc: json.dumps(with_first_entry(doc, "vectors", float("nan"))),
+     "model vectors must be finite, the file holds NaN or infinity"),
+    ("model", lambda doc: json.dumps(with_first_entry(doc, "coefficients", -float("inf"))),
+     "model coefficients must be finite, the file holds NaN or infinity"),
     ("input", lambda doc: "1,2\n3\n", "not a rectangular numeric CSV"),
     ("input", lambda doc: "1,x\n3,4\n", "not a rectangular numeric CSV"),
     ("input", lambda doc: "1,nan\n3,4\n", "signal matrix contains non-finite entries"),
     ("input", lambda doc: "1,2\n3,4\n", "signals have dimension 2, the model's vectors 16"),
 ], ids=["foreign-json", "json-list", "version", "malformed-json", "missing-field",
         "coefficient-rows", "coefficients-1d", "trace-field", "kernel-not-object",
-        "trace-not-object", "kernel-string-sigma", "config-null", "config-list", "ragged-csv",
+        "trace-not-object", "kernel-string-sigma", "config-null", "config-list", "nan-vector",
+        "infinite-coefficient", "ragged-csv",
         "non-numeric-csv", "non-finite-csv", "signal-dimension"])
 def test_cli_code_unreadable_file_is_one_line(tmp_path, model_file, kind, text, reason):
     model_path, doc = model_file

@@ -1,5 +1,6 @@
 """The polynomial kernel on its explicit features: the Gram, the trainers'
-error traces and kernel OMP against plain linear algebra on Phi = poly_features.
+error traces, kdl's atom sweep and kernel OMP against plain linear algebra on
+Phi = poly_features.
 
 Draws keep m <= 5 and beta <= 3 (at most 216 features), include duplicate
 signals and reach N above the feature dimension, where K is singular."""
@@ -11,9 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import poly_features
+from oracles import ksvd_sweep, poly_features
 from rkdl import kernel_dl
-from rkdl.kernel_dl import KdlConfig, kdl_train, rkdl_train
+from rkdl.kernel_dl import KdlConfig, kdl_train, morkdl_train, orkdl_train, rkdl_train
 from rkdl.kernels import KernelSpec, gram, self_kernel_diag
 from rkdl.linear_dl import Dictionary
 from rkdl.sparse_coding import kernel_omp_batch, omp_batch
@@ -33,6 +34,12 @@ def poly_draws(draw, max_n=30):
     return Y, KernelSpec("polynomial", alpha=alpha, beta=beta), rng
 
 
+def feature_dim(m, spec):
+    """The dimension of the polynomials of degree beta in m variables that the
+    features span: homogeneous ones when alpha = 0."""
+    return math.comb(m - (spec.alpha == 0) + spec.beta, spec.beta)
+
+
 @settings(max_examples=60)
 @given(poly_draws(max_n=40))
 def test_gram_is_the_feature_inner_product(draw):
@@ -45,24 +52,40 @@ def test_gram_is_the_feature_inner_product(draw):
                                rtol=1e-12)
 
 
+REDUCED_TRAINERS = {"rkdl-d": rkdl_train, "orkdl-d": orkdl_train, "morkdl-d": morkdl_train}
+
+
 @settings(max_examples=60)
-@given(poly_draws(), st.sampled_from(["kdl", "rkdl-d"]), st.data())
+@given(poly_draws(), st.sampled_from(["kdl", *REDUCED_TRAINERS]), st.data())
 def test_trace_errors_and_code_rises_on_the_features(draw, method, data):
-    # every trace error is ||Phi(Y) - Phi(D) A Z||_F / sqrt(mN), with A and Z read
-    # through the callback; code_rise counts the signals whose fresh code (read
-    # through the coder) leaves a larger feature residual than the swept code
+    # every trace error is ||Phi(Y) - Phi(D) A Z||_F / sqrt(mN), with D, A and Z
+    # read through the callback; code_rise counts the signals whose fresh code
+    # (read through the coder) leaves a larger feature residual than the swept
+    # code. The optimized trainers step D at a small fixed rate from a
+    # well-conditioned K_DD (at most as many vectors as the feature dimension,
+    # condition number below 1e4): an ill-conditioned K_DD makes the
+    # coefficients, and so the gradient, large, and the fixed step diverges (at
+    # this rate D moved by 2e5 in one iteration from a condition number of 8e5).
+    # The mixed trainer codes Y on unit vectors D
     Y, spec, rng = draw
     m, N = Y.shape
-    n_a = data.draw(st.integers(1, 4))
-    cfg = KdlConfig(n_atoms=n_a, sparsity=data.draw(st.integers(1, n_a)), iters=3, seed=1)
-    D = Y if method == "kdl" else rng.standard_normal((m, data.draw(st.integers(n_a, 6))))
-    phi_y, phi_d = poly_features(Y, spec.alpha, spec.beta), poly_features(D, spec.alpha, spec.beta)
+    n_d = 6 if method in ("kdl", "rkdl-d") else min(6, feature_dim(m, spec))
+    n_a = data.draw(st.integers(1, min(4, n_d)))
+    cfg = KdlConfig(n_atoms=n_a, sparsity=data.draw(st.integers(1, n_a)), iters=3, seed=1,
+                    learning_rate=1e-6, dl_sparsity=1)
+    D = Y if method == "kdl" else rng.standard_normal((m, data.draw(st.integers(n_a, n_d))))
+    if method == "morkdl-d":
+        D /= np.linalg.norm(D, axis=0)
+    assume(np.count_nonzero(self_kernel_diag(D, spec) > 1e-12) >= n_a)    # else no atom to seed
+    assume(method in ("kdl", "rkdl-d") or np.linalg.cond(gram(D, D, spec)) < 1e4)
+    phi_y = poly_features(Y, spec.alpha, spec.beta)
     kyy = np.einsum("ij,ij->j", phi_y, phi_y)
-    live = {}    # the trainer's own A, updated in place
+    # the trainer's own A, updated in place, and the features of its current D
+    live = {"phi_d": poly_features(D, spec.alpha, spec.beta)}
     swept, fresh, fitted = [kyy], [], [0.0]    # per-signal squared residuals; ||Phi(D) A Z||^2
 
     def residuals(A, Z):
-        R = phi_y - phi_d @ (A @ Z)
+        R = phi_y - live["phi_d"] @ (A @ Z)
         return np.einsum("ij,ij->j", R, R)
 
     def init(*args):
@@ -75,8 +98,9 @@ def test_trace_errors_and_code_rises_on_the_features(draw, method, data):
         return code
 
     def callback(it, D_, A, Z, k_dd):
+        live["phi_d"] = poly_features(D_, spec.alpha, spec.beta)
         swept.append(residuals(A, Z))
-        fitted.append(float(np.sum((phi_d @ (A @ Z)) ** 2)))
+        fitted.append(float(np.sum((live["phi_d"] @ (A @ Z)) ** 2)))
 
     init_coefficients = kernel_dl._init_coefficients
     with pytest.MonkeyPatch.context() as mp:
@@ -85,7 +109,7 @@ def test_trace_errors_and_code_rises_on_the_features(draw, method, data):
         if method == "kdl":
             _, _, trace = kdl_train(Y, spec, cfg, callback=callback)
         else:
-            _, _, trace = rkdl_train(Y, Dictionary(D), spec, cfg, callback=callback)
+            _, _, trace = REDUCED_TRAINERS[method](Y, Dictionary(D), spec, cfg, callback=callback)
     assert len(trace.errors) == len(swept) == cfg.iters + 1
     for got, r, f in zip(trace.errors, swept, fitted):
         assert abs(got**2 * m * N - r.sum()) <= 1e-9 * (kyy.sum() + f)
@@ -97,14 +121,56 @@ def test_trace_errors_and_code_rises_on_the_features(draw, method, data):
 
 @settings(max_examples=100)
 @given(poly_draws(), st.data())
+def test_kdl_sweep_is_approximate_ksvd_on_the_features(draw, data):
+    # kdl's first iteration codes the signals and sweeps the atoms; from the
+    # coefficients and code the sweep starts at (read through the coder), the
+    # approximate K-SVD pass on Phi(Y) gives the swept atoms Phi(Y) A and code
+    # (read through the callback). The coefficients themselves are not
+    # compared: on K's null space (duplicate signals, N above the feature
+    # dimension) the sweep's solve sets them from round-off. A ridged factor
+    # (kdd_ridge) solves K + r I, whose atoms differ from K's along the
+    # eigenvectors of eigenvalues near r (by 1.3e-5 at r = 1e-10 and an
+    # eigenvalue of 4.8e-7), so its atoms are not compared; its codes read the
+    # atoms through K, which damps those directions
+    Y, spec, _ = draw
+    n_a = data.draw(st.integers(1, 4))
+    cfg = KdlConfig(n_atoms=n_a, sparsity=data.draw(st.integers(1, n_a)), iters=1, seed=1)
+    assume(np.count_nonzero(self_kernel_diag(Y, spec) > 1e-12) >= n_a)    # else no atom to seed
+    phi = poly_features(Y, spec.alpha, spec.beta)
+    live, seen = {}, {}
+
+    def init(*args):
+        live["A"] = init_coefficients(*args)
+        return live["A"]
+
+    def coder(*args):
+        code = kernel_omp_batch(*args)
+        seen["atoms"], seen["Z"] = phi @ live["A"], code.matrix.copy()
+        return code
+
+    def callback(it, D_, A, Z, k_dd):
+        seen["swept"] = phi @ A, Z.copy()
+
+    init_coefficients = kernel_dl._init_coefficients
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel_dl, "_init_coefficients", init)
+        mp.setattr(kernel_dl, "kernel_omp_batch", coder)
+        _, _, trace = kdl_train(Y, spec, cfg, callback=callback)
+    atoms, Z = ksvd_sweep(phi, seen["atoms"], seen["Z"])
+    if "kdd_ridge" not in trace.warnings:
+        np.testing.assert_allclose(seen["swept"][0], atoms, atol=1e-6)
+    np.testing.assert_allclose(seen["swept"][1], Z, atol=1e-6 * np.abs(Z).max())
+
+
+@settings(max_examples=100)
+@given(poly_draws(), st.data())
 def test_kernel_omp_is_linear_omp_on_the_features(draw, data):
     # atoms Phi(D) A, Gram-normalized and linearly independent (n_a <= n_d, at
     # most the dimension of the polynomials of degree beta, homogeneous when
     # alpha = 0), so no two tie; compared on draws where no signal stops early,
     # since the coders' stop floors differ
     Y, spec, rng = draw
-    m = Y.shape[0] - (spec.alpha == 0)
-    n_d = data.draw(st.integers(1, min(6, math.comb(m + spec.beta, spec.beta))))
+    n_d = data.draw(st.integers(1, min(6, feature_dim(Y.shape[0], spec))))
     n_a = data.draw(st.integers(1, n_d))
     s = data.draw(st.integers(1, n_a))
     D = rng.standard_normal((Y.shape[0], n_d))

@@ -160,15 +160,18 @@ def test_gram_symmetry_and_rbf_diagonal():
     assert np.all(np.diag(K2) == 1.0)
 
 
-@pytest.mark.parametrize("block", [3, 7, 256])
+@pytest.mark.parametrize("block", [1, 3, 7, 256])
 def test_same_data_gram_is_bit_symmetric_in_row_blocks(monkeypatch, block):
-    # K is built as its lower triangle in gemm row blocks and mirrored, never
-    # by numpy's X.T @ X (BLAS syrk, which crashes at large N); 20 columns in
-    # 3 or 7 rows leave a short last block, 256 is one block. Equal copies of
-    # X count as the same data
+    # K is built as its lower triangle in gemm row blocks, each mapped to kernel
+    # values, and mirrored, never by numpy's X.T @ X (BLAS syrk, which crashes
+    # at large N); 20 columns in 1, 3 or 7 rows leave a short last block, 256 is
+    # one block. Equal copies of X count as the same data. X has duplicate and
+    # all-zero columns, whose distances are 0 but for round-off
     monkeypatch.setattr(kernels, "GRAM_BLOCK", block)
     rng = np.random.default_rng(4)
     X = np.asfortranarray(rng.standard_normal((8, 20)))
+    X[:, [5, 11, 17]] = X[:, [2, 2, 9]]
+    X[:, [0, 13]] = 0.0
     XtX = X.T @ X
     xx = np.einsum("ij,ij->j", X, X)
     poly = KernelSpec("polynomial", alpha=0.5, beta=3)
@@ -180,6 +183,8 @@ def test_same_data_gram_is_bit_symmetric_in_row_blocks(monkeypatch, block):
             assert K.tobytes() == np.ascontiguousarray(K.T).tobytes(), spec
             np.testing.assert_allclose(K, reference, rtol=1e-12,
                                        atol=1e-12 * np.abs(reference).max())
+            if spec == RBF:
+                assert np.all((K >= 0.0) & (K <= 1.0)) and np.all(np.diag(K) == 1.0)
 
 
 @pytest.mark.parametrize("block", [3, 256])

@@ -137,6 +137,11 @@ def test_aksvd_rejects_degenerate_input():
     D = rng.standard_normal((6, 5))
     with pytest.raises(ValueError, match="5 nonzero signals, got 2"):
         aksvd_train(Y, DLConfig(5, 1, 2), D_init=Dictionary(atoms=D / np.linalg.norm(D, axis=0)))
+    # an initial dictionary of another atom count than the config's
+    D = rng.standard_normal((6, 12))
+    with pytest.raises(ValueError, match="D_init has 12 atoms but the config asks for n_atoms = 5"):
+        aksvd_train(rng.standard_normal((6, 40)), DLConfig(5, 2, 3),
+                    D_init=Dictionary(atoms=D / np.linalg.norm(D, axis=0)))
 
 
 def test_dictionary_validate():
