@@ -3,9 +3,10 @@
 The four methods differ only in where the kernel vectors D come from and how
 D is updated; ``METHODS`` maps each method to both and to its public trainer.
 All trainers run one alternating loop, ``_train``, on Gram matrices only;
-feature vectors are never formed. A trainer's ``callback(it, D, A, Z, k_dd)``
-receives the loop's own arrays after iteration ``it``; later iterations update
-A and Z in place, so a callback copies what it keeps.
+feature vectors are never formed. The atom sweep solves with ``kdl``'s K, or on
+the identity in the reduced trainers' ``kernel_map`` of D: two solves, not three.
+A trainer's ``callback(it, D, A, Z, k_dd)`` receives the loop's own arrays after
+iteration ``it``; later iterations update A and Z in place, so a callback copies what it keeps.
 """
 
 from __future__ import annotations
@@ -94,52 +95,40 @@ class KdlConfig:
                 raise ValueError(f"{name} must be finite and at least 0, got {getattr(self, name)}")
 
 
-def _ridged_cholesky(K: np.ndarray, stats: dict) -> tuple[np.ndarray, float]:
-    """(L, r): the lower Cholesky factor L of K + r I, written over the symmetric
-    C-ordered K, at the first ridge r of 0, then ``KDD_RIDGE`` growing 100-fold
-    up to 1e-2, each retry counted in ``stats["kdd_ridge"]``; LinAlgError past 1e-2.
-
-    L is LAPACK's lower factor of K^T, an F-ordered view of K, so K's upper
-    triangle becomes L^T and its strict lower triangle is untouched: a failed
-    attempt mirrors that triangle back (K itself when K is bit-symmetric, as
-    ``gram(Y, Y)`` is) and restores the diagonal, ridged.
-    """
-    n = K.shape[0]
-    if K.shape != (n, n) or not K.flags.c_contiguous:
-        raise ValueError("a kernel Gram is factored in place, so it must be square and C-ordered")
-    diag = np.diag(K).copy()
-    ridge = 0.0
-    while ridge <= 1e-2:
-        try:
-            return scipy.linalg.cho_factor(K.T, lower=True, overwrite_a=True,
-                                           check_finite=False)[0], ridge
-        except scipy.linalg.LinAlgError:
-            ridge = max(100.0 * ridge, KDD_RIDGE)
-            stats["kdd_ridge"] = stats.get("kdd_ridge", 0) + 1
-            mirror_upper_from_lower(K)
-            K.flat[:: n + 1] = diag + ridge
-    raise np.linalg.LinAlgError("kernel Gram is not positive definite even after ridging")
-
-
-def _chol_with_ridge(K: np.ndarray, stats: dict) -> tuple:
-    """``scipy.linalg.cho_solve``'s ``(factor, lower)`` for K: ``_ridged_cholesky`` of a copy."""
-    return _ridged_cholesky(np.array(K, dtype=float, order="C"), stats)[0], True
-
-
 class FactoredGram:
     """A symmetric Gram K whose buffer holds its Cholesky factor L, L L^T = K + r I,
-    written over K's upper triangle by ``_ridged_cholesky``.
+    at the first ridge r of 0, then ``KDD_RIDGE`` growing 100-fold up to 1e-2,
+    each retry counted in ``stats["kdd_ridge"]``; LinAlgError past 1e-2.
 
+    L is LAPACK's lower factor of K^T, an F-ordered view of the symmetric
+    C-ordered K, so K's upper triangle becomes L^T and its strict lower triangle
+    is untouched: a failed attempt mirrors that triangle back (K itself when K
+    is bit-symmetric, as ``gram(Y, Y)`` is) and restores the diagonal, ridged.
     ``k @ x`` is K x, exact: BLAS symm (symv for a vector) reads K's strict
-    lower triangle, which the factor leaves untouched, with L's diagonal in
-    place of K's, mended by ``(diag(K) - diag(L)) * x``. ``chol`` is the
-    ``(factor, lower)`` pair of ``scipy.linalg.cho_solve``.
+    lower triangle, with L's diagonal in place of K's, mended by
+    ``(diag(K) - diag(L)) * x``. ``chol`` is the ``(factor, lower)`` pair of
+    ``scipy.linalg.cho_solve``.
     """
 
     def __init__(self, K: np.ndarray, stats: dict):
+        n = K.shape[0]
+        if K.shape != (n, n) or not K.flags.c_contiguous:
+            raise ValueError("a kernel Gram is factored in place, so it must be square and "
+                             "C-ordered")
         diag = np.diag(K).copy()
-        c, self.ridge = _ridged_cholesky(K, stats)
-        self.shape = K.shape
+        self.shape, self.ridge = K.shape, 0.0
+        while self.ridge <= 1e-2:
+            try:
+                c = scipy.linalg.cho_factor(K.T, lower=True, overwrite_a=True,
+                                            check_finite=False)[0]
+                break
+            except scipy.linalg.LinAlgError:
+                self.ridge = max(100.0 * self.ridge, KDD_RIDGE)
+                stats["kdd_ridge"] = stats.get("kdd_ridge", 0) + 1
+                mirror_upper_from_lower(K)
+                K.flat[:: n + 1] = diag + self.ridge
+        else:
+            raise np.linalg.LinAlgError("kernel Gram is not positive definite even after ridging")
         self.chol = (c, True)
         self.diag_fix = diag - np.diag(c)
 
@@ -151,36 +140,40 @@ class FactoredGram:
         return scipy.linalg.blas.dsymm(1.0, c, x) + self.diag_fix[:, None] * x
 
 
-def _atom_products(k_yd: np.ndarray, k_dd: np.ndarray, A: np.ndarray) -> tuple:
+def kernel_map(k_dd: np.ndarray, A: np.ndarray, stats: dict) -> tuple:
+    """(T, B) from LAPACK's pivoted Cholesky factor K_DD[p][:, p] = L L^T of rank r:
+    T (n_d x r) is L_11^-T in the pivots' rows and 0 elsewhere, B = L^T A[p]. So
+    A = T B gives A^T K_DD A = B^T B and K_YD A = F B, F = K_YD T: linear atoms B on
+    the signals' rows F ("virtual samples", Golts and Elad). Each vector dependent
+    on the pivots is counted in ``stats["kdd_rank_drop"]`` and has weight 0 in T B."""
+    L, piv, r, _ = scipy.linalg.lapack.dpstrf(k_dd, lower=1)
+    p, L = piv - 1, np.tril(L[:, :r])
+    if r < len(p):
+        stats["kdd_rank_drop"] = stats.get("kdd_rank_drop", 0) + len(p) - r
+    T = np.zeros((len(p), r))
+    T[p[:r]] = scipy.linalg.solve_triangular(L[:r], np.eye(r), lower=True, check_finite=False).T
+    return T, L.T @ A[p]
+
+
+def _atom_products(k_yd: np.ndarray, k_dd, A: np.ndarray) -> tuple:
     """The atoms' cross Gram P = K_YD A (N, n_a) and Gram G = A^T K_DD A.
 
     One pair serves an error evaluation and the coding that follows it. When
     K_YD is K_DD (``kdl``), P is K_DD A itself: one N x N product, not two.
+    ``k_dd`` None is the identity Gram, as in a ``kernel_map``.
     """
-    KA = k_dd @ A
+    KA = A if k_dd is None else k_dd @ A
     return (KA if k_yd is k_dd else k_yd @ A), A.T @ KA
 
 
-def _trace_error(kyy_sum: float, P, G, Z, m: int, N: int, stats: dict | None = None) -> float:
-    """Normalized representation error from the atom products P and G.
-
-    sqrt(max(0, Tr[K_YY] - 2 Tr[P Z] + Tr[Z^T G Z])) / sqrt(mN); only the
-    diagonal of K_YY enters through ``kyy_sum``. Each clamp of a negative
-    squared residual is counted in ``stats["residual_clamp"]``.
-    """
-    t2 = float(np.einsum("la,al->", P, Z))
-    t3 = float(np.einsum("al,al->", Z, G @ Z))
-    return residual_error(kyy_sum - 2.0 * t2 + t3, m * N, stats)
-
-
-def _code_rise_limit(kyy: np.ndarray, P, G, Z) -> np.ndarray:
+def _residuals(kyy: np.ndarray, P, G, Z) -> tuple[np.ndarray, np.ndarray]:
     """Each signal's squared feature-space residual k(y, y) - 2 p.z + z^T G z under
-    the code Z (columns) on the atom products P and G, plus its round-off slack,
+    the code Z (columns) on the atom products P and G, and its round-off slack,
     ``CODE_RISE_RTOL`` times the sum of the three terms' magnitudes: a fresh code
-    whose squared residual exceeds this is a code rise."""
+    whose squared residual exceeds the two is a code rise."""
     pz = np.einsum("la,al->l", P, Z)
     zgz = np.einsum("al,al->l", Z, G @ Z)
-    return kyy - 2.0 * pz + zgz + CODE_RISE_RTOL * (np.abs(kyy) + 2.0 * np.abs(pz) + np.abs(zgz))
+    return kyy - 2.0 * pz + zgz, CODE_RISE_RTOL * (np.abs(kyy) + 2.0 * np.abs(pz) + np.abs(zgz))
 
 
 def _check_finite(kernel: KernelSpec, when: str, k_dd, k_yd, kyy=None) -> None:
@@ -223,16 +216,14 @@ def error_metric(Y: np.ndarray, kdict: KernelDictionary, Z) -> float:
     Y = np.asarray(Y, dtype=float)
     Zm = Z.matrix if isinstance(Z, SparseCode) else np.asarray(Z, dtype=float)
     P, G, kyy = _model_products(kdict, Y)
-    return _trace_error(float(kyy.sum()), P, G, Zm, *Y.shape)
+    return residual_error(_residuals(kyy, P, G, Zm)[0].sum(), Y.size)
 
 
-def rkdl_atom_sweep(k_dd: np.ndarray, k_yd: np.ndarray, A: np.ndarray, Z: np.ndarray,
-                    chol=None, stats: dict | None = None) -> None:
-    """``linear_dl.atom_sweep`` on the kernel vectors' Gram, with a Cholesky
-    solve (``chol``, factored here when not given), in place on the caller's
-    coefficients A and code Z (fastest when Z is signal-major, as a coder's
-    code is). ``k_dd`` may be a ``FactoredGram`` (``kdl``'s K, then also
-    ``k_yd``), whose own factor serves when ``chol`` is not given.
+def rkdl_atom_sweep(k_dd, k_yd, A: np.ndarray, Z: np.ndarray, stats: dict | None = None) -> None:
+    """``linear_dl.atom_sweep`` in place on the caller's coefficients A and code Z
+    (fastest when Z is signal-major, as a coder's code is): on ``kdl``'s
+    ``FactoredGram`` K (``k_dd``, which is ``k_yd`` too) with K's Cholesky solve,
+    or on the identity (``k_dd`` None) in a ``kernel_map``, ``k_yd`` its F, A its B.
 
     Unused and degenerate atoms are left untouched and counted in
     ``stats["unused_kernel_atom"]`` and ``stats["degenerate_kernel_atom"]``.
@@ -240,20 +231,18 @@ def rkdl_atom_sweep(k_dd: np.ndarray, k_yd: np.ndarray, A: np.ndarray, Z: np.nda
     for name, M in (("A", A), ("Z", Z)):    # np.asarray would sweep a copy, unseen
         if not (isinstance(M, np.ndarray) and M.dtype == np.float64 and M.flags.writeable):
             raise TypeError(f"{name} is swept in place, so it must be a writeable float64 ndarray")
-    if not isinstance(k_dd, FactoredGram):
-        k_dd, k_yd = np.asarray(k_dd, dtype=float), np.asarray(k_yd, dtype=float)
+    if k_dd is not None and not isinstance(k_dd, FactoredGram):
+        raise TypeError("k_dd must be kdl's FactoredGram, or None for a kernel_map's identity Gram")
+    k_yd = np.asarray(k_yd, dtype=float) if k_dd is None else k_dd    # kdl's K is its K_YD
     n_d, n_a = A.shape
-    if k_yd.shape[1] != n_d or k_dd.shape != (n_d, n_d) or Z.shape[0] != n_a:
+    if k_yd.shape[1] != n_d or Z.shape[0] != n_a:
         raise ValueError("Gram/coefficient/code shapes are inconsistent")
-    if stats is None:
-        stats = {}
-    if chol is None:
-        chol = k_dd.chol if isinstance(k_dd, FactoredGram) else _chol_with_ridge(k_dd, stats)
 
-    counts = atom_sweep(k_yd, A, Z, k_dd=k_dd,
-                        solve=lambda v: scipy.linalg.cho_solve(chol, v, check_finite=False))
+    solve = None if k_dd is None else (
+        lambda v: scipy.linalg.cho_solve(k_dd.chol, v, check_finite=False))
+    counts = atom_sweep(k_yd, A, Z, solve=solve)
     for key, count in zip(("unused_kernel_atom", "degenerate_kernel_atom"), counts):
-        if count:
+        if count and stats is not None:
             stats[key] = stats.get(key, 0) + count
 
 
@@ -293,10 +282,10 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
 
     Each iteration codes the signals, sweeps the kernel atoms and, when
     ``update`` is set, takes ``cfg.grad_steps`` gradient steps on D, each
-    followed by fresh Grams. A signal whose fresh code leaves a larger residual
-    than the swept code it replaces, past ``_code_rise_limit``, is counted in
-    ``code_rise``; the fresh code is kept. Returns (KernelDictionary,
-    SparseCode, TrainTrace).
+    followed by fresh Grams and their ``kernel_map``. A signal whose fresh code
+    leaves a larger residual than the swept code it replaces, past the slack of
+    ``_residuals``, is counted in ``code_rise``; the fresh code is kept.
+    Returns (KernelDictionary, SparseCode, TrainTrace).
     """
     t_start = time.perf_counter()
     Y = np.asarray(Y, dtype=float)
@@ -314,7 +303,6 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
     with timed("gram_refresh"):    # Y is fixed: its norms and self-kernels serve every step
         y_sq = np.einsum("ij,ij->j", Y, Y)
         kyy = self_kernel_diag(Y, kernel)
-        kyy_sum = float(kyy.sum())
 
     def grams(D, when: str, kyy=None):
         """K_DD, K_YD (checked finite, with ``kyy``) and, with ``hold_yd``, the Y^T D
@@ -330,32 +318,36 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
     k_dd, k_yd, yd = grams(D, "at start-up; lower beta or alpha, or rescale the signals", kyy)
 
     A = _init_coefficients(D.shape[1], cfg.n_atoms, np.diag(k_dd), rng)
-    if D is Y:    # kdl factors K in its own buffer and multiplies by its untouched triangle
-        with timed("factor"):
-            k_dd = k_yd = FactoredGram(k_dd, stats)
-    chol = k_dd.chol if D is Y else None    # a reduced K_DD is factored when a sweep reads it
-
     Z = np.zeros((N, cfg.n_atoms)).T    # signal-major, as every code the coder returns
-    with timed("error_eval"):    # each (P, G) serves one error and the next coding
-        P, G = _atom_products(k_yd, k_dd, A)
-        trace.record(_trace_error(kyy_sum, P, G, Z, m, N, stats), t_start)
+    with timed("factor"):
+        if D is Y:    # kdl factors K in its own buffer and multiplies by its untouched triangle
+            K = k_dd = k_yd = FactoredGram(k_dd, stats)
+            B, T = A, None    # and sweeps A itself
+        else:    # the reduced trainers sweep A's coordinates B in the kernel map of D
+            K, (T, B) = None, kernel_map(k_dd, A, stats)
+            B /= np.sqrt(np.maximum(np.einsum("ij,ij->j", B, B), 1e-24))    # diag(B^T B) = 1
 
+    def rows():    # the signals' rows: kdl's K, or F = K_YD T, formed where read, never held
+        return k_yd if T is None else k_yd @ T
+
+    with timed("error_eval"):    # each (P, G) serves one error and the next coding
+        P, G = _atom_products(rows(), K, B)
+        res, slack = _residuals(kyy, P, G, Z)
+        trace.record(residual_error(res.sum(), m * N, stats), t_start)
     for it in range(cfg.iters):
         with timed("coding"):
-            limit = _code_rise_limit(kyy, P, G, Z)
             Z = code = None    # freed first; kernel OMP on the atoms (P, G, coefficients I)
             code = kernel_omp_batch(P, kyy, G, np.eye(cfg.n_atoms), cfg.sparsity, stats)
-            Z, rise = code.matrix, int(np.count_nonzero(code.residual_sq > limit))
+            Z, rise = code.matrix, int(np.count_nonzero(code.residual_sq > res + slack))
             if rise:
                 stats["code_rise"] = stats.get("code_rise", 0) + rise
             if penalized:
                 X = omp_batch(D, Y, cfg.dl_sparsity, stats=stats, norms_sq=y_sq, yd=yd)
 
-        if chol is None:
-            with timed("factor"):
-                chol = _chol_with_ridge(k_dd, stats)
         with timed("atom_sweep"):
-            rkdl_atom_sweep(k_dd, k_yd, A, Z, chol=chol, stats=stats)
+            rkdl_atom_sweep(K, rows(), B, Z, stats=stats)
+            if T is not None:    # the loop's own A, read by the gradient, callback and model
+                np.matmul(T, B, out=A)
 
         if descend:
             with timed("gradient"):    # A and Z stay fixed through the steps
@@ -383,18 +375,20 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
                 k_dd = k_yd = yd = None    # not held while grams forms the next ones
                 k_dd, k_yd, yd = grams(D, f"after gradient step {step}, iteration {it}; {lr_hint}")
             W = WWt = YXt = XXt = grad = None    # the steps' products, read by no later phase
-            chol = None    # K_DD changed: the next sweep factors it
+            with timed("factor"):    # K_DD changed: its kernel map and A's coordinates in it
+                T, B = kernel_map(k_dd, A, stats)
             with timed("gradient"):
                 # re-normalize atoms under the refreshed Gram; scaling the code
                 # rows inversely keeps phi(D) A Z (and the error) unchanged
-                norm_sq = np.einsum("ij,ij->j", A, k_dd @ A)
-                scale = np.sqrt(np.maximum(norm_sq, 1e-24))
-                A /= scale
+                scale = np.sqrt(np.maximum(np.einsum("ij,ij->j", B, B), 1e-24))
+                B /= scale
                 Z *= scale[:, None]
+                np.matmul(T, B, out=A)
 
         with timed("error_eval"):
-            P, G = _atom_products(k_yd, k_dd, A)
-            trace.record(_trace_error(kyy_sum, P, G, Z, m, N, stats), t_start)
+            P, G = _atom_products(rows(), K, B)
+            res, slack = _residuals(kyy, P, G, Z)
+            trace.record(residual_error(res.sum(), m * N, stats), t_start)
         if callback is not None:
             callback(it, D, A, Z, k_dd)
 

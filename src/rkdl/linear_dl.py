@@ -135,7 +135,7 @@ def _gathered_dot(M: np.ndarray, rows: np.ndarray, d: np.ndarray, block: np.ndar
 
 
 def atom_sweep(k_yd: np.ndarray, A: np.ndarray, Z: np.ndarray, solve=None,
-               k_dd: np.ndarray | None = None, reseed=None) -> tuple[int, int]:
+               reseed=None) -> tuple[int, int]:
     """One approximate K-SVD pass over the atoms in ascending order, in place
     on A and Z.
 
@@ -147,14 +147,13 @@ def atom_sweep(k_yd: np.ndarray, A: np.ndarray, Z: np.ndarray, solve=None,
         z_new = K_YD[S] a - Z_S^T (A^T K a) + z (a_j.K a)
 
     that is, the residual without atom j is read off A and Z, never formed.
-    The formula has three solves K^-1, one per vector source:
-      * pre-trained vectors: a Cholesky solve (``solve``), with ``k_dd`` for
-        the products K u;
-      * D = Y: z scattered onto S (not used yet: ``kdl`` takes the Cholesky
-        solve, and ``k_yd`` is ``k_dd``, K itself, which may be any symmetric
-        operator with ``@``);
-      * linear AK-SVD: the identity, with ``k_yd`` = Y^T and A the dictionary
-        itself. ``solve`` and ``k_dd`` are then None: no solve, no K u.
+    The formula has two solves K^-1:
+      * ``kdl`` (D = Y): a Cholesky solve (``solve``), ``k_yd`` being K itself,
+        any symmetric operator with ``@`` (z scattered onto S, not used yet,
+        would need no solve);
+      * the identity, without ``solve`` (no solve, no K u): linear AK-SVD, with
+        ``k_yd`` = Y^T and A the dictionary itself, and the reduced trainers,
+        with F and B of ``kernel_dl.kernel_map`` as ``k_yd`` and A.
 
     K_DY Z^T is formed once per sweep: row j of Z changes only at atom j's
     own turn, so its column j is exact when it is read. For the same reason
@@ -165,9 +164,9 @@ def atom_sweep(k_yd: np.ndarray, A: np.ndarray, Z: np.ndarray, solve=None,
     ratio near its bound (``BENCH_39.json``). Z is read and written
     through its signal-major view Z^T, copied (and written back at the end)
     only when Z is not signal-major, so that any layout of Z gives the same
-    numbers. K_YD[S] a is gathered from the |S| rows of ``k_yd``, block by
-    block; when ``k_yd`` is ``k_dd`` it is (K a)[S], read off the K a the
-    normalization formed.
+    numbers. On the identity K_YD[S] a is gathered from the |S| rows of
+    ``k_yd``, block by block; with ``solve`` it is (K a)[S], read off the K a
+    the normalization formed.
 
     An atom used by no signal (unused), or with ||u||_K^2 <= 1e-24
     (degenerate), is counted. With ``reseed`` it becomes ``reseed(Z^T)``, and
@@ -176,9 +175,9 @@ def atom_sweep(k_yd: np.ndarray, A: np.ndarray, Z: np.ndarray, solve=None,
     Returns the counts of (unused, degenerate) atoms.
     """
     unused = degenerate = 0
-    d_is_y = k_yd is k_dd
+    d_is_y = solve is not None    # only kdl solves: its K is K_YD and K_DD at once
     ZT = np.ascontiguousarray(Z.T)    # Z's own buffer when Z is signal-major
-    Q = k_dd @ ZT if d_is_y else inner_products(k_yd, ZT)
+    Q = k_yd @ ZT if d_is_y else inner_products(k_yd, ZT)
     atoms, signals = np.nonzero(Z)
     bounds = np.searchsorted(atoms, np.arange(A.shape[1] + 1))
     if not d_is_y:
@@ -194,8 +193,8 @@ def atom_sweep(k_yd: np.ndarray, A: np.ndarray, Z: np.ndarray, solve=None,
         z = ZT[support, j]
         Z_S = ZT[support]
         a_j = A[:, j]
-        u = (Q[:, j] if solve is None else solve(Q[:, j])) - A @ (z @ Z_S) + a_j * (z @ z)
-        Ku = u if k_dd is None else k_dd @ u
+        u = (solve(Q[:, j]) if d_is_y else Q[:, j]) - A @ (z @ Z_S) + a_j * (z @ z)
+        Ku = k_yd @ u if d_is_y else u
         norm_sq = float(u @ Ku)
         if norm_sq <= 1e-24:
             degenerate += 1
@@ -205,7 +204,7 @@ def atom_sweep(k_yd: np.ndarray, A: np.ndarray, Z: np.ndarray, solve=None,
             continue
         norm = np.sqrt(norm_sq)
         a = u / norm
-        Ka = a if k_dd is None else Ku / norm
+        Ka = Ku / norm if d_is_y else a
         k_sa = Ka[support] if d_is_y else _gathered_dot(k_yd, support, a, block)
         ZT[support, j] = k_sa - Z_S @ (A.T @ Ka) + z * (a_j @ Ka)
         A[:, j] = a

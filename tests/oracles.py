@@ -5,13 +5,14 @@ library's batch kernels (``omp_batch``, ``kernel_omp_batch``, ``gram``,
 ``dictionary_gradient``) are checked against. The two explicit atom sweeps,
 over a residual E = Y - D X and over a running sum S = A Z, are the
 references for the one factored sweep, ``linear_dl.atom_sweep``, on the
-identity Gram (``_aksvd_sweep``, and ``rkdl_atom_sweep`` on K_DD = I) and on
-a kernel Gram (``rkdl_atom_sweep``). ``trace_error_from_grams`` is the
-representation error formed from the Grams themselves, the reference for the
-trainers' error trace. ``kdl_train_two_arrays`` is ``kdl`` on K plus a
+identity Gram (``_aksvd_sweep``, and ``rkdl_atom_sweep`` in a kernel map) and
+on a kernel Gram (``rkdl_atom_sweep`` on ``kdl``'s ``FactoredGram``); the
+running-sum sweep solves with its own scipy factor (``ridged_factor``). ``trace_error_from_grams``
+is the representation error formed from the Grams themselves, the reference
+for the trainers' error trace. ``kdl_train_two_arrays`` is ``kdl`` on K plus a
 factored copy of it, the reference for ``kdl_train``, which holds one N x N
-array. ``swept`` runs the in-place kernel sweep on copies, for tests that
-compare a sweep's output with its input. ``synth_reference`` is the planted-model
+array. ``swept`` runs the library's in-place kernel sweep on copies, for tests
+that compare a sweep's output with its input. ``synth_reference`` is the planted-model
 generator in one piece, the reference for ``datasets.synth``, which builds
 the same signals signal-major in blocks. ``poly_features`` is the polynomial
 kernel's explicit feature map, on which the kernel trainers' errors and kernel
@@ -21,9 +22,10 @@ OMP are checked against plain linear algebra.
 import numpy as np
 import scipy.linalg
 
-from rkdl.kernel_dl import (CODE_RISE_RTOL, _atom_products, _chol_with_ridge, _init_coefficients,
-                            _trace_error, rkdl_atom_sweep)
+from rkdl.kernel_dl import (CODE_RISE_RTOL, KDD_RIDGE, FactoredGram, _atom_products,
+                            _init_coefficients, _residuals, kernel_map, rkdl_atom_sweep)
 from rkdl.kernels import POLYNOMIAL, RBF, KernelSpec, _check_shapes, gram, self_kernel_diag
+from rkdl.linear_dl import atom_sweep, residual_error
 from rkdl.sparse_coding import (KOMP_RESIDUAL_SQ_TOL, OMP_RESIDUAL_TOL, RIDGE, _check_unit_columns,
                                 kernel_omp_batch)
 
@@ -73,15 +75,31 @@ def aksvd_sweep_residual(Y, D, X):
     return tuple(counts)
 
 
-def rkdl_atom_sweep_running_sum(k_dd, k_yd, A, Z, chol=None, stats=None):
+def ridged_factor(K, stats):
+    """scipy's ``(factor, lower)`` of K + r I for a copy of K, at the first ridge
+    r of ``kdl``'s schedule (0, then ``KDD_RIDGE`` growing 100-fold up to 1e-2),
+    each retry counted in ``stats["kdd_ridge"]``: the reference for
+    ``FactoredGram``'s factor, formed on K + r I itself."""
+    ridge = 0.0
+    while ridge <= 1e-2:
+        try:
+            return scipy.linalg.cho_factor(K + ridge * np.eye(len(K)), lower=True)
+        except scipy.linalg.LinAlgError:
+            ridge = max(100.0 * ridge, KDD_RIDGE)
+            stats["kdd_ridge"] = stats.get("kdd_ridge", 0) + 1
+    raise np.linalg.LinAlgError("kernel Gram is not positive definite even after ridging")
+
+
+def rkdl_atom_sweep_running_sum(k_dd, k_yd, A, Z, stats=None):
     """Reference kernel atom sweep over an explicit running sum S = A Z.
 
     For each atom j (ascending), restricted to the signals whose code uses it:
     the unconstrained optimum of the representation objective in a_j is
-    K_DD^{-1} K_DY z_j - R z_j (R being the reconstruction without atom j);
-    the atom is then Gram-normalized and its code row refit as
-    (K_YD - R^T K_DD) a_j on the same support. The running sum S = A Z is
-    maintained incrementally. Atoms used by no signal are left untouched.
+    K_DD^{-1} K_DY z_j - R z_j (R being the reconstruction without atom j),
+    solved with ``ridged_factor``; the atom is then Gram-normalized and its
+    code row refit as (K_YD - R^T K_DD) a_j on the same support. The running
+    sum S = A Z is maintained incrementally. Atoms used by no signal are left
+    untouched.
 
     Returns updated copies of (A, Z).
     """
@@ -94,8 +112,7 @@ def rkdl_atom_sweep_running_sum(k_dd, k_yd, A, Z, chol=None, stats=None):
         raise ValueError("Gram/coefficient/code shapes are inconsistent")
     if stats is None:
         stats = {}
-    if chol is None:
-        chol = _chol_with_ridge(k_dd, stats)
+    chol = ridged_factor(k_dd, stats)
 
     S = A @ Z
     for j in range(n_a):
@@ -120,11 +137,27 @@ def rkdl_atom_sweep_running_sum(k_dd, k_yd, A, Z, chol=None, stats=None):
     return A, Z
 
 
-def swept(k_dd, k_yd, A, Z, **kwargs):
-    """``rkdl_atom_sweep`` on copies of A and of Z (signal-major, as a coder's
-    code); returns the swept copies (A, Z) and leaves the inputs untouched."""
+def swept(k_dd, k_yd, A, Z, stats=None):
+    """The library's sweep on copies of A and of Z (signal-major, as a coder's
+    code); returns the swept copies (A, Z) and leaves the inputs untouched.
+
+    ``kdl``'s shape (``k_yd is k_dd``) sweeps on a ``FactoredGram`` of a copy of
+    K. Otherwise the coefficients go through the library's ``kernel_map`` to
+    the coordinates B, which ``rkdl_atom_sweep`` sweeps on the identity Gram
+    over the signals' rows K_YD T, and back as T B, for the atoms the sweep
+    changed: an atom it leaves untouched keeps its coefficients bit for bit,
+    as in place."""
+    stats = {} if stats is None else stats
     A, Z = np.array(A, dtype=float), np.array(Z, dtype=float, order="F")
-    rkdl_atom_sweep(k_dd, k_yd, A, Z, **kwargs)
+    if k_yd is k_dd:
+        K = FactoredGram(np.array(k_dd, dtype=float, order="C"), stats)
+        rkdl_atom_sweep(K, K, A, Z, stats=stats)
+        return A, Z
+    T, B = kernel_map(np.asarray(k_dd, dtype=float), A, stats)
+    B0 = B.copy()
+    rkdl_atom_sweep(None, np.asarray(k_yd, dtype=float) @ T, B, Z, stats=stats)
+    changed = np.any(B != B0, axis=0)
+    A[:, changed] = (T @ B)[:, changed]
     return A, Z
 
 
@@ -154,10 +187,9 @@ def _rise_limit_on_k(K, kyy, W):
 
 
 def kdl_train_two_arrays(Y, kernel, cfg):
-    """``kdl_train`` as it ran on K itself plus a factored copy of K: the
-    products with K read the full square, and the sweep gathers K's rows for
-    K_YD[S] a (K's view is not K, so ``atom_sweep`` takes its gather path).
-    The reference for ``FactoredGram``, which holds K only as its factor.
+    """``kdl_train`` on K itself plus a factored copy of K + r I
+    (``ridged_factor``): every product with K reads the full square. The
+    reference for ``FactoredGram``, which holds K only as its factor.
 
     Returns (A, Z, errors, warning counters). ``code_rise`` is counted from the
     codes' residuals formed on K itself.
@@ -167,12 +199,11 @@ def kdl_train_two_arrays(Y, kernel, cfg):
     stats: dict = {}
     K = gram(Y, Y, kernel)
     kyy = self_kernel_diag(Y, kernel)
-    kyy_sum = float(kyy.sum())
-    chol = _chol_with_ridge(K, stats)
+    chol = ridged_factor(K, stats)
     A = _init_coefficients(N, cfg.n_atoms, np.diag(K).copy(), np.random.default_rng(cfg.seed))
     Z = np.zeros((cfg.n_atoms, N))
     P, G = _atom_products(K, K, A)
-    errors = [_trace_error(kyy_sum, P, G, Z, m, N, stats)]
+    errors = [residual_error(_residuals(kyy, P, G, Z)[0].sum(), m * N, stats)]
     for _ in range(cfg.iters):
         limit = _rise_limit_on_k(K, kyy, A @ Z)
         code = kernel_omp_batch(P, kyy, G, np.eye(cfg.n_atoms), cfg.sparsity, stats)
@@ -180,9 +211,12 @@ def kdl_train_two_arrays(Y, kernel, cfg):
         if rise:
             stats["code_rise"] = stats.get("code_rise", 0) + rise
         Z = code.matrix
-        rkdl_atom_sweep(K, K.view(), A, Z, chol=chol, stats=stats)
+        counts = atom_sweep(K, A, Z, solve=lambda v: scipy.linalg.cho_solve(chol, v))
+        for key, count in zip(("unused_kernel_atom", "degenerate_kernel_atom"), counts):
+            if count:
+                stats[key] = stats.get(key, 0) + count
         P, G = _atom_products(K, K, A)
-        errors.append(_trace_error(kyy_sum, P, G, Z, m, N, stats))
+        errors.append(residual_error(_residuals(kyy, P, G, Z)[0].sum(), m * N, stats))
     return A, Z, errors, stats
 
 

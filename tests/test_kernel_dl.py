@@ -19,11 +19,11 @@ from rkdl.kernel_dl import (
     KdlConfig,
     KernelDictionary,
     TrainTrace,
-    _chol_with_ridge,
     _linear_penalty_products,
     encode,
     error_metric,
     kdl_train,
+    kernel_map,
     morkdl_train,
     orkdl_train,
     rkdl_atom_sweep,
@@ -95,11 +95,15 @@ def test_trace_error_counts_residual_clamps():
     Z = rng.standard_normal((3, 10))
     Y = D @ A @ Z
     P, G = kernel_dl._atom_products(gram(Y, D, LINEAR), gram(D, D, LINEAR), A)
-    kyy_sum = float(np.sum(Y * Y))
+    kyy = np.einsum("ij,ij->j", Y, Y)    # each signal's shift below adds up to 1e-6
+
+    def trace_error(kyy, stats):
+        return linear_dl.residual_error(kernel_dl._residuals(kyy, P, G, Z)[0].sum(), 60, stats)
+
     stats: dict = {}
-    assert kernel_dl._trace_error(kyy_sum - 1e-6, P, G, Z, 6, 10, stats) == 0.0
+    assert trace_error(kyy - 1e-7, stats) == 0.0
     assert stats == {"residual_clamp": 1}
-    assert kernel_dl._trace_error(kyy_sum + 1e-6, P, G, Z, 6, 10, stats) > 0.0
+    assert trace_error(kyy + 1e-7, stats) > 0.0
     assert stats == {"residual_clamp": 1}
 
 
@@ -241,37 +245,40 @@ def test_sweep_matches_running_sum_oracle(inputs):
     stats, expected_stats = {}, {}
     A_ref, Z_ref = rkdl_atom_sweep_running_sum(k_dd, k_yd, A, Z, stats=expected_stats)
     A2, Z2 = swept(k_dd, k_yd, A, Z, stats=stats)
+    if k_yd is not k_dd:    # the kernel map drops dependent vectors where the reference ridges
+        stats.pop("kdd_rank_drop", None), expected_stats.pop("kdd_ridge", None)
     assert stats == expected_stats
-    # in the reduced shape, Z and K_DD A carry the solve's round-off,
-    # eps * cond(K_DD), which exceeds 1e-10 only for cond(K_DD) above 4.5e5
+    # in the reduced shape, Z and K_DD A carry the map's and the reference
+    # solve's round-off, eps * cond(K_DD), which exceeds 1e-10 only for
+    # cond(K_DD) above 4.5e5
     cond = np.linalg.cond(k_dd)
     tol = 1e-10 if k_yd is k_dd else max(1e-10, np.finfo(float).eps * cond)
     assert np.linalg.norm(Z2 - Z_ref) <= tol * np.linalg.norm(Z_ref)
     # the objective sees A only through K_DD A; where K_DD is numerically
-    # singular, the Cholesky solve sets A's null-space part from round-off,
-    # in the reference as much as in the factored sweep
+    # singular, the reference's Cholesky solve sets A's null-space part from
+    # round-off, and the map and kdl's factored sweep set it differently
     assert np.linalg.norm(k_dd @ (A2 - A_ref)) <= tol * np.linalg.norm(k_dd @ A_ref)
     if cond < 1e5:
         assert np.linalg.norm(A2 - A_ref) <= 1e-10 * np.linalg.norm(A_ref)
 
 
 def test_sweep_peak_allocation_stays_below_half_an_n_by_n_array():
-    # kdl shape at N = 800, each atom used by about N/5 signals: the sweep
-    # builds no N x N array such as A Z and no N x |S| residual R, and
-    # gathers K's rows in fixed-size blocks
+    # kdl shape at N = 800, each atom used by about N/5 signals: the sweep on
+    # kdl's factored K builds no N x N array such as A Z and no N x |S|
+    # residual R
     rng = np.random.default_rng(0)
     N, n_a = 800, 10
     Y = rng.standard_normal((8, N))
     k_dd = gram(Y, Y, KernelSpec("rbf", sigma=2.0))
-    chol = _chol_with_ridge(k_dd, {})
     A = kernel_dl._init_coefficients(N, n_a, np.diag(k_dd).copy(), rng)
+    K = kernel_dl.FactoredGram(k_dd, {})
     Z = np.zeros((n_a, N))
     for ell in range(N):
         Z[rng.choice(n_a, size=2, replace=False), ell] = rng.standard_normal(2)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        rkdl_atom_sweep(k_dd, k_dd, A, Z, chol=chol)
+        rkdl_atom_sweep(K, K, A, Z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -280,21 +287,21 @@ def test_sweep_peak_allocation_stays_below_half_an_n_by_n_array():
 
 def test_kdl_sweep_peak_allocation_stays_below_a_tenth_of_an_n_by_n_array():
     # kdl shape at N = 2000, n_a = 20, sparsity 4, so each atom is used by
-    # about N/5 signals: K's rows are gathered in fixed-size blocks, so the
-    # peak is copies of A and Z plus N x n_a products, not |S| x N rows
+    # about N/5 signals: the sweep reads K's rows through its factored K, so
+    # the peak is copies of A and Z plus N x n_a products, not |S| x N rows
     rng = np.random.default_rng(1)
     N, n_a = 2000, 20
     Y = rng.standard_normal((8, N))
     k_dd = gram(Y, Y, KernelSpec("rbf", sigma=2.0))
-    chol = _chol_with_ridge(k_dd, {})
     A = kernel_dl._init_coefficients(N, n_a, np.diag(k_dd).copy(), rng)
+    K = kernel_dl.FactoredGram(k_dd, {})
     Z = np.zeros((n_a, N))
     for ell in range(N):
         Z[rng.choice(n_a, size=4, replace=False), ell] = rng.standard_normal(4)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        rkdl_atom_sweep(k_dd, k_dd, A, Z, chol=chol)
+        rkdl_atom_sweep(K, K, A, Z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -303,26 +310,28 @@ def test_kdl_sweep_peak_allocation_stays_below_a_tenth_of_an_n_by_n_array():
 
 def test_sweep_on_the_coders_code_holds_no_second_code():
     # a trainer's shape: the sweep updates the coder's signal-major code and
-    # the caller's A in place, so its peak is the code's nonzero indices and
-    # small products, below a copy of the code on top of them
+    # the caller's coordinates B in the kernel map in place, so its peak is
+    # the code's nonzero indices and small products, below a copy of the code
+    # on top of them
     signals, _, _ = synth(64, 20000, 30, 4, 5, 0.05, 1.0, 3.0)
     Y = signals.values
     D = init_dictionary(Y, 50, seed=0).atoms
     spec = KernelSpec("rbf", sigma=4.0, denom_factor=1.0)
     k_dd, k_yd = gram(D, D, spec), gram(Y, D, spec)
-    chol = _chol_with_ridge(k_dd, {})
     A = kernel_dl._init_coefficients(50, 20, np.diag(k_dd).copy(), np.random.default_rng(0))
-    P, G = kernel_dl._atom_products(k_yd, k_dd, A)
+    T, B = kernel_map(k_dd, A, {})
+    F = k_yd @ T
+    P, G = kernel_dl._atom_products(F, None, B)
     Z = kernel_omp_batch(P, np.ones(Y.shape[1]), G, np.eye(20), 4).matrix
-    A0, Z0 = A.copy(), Z.copy()
+    B0, Z0 = B.copy(), Z.copy()
     tracemalloc.start()
     try:
-        result = rkdl_atom_sweep(k_dd, k_yd, A, Z, chol=chol)
+        result = rkdl_atom_sweep(None, F, B, Z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * Z.nbytes, peak / Z.nbytes
-    assert result is None and not np.array_equal(A, A0) and not np.array_equal(Z, Z0)
+    assert result is None and not np.array_equal(B, B0) and not np.array_equal(Z, Z0)
     assert Z.T.flags.c_contiguous
 
 
@@ -373,20 +382,45 @@ def test_train_reaches_the_sweep_through_its_module_binding(monkeypatch):
 
 @pytest.mark.parametrize("m", [30, 5])
 def test_chol_ridge_matches_explicit_identity_ridge(m):
-    # m = 5 signals of 20 give a rank-deficient linear Gram, factored at the
-    # first ridge; m = 30 a positive definite one, factored unridged. The
-    # factor is the lower one, in a copy: K itself is left as it was
+    # kdl's factor: m = 5 signals of 20 give a rank-deficient linear Gram,
+    # factored at the first ridge; m = 30 a positive definite one, factored
+    # unridged. The factor is the lower one, in K's buffer, whose strict lower
+    # triangle (K's own, which the products read) is left as it was
     Y = np.random.default_rng(m).standard_normal((m, 20))
     K = gram(Y, Y, LINEAR)
-    K_before = K.copy()
+    buffer = K.copy()
     stats: dict = {}
-    c, lower = _chol_with_ridge(K, stats)
+    c, lower = kernel_dl.FactoredGram(buffer, stats).chol
     ridge = KDD_RIDGE if m < 20 else 0.0
     c_ref = scipy.linalg.cho_factor(K + ridge * np.eye(20), lower=True)[0]
-    assert lower is True
+    assert lower is True and np.shares_memory(c, buffer)
     np.testing.assert_array_equal(np.tril(c), np.tril(c_ref))
-    np.testing.assert_array_equal(K, K_before)
+    np.testing.assert_array_equal(np.tril(buffer, -1), np.tril(K, -1))
     assert stats == ({"kdd_ridge": 1} if m < 20 else {})
+
+
+@pytest.mark.parametrize("m", [30, 5])
+def test_kernel_map_is_a_factor_of_k_dd_at_its_rank(m):
+    # 20 linear vectors of dimension m: full rank at m = 30, rank 5 at m = 5,
+    # where the map drops 15 dependent vectors and counts them. T^T K_DD T is
+    # the identity, B carries the atoms' Gram, the coefficients T B are the
+    # atoms of A, with weight 0 on the dropped vectors, and K_DD is left as
+    # it was
+    rng = np.random.default_rng(m)
+    D = rng.standard_normal((m, 20))
+    k_dd, A = gram(D, D, LINEAR), rng.standard_normal((20, 3))
+    k_before = k_dd.copy()
+    stats: dict = {}
+    T, B = kernel_map(k_dd, A, stats)
+    r = min(m, 20)
+    assert T.shape == (20, r) and B.shape == (r, 3)
+    assert stats == ({"kdd_rank_drop": 15} if m < 20 else {})
+    assert np.count_nonzero(np.any(T, axis=1)) == r
+    scale = np.abs(k_dd).max() * np.abs(A).max() ** 2
+    np.testing.assert_allclose(T.T @ k_dd @ T, np.eye(r), atol=1e-10)
+    np.testing.assert_allclose(B.T @ B, A.T @ k_dd @ A, rtol=0, atol=1e-10 * scale)
+    np.testing.assert_allclose(k_dd @ (T @ B), k_dd @ A, rtol=0, atol=1e-10 * scale)
+    np.testing.assert_array_equal(k_dd, k_before)
 
 
 @pytest.mark.parametrize("block", [3, 512])
@@ -579,6 +613,48 @@ def test_rkdl_reduction_identity():
     np.testing.assert_allclose(full.errors, reduced.errors, atol=1e-9)
 
 
+@pytest.mark.parametrize("seed", [92, 576, 775, 1016, 1215, 1469])
+def test_reduced_trainers_code_their_own_atoms_on_an_ill_conditioned_k_dd(seed):
+    # four one-dimensional vectors under a cubic kernel: cond(K_DD) from 1.5e8
+    # to 6.8e11. The coder reads the atoms' Gram as B^T B in the kernel map,
+    # unit by construction; formed as A^T K_DD A from A it lost that to
+    # round-off and refused the trainer's own atoms ("not Gram-normalized"),
+    # and orkdl-d's refreshed K_DD exhausted the ridge schedule. orkdl-d steps
+    # at the feature oracle's rate: the default fixed step diverges from such
+    # a K_DD (a non-finite Gram after the first step)
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(4, 30))
+    D = rng.standard_normal((1, 4))
+    Y = rng.standard_normal((1, N))
+    n_a = int(rng.integers(1, 5))
+    sp = int(rng.integers(1, n_a + 1))
+    spec = KernelSpec("polynomial", alpha=0.5, beta=3)
+    cfg = KdlConfig(n_a, sp, 3, seed=1)
+    for train, c in ((rkdl_train, cfg), (orkdl_train, dataclasses.replace(cfg, learning_rate=1e-6))):
+        trace = train(Y, Dictionary(D), spec, c)[2]
+        assert len(trace.errors) == 4 and np.all(np.isfinite(trace.errors)), train
+
+
+@pytest.mark.parametrize("spec", [KernelSpec("rbf", sigma=2.0), LINEAR,
+                                  KernelSpec("polynomial", alpha=1.0, beta=2)],
+                         ids=["rbf", "linear", "polynomial"])
+def test_kernel_map_drops_a_duplicated_vector(spec):
+    # vector 4 repeats vector 1, so K_DD has rank 5 of 6: the map drops one
+    # of the twins and counts it, its coefficient row is exactly 0, and the
+    # trace is still the error formed from the Grams of the returned model
+    rng = np.random.default_rng(0)
+    Y = rng.standard_normal((10, 60))
+    D = rng.standard_normal((10, 6))
+    D[:, 4] = D[:, 1]
+    kdict, code, trace = rkdl_train(Y, Dictionary(D), spec, KdlConfig(3, 2, 4, seed=0))
+    A, D = kdict.coefficients, kdict.vectors.atoms
+    assert trace.warnings["kdd_rank_drop"] == 1
+    assert not A[1].any() or not A[4].any()
+    expected = trace_error_from_grams(float(self_kernel_diag(Y, spec).sum()), gram(Y, D, spec),
+                                      gram(D, D, spec), A, code.matrix, *Y.shape)
+    assert trace.errors[-1] == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def test_trace_has_iters_plus_one_entries():
     signals, _, _ = synth(10, 120, 8, 3, seed=14)
     Y = signals.values
@@ -636,7 +712,7 @@ def test_orkdl_gradient_phase_decreases_objective_at_small_rate():
     A[chosen, np.arange(n_a)] = 1.0 / np.sqrt(diag[chosen])
     for _ in range(3):
         Z = kernel_omp_batch(k_yd, kyy, k_dd, A, 2).matrix
-        rkdl_atom_sweep(k_dd, k_yd, A, Z)
+        A, Z = swept(k_dd, k_yd, A, Z)
         before = objective(Y, D, A, Z, spec)
         for _ in range(3):
             G = dictionary_gradient(Y, D, A, Z, spec, k_yd=k_yd, k_dd=k_dd)
@@ -766,8 +842,8 @@ def test_each_iteration_opens_the_atom_sweep_phase_once(monkeypatch, trainer):
 
 @pytest.mark.parametrize("iters", [0, 3])
 def test_each_sweep_reads_one_factor_of_a_changed_k_dd(monkeypatch, iters):
-    # a reduced K_DD is factored right before the sweep that reads it, and
-    # only when gradient steps changed it since its last factor; kdl's K
+    # a reduced K_DD is mapped (factored) once at start-up and once after the
+    # gradient steps of each iteration changed it, never twice; kdl's K
     # brings its own factor (FactoredGram)
     signals, _, _ = synth(8, 80, 6, 2, seed=3)
     Y = signals.values
@@ -776,9 +852,8 @@ def test_each_sweep_reads_one_factor_of_a_changed_k_dd(monkeypatch, iters):
     cfg = KdlConfig(n_atoms=4, sparsity=2, iters=iters, seed=1, grad_steps=2,
                     learning_rate=1e-4, dl_sparsity=2)
     factors = []
-    chol = kernel_dl._chol_with_ridge
-    monkeypatch.setattr(kernel_dl, "_chol_with_ridge",
-                        lambda K, stats: factors.append(K) or chol(K, stats))
+    real = kernel_dl.kernel_map
+    monkeypatch.setattr(kernel_dl, "kernel_map", lambda K, *args: factors.append(K) or real(K, *args))
     counts = {}
     for method, train in [("kdl", lambda: kdl_train(Y, spec, cfg)),
                           ("rkdl-d", lambda: rkdl_train(Y, vectors, spec, cfg)),
@@ -788,7 +863,7 @@ def test_each_sweep_reads_one_factor_of_a_changed_k_dd(monkeypatch, iters):
         train()
         counts[method] = len(factors)
         assert len({id(K) for K in factors}) == len(factors)    # no Gram is factored twice
-    assert counts == {"kdl": 0, "rkdl-d": min(iters, 1), "orkdl-d": iters, "morkdl-d": iters}
+    assert counts == {"kdl": 0, "rkdl-d": 1, "orkdl-d": 1 + iters, "morkdl-d": 1 + iters}
 
 
 def test_morkdl_requires_linear_sparsity():
@@ -1065,10 +1140,11 @@ def test_each_kernel_vector_set_gets_one_signal_product(monkeypatch, spec):
 @pytest.mark.parametrize("spec", [KernelSpec("rbf", sigma=2.0),
                                   KernelSpec("polynomial", alpha=1.0, beta=2), LINEAR])
 def test_trace_matches_the_gram_oracle_from_one_product_step_per_iteration(monkeypatch, spec):
-    # every trace entry equals the error formed from the Grams on the spot,
-    # bit for bit, while each run forms its atom products once at start-up
-    # and once per iteration, through the module binding; kdl forms them
-    # from K_YD = K_DD itself
+    # every trace entry equals the error formed from the Grams on the spot, to
+    # round-off (the trace sums each signal's residual, and a reduced trainer
+    # reads its atoms' Gram as B^T B in the kernel map), while each run forms
+    # its atom products once at start-up and once per iteration, through the
+    # module binding; kdl forms them from K_YD = K_DD itself
     signals, _, _ = synth(10, 120, 8, 3, seed=7)
     Y = signals.values
     m, N = Y.shape
@@ -1097,7 +1173,7 @@ def test_trace_matches_the_gram_oracle_from_one_product_step_per_iteration(monke
             expected.append(trace_error_from_grams(kyy_sum, k_yd, k_dd, A, Z, m, N))
 
         trace = run_trainer(method, Y, vectors, spec, cfg, callback=oracle)[2]
-        assert trace.errors == expected, method
+        np.testing.assert_allclose(trace.errors, expected, rtol=1e-12, atol=0, err_msg=method)
         assert shared == [table.vectors == "signals"] * (cfg.iters + 1), method
 
 
@@ -1253,12 +1329,16 @@ def test_encode_names_both_dimensions():
 
 
 def test_exhausted_ridge_schedule_raises_at_both_factor_sites():
-    # an eigenvalue of -1 stays negative past the last ridge, 1e-2: every
+    # an eigenvalue of -1 stays negative past kdl's last ridge, 1e-2: every
     # attempt fails, and each of the 6 retries (1e-10 ... 1e-2, then past it)
-    # is counted
+    # is counted. The kernel map, which never ridges, factors the positive
+    # part, rank 2, and counts the vector left past it as dropped, with weight
+    # 0 in every atom it maps back
     K = np.diag([-1.0, 1.0, 2.0])
-    for factor in (_chol_with_ridge, kernel_dl.FactoredGram):
-        stats: dict = {}
-        with pytest.raises(np.linalg.LinAlgError, match="not positive definite even after ridging"):
-            factor(K.copy(), stats)
-        assert stats == {"kdd_ridge": 6}, factor
+    stats: dict = {}
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite even after ridging"):
+        kernel_dl.FactoredGram(K.copy(), stats)
+    assert stats == {"kdd_ridge": 6}
+    stats = {}
+    T, B = kernel_map(K, np.eye(3), stats)
+    assert stats == {"kdd_rank_drop": 1} and T.shape == (3, 2) and not T[0].any()

@@ -2,14 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import aksvd_sweep_residual, swept
 from rkdl import linear_dl
 from rkdl.datasets import synth
-from rkdl.kernel_dl import _chol_with_ridge
+from rkdl.kernel_dl import kernel_map
 from rkdl.kernels import KernelSpec, gram
 from rkdl.linear_dl import (Dictionary, DLConfig, _aksvd_sweep, aksvd_train, atom_sweep,
                             init_dictionary, residual_error)
@@ -313,7 +312,7 @@ def coded_signals(draw):
 @given(coded_signals())
 def test_sweep_on_the_coders_buffer_equals_a_c_ordered_copy(inputs):
     # bit for bit, on the AK-SVD sweep (re-seeds included) and on a reduced
-    # kernel sweep over the atoms as kernel vectors
+    # kernel sweep over the atoms as kernel vectors, in their kernel map
     Y, D, sparsity = inputs
     X = omp_batch(D, Y, sparsity).matrix
     Xc, Dc = np.array(X, order="C"), D.copy()
@@ -322,14 +321,15 @@ def test_sweep_on_the_coders_buffer_equals_a_c_ordered_copy(inputs):
 
     spec = KernelSpec("rbf", sigma=float(np.sqrt(Y.shape[0])))
     k_dd, k_yd = gram(D, D, spec), gram(Y, D, spec)
-    chol = _chol_with_ridge(k_dd, {})
-    A = np.eye(D.shape[1])    # RBF self-kernels are 1: the vectors are Gram-normalized atoms
-    Z = kernel_omp_batch(k_yd, np.ones(Y.shape[1]), k_dd, A, sparsity).matrix
-    Zc, Ac = np.array(Z, order="C"), A.copy()
-    for A_, Z_ in ((A, Z), (Ac, Zc)):
-        atom_sweep(k_yd, A_, Z_, k_dd=k_dd,
-                   solve=lambda v: scipy.linalg.cho_solve(chol, v, check_finite=False))
-    assert A.tobytes() == Ac.tobytes() and Z.tobytes(order="C") == Zc.tobytes()
+    # RBF self-kernels are 1: the vectors are Gram-normalized atoms, whose
+    # coordinates B the map's rows F code and sweep on the identity Gram
+    T, B = kernel_map(k_dd, np.eye(D.shape[1]), {})
+    F = k_yd @ T
+    Z = kernel_omp_batch(F, np.ones(Y.shape[1]), np.eye(B.shape[0]), B, sparsity).matrix
+    Zc, Bc = np.array(Z, order="C"), B.copy()
+    for B_, Z_ in ((B, Z), (Bc, Zc)):
+        atom_sweep(F, B_, Z_)
+    assert B.tobytes() == Bc.tobytes() and Z.tobytes(order="C") == Zc.tobytes()
 
 
 def test_pretraining_phases_in_meta():
