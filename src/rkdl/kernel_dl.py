@@ -18,11 +18,10 @@ import numpy as np
 import scipy.linalg
 
 from .kernels import (POLYNOMIAL, KernelSpec, all_finite, dictionary_gradient, gram,
-                      inner_products, mirror_upper_from_lower, self_kernel_diag)
+                      inner_products, self_kernel_diag)
 from .linear_dl import Dictionary, TrainTrace, atom_sweep, residual_error
 from .sparse_coding import SparseCode, kernel_omp_batch, omp_batch
 
-KDD_RIDGE = 1e-10
 MAX_GRAM_BYTES = 8 * 20000**2    # kdl's one float64 N x N Gram: N <= 20000, 3.2 GB
 CODE_RISE_RTOL = 1e-9    # a fresh code's residual above the swept one's by more is a code_rise
 
@@ -95,61 +94,66 @@ class KdlConfig:
                 raise ValueError(f"{name} must be finite and at least 0, got {getattr(self, name)}")
 
 
-class FactoredGram:
-    """A symmetric Gram K whose buffer holds its Cholesky factor L, L L^T = K + r I,
-    at the first ridge r of 0, then ``KDD_RIDGE`` growing 100-fold up to 1e-2,
-    each retry counted in ``stats["kdd_ridge"]``; LinAlgError past 1e-2.
+def _pivoted_cholesky(a: np.ndarray, stats: dict, overwrite: bool = False) -> tuple:
+    """LAPACK's pivoted Cholesky factor (c, p, r) of the symmetric ``a``, the one
+    policy of every trainer: a[p][:, p] = L L^T, L the first r columns of c's lower
+    triangle, at LAPACK's default tolerance N * eps * max diag(a). The N - r vectors
+    dependent on the pivots are dropped, counted in ``stats["kdd_rank_drop"]``."""
+    c, piv, r, _ = scipy.linalg.lapack.dpstrf(a, lower=1, overwrite_a=overwrite)
+    if r < len(piv):
+        stats["kdd_rank_drop"] = stats.get("kdd_rank_drop", 0) + len(piv) - r
+    return c, piv - 1, r
 
-    L is LAPACK's lower factor of K^T, an F-ordered view of the symmetric
-    C-ordered K, so K's upper triangle becomes L^T and its strict lower triangle
-    is untouched: a failed attempt mirrors that triangle back (K itself when K
-    is bit-symmetric, as ``gram(Y, Y)`` is) and restores the diagonal, ridged.
-    ``k @ x`` is K x, exact: BLAS symm (symv for a vector) reads K's strict
-    lower triangle, with L's diagonal in place of K's, mended by
-    ``(diag(K) - diag(L)) * x``. ``chol`` is the ``(factor, lower)`` pair of
-    ``scipy.linalg.cho_solve``.
+
+class FactoredGram:
+    """A symmetric Gram K whose buffer holds its pivoted Cholesky factor
+    (``_pivoted_cholesky``), K[p][:, p] = L L^T at K's numerical rank r.
+
+    L is written over the F-ordered view K^T of the C-ordered K, so K's upper
+    triangle becomes L^T and its strict lower one is untouched. Past the rank L
+    is [L_11, 0; 0, I], so ``solve`` weighs the signals dropped 0: their sweep
+    coefficients come from its formula alone. The buffer's diagonal is L's only
+    inside ``solve``, else K's, so ``k @ x`` (BLAS symm, symv for a vector) is K x:
+    a mend by diag(K) - diag(L) would lose K's digits where L's pivot dwarfs them.
     """
 
     def __init__(self, K: np.ndarray, stats: dict):
         n = K.shape[0]
         if K.shape != (n, n) or not K.flags.c_contiguous:
-            raise ValueError("a kernel Gram is factored in place, so it must be square and "
-                             "C-ordered")
-        diag = np.diag(K).copy()
-        self.shape, self.ridge = K.shape, 0.0
-        while self.ridge <= 1e-2:
-            try:
-                c = scipy.linalg.cho_factor(K.T, lower=True, overwrite_a=True,
-                                            check_finite=False)[0]
-                break
-            except scipy.linalg.LinAlgError:
-                self.ridge = max(100.0 * self.ridge, KDD_RIDGE)
-                stats["kdd_ridge"] = stats.get("kdd_ridge", 0) + 1
-                mirror_upper_from_lower(K)
-                K.flat[:: n + 1] = diag + self.ridge
-        else:
-            raise np.linalg.LinAlgError("kernel Gram is not positive definite even after ridging")
-        self.chol = (c, True)
-        self.diag_fix = diag - np.diag(c)
+            raise ValueError("a kernel Gram is factored in place, so it must be square, C-ordered")
+        self.k_diag = np.diag(K).copy()
+        c, p, r = _pivoted_cholesky(K.T, stats, overwrite=True)
+        c[r:, :r] = 0.0
+        for j in range(r, n):    # the factor's triangle only: an eye write would clobber K's
+            c[j + 1:, j] = 0.0
+        self.l_diag = np.pad(np.diag(c)[:r], (0, n - r), constant_values=1.0)
+        np.fill_diagonal(c, self.k_diag)
+        self.shape, self.factor, self.rank = K.shape, c, r
+        self.pivots, self.order = p, np.argsort(p)
 
     def __matmul__(self, x):
-        x = np.asarray(x, dtype=float)
-        c = self.chol[0]    # F-ordered: its upper triangle is K's strict lower one
-        if x.ndim == 1:
-            return scipy.linalg.blas.dsymv(1.0, c, x) + self.diag_fix * x
-        return scipy.linalg.blas.dsymm(1.0, c, x) + self.diag_fix[:, None] * x
+        x = np.asarray(x, dtype=float)    # F-ordered factor: its upper triangle is K's lower one
+        symm = scipy.linalg.blas.dsymv if x.ndim == 1 else scipy.linalg.blas.dsymm
+        return symm(1.0, self.factor, x)
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        """x with K x = v for v in K's range: L_11^-T L_11^-1 v[p[:r]] on the pivots, 0 off them."""
+        np.fill_diagonal(self.factor, self.l_diag)
+        try:
+            y = scipy.linalg.cho_solve((self.factor, True), v[self.pivots], check_finite=False)
+        finally:
+            np.fill_diagonal(self.factor, self.k_diag)
+        y[self.rank:] = 0.0
+        return y[self.order]
 
 
 def kernel_map(k_dd: np.ndarray, A: np.ndarray, stats: dict) -> tuple:
-    """(T, B) from LAPACK's pivoted Cholesky factor K_DD[p][:, p] = L L^T of rank r:
-    T (n_d x r) is L_11^-T in the pivots' rows and 0 elsewhere, B = L^T A[p]. So
-    A = T B gives A^T K_DD A = B^T B and K_YD A = F B, F = K_YD T: linear atoms B on
-    the signals' rows F ("virtual samples", Golts and Elad). Each vector dependent
-    on the pivots is counted in ``stats["kdd_rank_drop"]`` and has weight 0 in T B."""
-    L, piv, r, _ = scipy.linalg.lapack.dpstrf(k_dd, lower=1)
-    p, L = piv - 1, np.tril(L[:, :r])
-    if r < len(p):
-        stats["kdd_rank_drop"] = stats.get("kdd_rank_drop", 0) + len(p) - r
+    """(T, B) from the factor K_DD[p][:, p] = L L^T of rank r (``_pivoted_cholesky``
+    of a copy): T (n_d x r) is L_11^-T in the pivots' rows and 0 elsewhere, B = L^T A[p].
+    So A = T B gives A^T K_DD A = B^T B and K_YD A = F B, F = K_YD T: linear atoms B on
+    the signals' rows F ("virtual samples", Golts and Elad), dropped vectors weighing 0."""
+    L, p, r = _pivoted_cholesky(k_dd, stats)
+    L = np.tril(L[:, :r])
     T = np.zeros((len(p), r))
     T[p[:r]] = scipy.linalg.solve_triangular(L[:r], np.eye(r), lower=True, check_finite=False).T
     return T, L.T @ A[p]
@@ -222,7 +226,7 @@ def error_metric(Y: np.ndarray, kdict: KernelDictionary, Z) -> float:
 def rkdl_atom_sweep(k_dd, k_yd, A: np.ndarray, Z: np.ndarray, stats: dict | None = None) -> None:
     """``linear_dl.atom_sweep`` in place on the caller's coefficients A and code Z
     (fastest when Z is signal-major, as a coder's code is): on ``kdl``'s
-    ``FactoredGram`` K (``k_dd``, which is ``k_yd`` too) with K's Cholesky solve,
+    ``FactoredGram`` K (``k_dd``, which is ``k_yd`` too) with its ``solve``,
     or on the identity (``k_dd`` None) in a ``kernel_map``, ``k_yd`` its F, A its B.
 
     Unused and degenerate atoms are left untouched and counted in
@@ -238,9 +242,7 @@ def rkdl_atom_sweep(k_dd, k_yd, A: np.ndarray, Z: np.ndarray, stats: dict | None
     if k_yd.shape[1] != n_d or Z.shape[0] != n_a:
         raise ValueError("Gram/coefficient/code shapes are inconsistent")
 
-    solve = None if k_dd is None else (
-        lambda v: scipy.linalg.cho_solve(k_dd.chol, v, check_finite=False))
-    counts = atom_sweep(k_yd, A, Z, solve=solve)
+    counts = atom_sweep(k_yd, A, Z, solve=None if k_dd is None else k_dd.solve)
     for key, count in zip(("unused_kernel_atom", "degenerate_kernel_atom"), counts):
         if count and stats is not None:
             stats[key] = stats.get(key, 0) + count
@@ -408,10 +410,10 @@ def kdl_train(Y: np.ndarray, kernel: KernelSpec, cfg: KdlConfig, callback=None):
     ``MAX_GRAM_BYTES`` is refused before anything is built; a caller with more
     memory raises the constant. Returns (KernelDictionary, SparseCode, TrainTrace).
 
-    Where K is numerically singular (duplicate signals, a rank-deficient
-    kernel), the sweep's Cholesky solve fixes the coefficients only up to K's
-    null space: their part there is round-off noise, while K A, the codes and
-    the error do not depend on it.
+    K is factored by rank, as every trainer's Gram is (``_pivoted_cholesky``, at
+    LAPACK's default tolerance N * eps * max diag(K)): where K is numerically
+    singular, each signal dependent on the pivots is counted in ``kdd_rank_drop``
+    and its coefficients come from the sweep's formula, not from a ridge's round-off.
     """
     Y = np.asarray(Y, dtype=float)
     N = Y.shape[1]

@@ -7,7 +7,7 @@ over a residual E = Y - D X and over a running sum S = A Z, are the
 references for the one factored sweep, ``linear_dl.atom_sweep``, on the
 identity Gram (``_aksvd_sweep``, and ``rkdl_atom_sweep`` in a kernel map) and
 on a kernel Gram (``rkdl_atom_sweep`` on ``kdl``'s ``FactoredGram``); the
-running-sum sweep solves with its own scipy factor (``ridged_factor``). ``trace_error_from_grams``
+running-sum sweep solves with its own pivoted factor (``pivoted_solve``). ``trace_error_from_grams``
 is the representation error formed from the Grams themselves, the reference
 for the trainers' error trace. ``kdl_train_two_arrays`` is ``kdl`` on K plus a
 factored copy of it, the reference for ``kdl_train``, which holds one N x N
@@ -22,7 +22,7 @@ OMP are checked against plain linear algebra.
 import numpy as np
 import scipy.linalg
 
-from rkdl.kernel_dl import (CODE_RISE_RTOL, KDD_RIDGE, FactoredGram, _atom_products,
+from rkdl.kernel_dl import (CODE_RISE_RTOL, FactoredGram, _atom_products,
                             _init_coefficients, _residuals, kernel_map, rkdl_atom_sweep)
 from rkdl.kernels import POLYNOMIAL, RBF, KernelSpec, _check_shapes, gram, self_kernel_diag
 from rkdl.linear_dl import atom_sweep, residual_error
@@ -75,19 +75,24 @@ def aksvd_sweep_residual(Y, D, X):
     return tuple(counts)
 
 
-def ridged_factor(K, stats):
-    """scipy's ``(factor, lower)`` of K + r I for a copy of K, at the first ridge
-    r of ``kdl``'s schedule (0, then ``KDD_RIDGE`` growing 100-fold up to 1e-2),
-    each retry counted in ``stats["kdd_ridge"]``: the reference for
-    ``FactoredGram``'s factor, formed on K + r I itself."""
-    ridge = 0.0
-    while ridge <= 1e-2:
-        try:
-            return scipy.linalg.cho_factor(K + ridge * np.eye(len(K)), lower=True)
-        except scipy.linalg.LinAlgError:
-            ridge = max(100.0 * ridge, KDD_RIDGE)
-            stats["kdd_ridge"] = stats.get("kdd_ridge", 0) + 1
-    raise np.linalg.LinAlgError("kernel Gram is not positive definite even after ridging")
+def pivoted_solve(K, stats):
+    """The solve of K's pivoted Cholesky factor, formed apart from K: LAPACK's
+    ``dpstrf`` on a copy of K, at its default tolerance, picks the pivots p and
+    the rank r, each of the N - r dependent vectors counted in
+    ``stats["kdd_rank_drop"]``, and v -> x solves K[q][:, q] x[q] = v[q] on the r
+    pivots q with scipy's unpivoted factor of that square, x being 0 elsewhere:
+    the reference for ``FactoredGram``'s factor and ``solve``."""
+    _, piv, r, _ = scipy.linalg.lapack.dpstrf(np.array(K, dtype=float), lower=1)
+    if r < len(K):
+        stats["kdd_rank_drop"] = stats.get("kdd_rank_drop", 0) + len(K) - r
+    q = piv[:r] - 1
+    chol = scipy.linalg.cho_factor(K[np.ix_(q, q)], lower=True)
+
+    def solve(v):
+        x = np.zeros(len(K))
+        x[q] = scipy.linalg.cho_solve(chol, v[q])
+        return x
+    return solve
 
 
 def rkdl_atom_sweep_running_sum(k_dd, k_yd, A, Z, stats=None):
@@ -96,7 +101,7 @@ def rkdl_atom_sweep_running_sum(k_dd, k_yd, A, Z, stats=None):
     For each atom j (ascending), restricted to the signals whose code uses it:
     the unconstrained optimum of the representation objective in a_j is
     K_DD^{-1} K_DY z_j - R z_j (R being the reconstruction without atom j),
-    solved with ``ridged_factor``; the atom is then Gram-normalized and its
+    solved with ``pivoted_solve``; the atom is then Gram-normalized and its
     code row refit as (K_YD - R^T K_DD) a_j on the same support. The running
     sum S = A Z is maintained incrementally. Atoms used by no signal are left
     untouched.
@@ -112,7 +117,7 @@ def rkdl_atom_sweep_running_sum(k_dd, k_yd, A, Z, stats=None):
         raise ValueError("Gram/coefficient/code shapes are inconsistent")
     if stats is None:
         stats = {}
-    chol = ridged_factor(k_dd, stats)
+    solve = pivoted_solve(k_dd, stats)
 
     S = A @ Z
     for j in range(n_a):
@@ -123,7 +128,7 @@ def rkdl_atom_sweep_running_sum(k_dd, k_yd, A, Z, stats=None):
         z = Z[j, support]
         R = S[:, support] - np.outer(A[:, j], z)
         k_sd = k_yd[support]
-        u = scipy.linalg.cho_solve(chol, k_sd.T @ z, check_finite=False) - R @ z
+        u = solve(k_sd.T @ z) - R @ z
         norm_sq = float(u @ (k_dd @ u))
         if norm_sq <= 1e-24:
             stats["degenerate_kernel_atom"] = stats.get("degenerate_kernel_atom", 0) + 1
@@ -187,8 +192,8 @@ def _rise_limit_on_k(K, kyy, W):
 
 
 def kdl_train_two_arrays(Y, kernel, cfg):
-    """``kdl_train`` on K itself plus a factored copy of K + r I
-    (``ridged_factor``): every product with K reads the full square. The
+    """``kdl_train`` on K itself plus the solve of a pivoted factor formed apart
+    from it (``pivoted_solve``): every product with K reads the full square. The
     reference for ``FactoredGram``, which holds K only as its factor.
 
     Returns (A, Z, errors, warning counters). ``code_rise`` is counted from the
@@ -199,7 +204,7 @@ def kdl_train_two_arrays(Y, kernel, cfg):
     stats: dict = {}
     K = gram(Y, Y, kernel)
     kyy = self_kernel_diag(Y, kernel)
-    chol = ridged_factor(K, stats)
+    solve = pivoted_solve(K, stats)
     A = _init_coefficients(N, cfg.n_atoms, np.diag(K).copy(), np.random.default_rng(cfg.seed))
     Z = np.zeros((cfg.n_atoms, N))
     P, G = _atom_products(K, K, A)
@@ -211,7 +216,7 @@ def kdl_train_two_arrays(Y, kernel, cfg):
         if rise:
             stats["code_rise"] = stats.get("code_rise", 0) + rise
         Z = code.matrix
-        counts = atom_sweep(K, A, Z, solve=lambda v: scipy.linalg.cho_solve(chol, v))
+        counts = atom_sweep(K, A, Z, solve=solve)
         for key, count in zip(("unused_kernel_atom", "degenerate_kernel_atom"), counts):
             if count:
                 stats[key] = stats.get(key, 0) + count

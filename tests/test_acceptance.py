@@ -217,9 +217,11 @@ def test_criterion_5_desk_scale_speedup():
     for m in ("rkdl-d", "orkdl-d", "morkdl-d"):
         res = result.methods[m]
         totals[m] = np.mean(res.seconds) + np.mean(res.pretrain_seconds)
-    assert totals["rkdl-d"] <= kdl / 3.0
-    assert totals["orkdl-d"] < kdl
-    assert totals["morkdl-d"] < kdl
+    seen = (f"kdl {kdl:.3f} s, " + ", ".join(f"{m} {t:.3f} s (ratio {t / kdl:.3f})"
+                                          for m, t in totals.items()))
+    assert totals["rkdl-d"] <= kdl / 3.0, seen
+    assert totals["orkdl-d"] < kdl, seen
+    assert totals["morkdl-d"] < kdl, seen
     print(f"\n[criterion 5] PASS speedup at N=2000: KDL {kdl:.2f}s, "
           f"RKDL {totals['rkdl-d']:.2f}s (<= KDL/3 = {kdl / 3:.2f}s), "
           f"ORKDL {totals['orkdl-d']:.2f}s, MORKDL {totals['morkdl-d']:.2f}s "

@@ -99,13 +99,14 @@ def test_summary_round_trip_and_mean_consistency(tmp_path):
 
 
 def test_summary_warnings_summed_over_rounds(tmp_path):
-    # the linear-kernel Gram of 300 signals in 16 dimensions is singular, so
-    # every kdl round ridges it once
+    # 300 noiseless signals in 16 dimensions, drawn from 12 components, give a
+    # linear-kernel Gram of rank 12, so every kdl round drops the 288 signals
+    # that depend on its 12 pivots
     cfg = ExperimentConfig.from_dict(base_config(kernel={"family": "linear"}))
     result = run_experiment(cfg)
     summary = json.load(open(emit_outputs(result, str(tmp_path))["summary"]))
     rises = sum(t.warnings.get("code_rise", 0) for t in result.methods["kdl"].traces)
-    assert summary["methods"]["kdl"]["warnings"] == {"kdd_ridge": 2, "code_rise": rises}
+    assert summary["methods"]["kdl"]["warnings"] == {"kdd_rank_drop": 2 * 288, "code_rise": rises}
     for method in ("rkdl-d", "orkdl-d", "morkdl-d"):
         expected: dict = {}
         for trace in result.methods[method].traces:
@@ -769,19 +770,25 @@ def test_top_level_config_must_be_an_object_and_defaults_methods_and_kernel(tmp_
 
 
 def test_model_file_has_no_unit_norm_flag_and_one_with_it_codes_alike(tmp_path, model_file):
-    # files written before the flag was dropped carry "vectors_normalized"; it is not read
+    # files written before the flag was dropped carry "vectors_normalized", and
+    # those written while kdl ridged its Gram a "kdd_ridge" trace counter;
+    # neither is read
     model_path, doc = model_file
     assert "vectors_normalized" not in doc
     flagged = tmp_path / "flagged.json"
     flagged.write_text(json.dumps({**doc, "vectors_normalized": True}))
+    ridged = tmp_path / "ridged.json"
+    trace = {**doc["trace"], "warnings": {**doc["trace"]["warnings"], "kdd_ridge": 1}}
+    ridged.write_text(json.dumps({**doc, "trace": trace}))
+    assert load_model(str(ridged)).trace.warnings["kdd_ridge"] == 1
     input_path = str(tmp_path / "in.csv")
     save_csv(synth(16, 25, 12, 3, seed=77)[0].values, input_path)
     outputs = []
-    for path in (model_path, str(flagged)):
+    for path in (model_path, str(flagged), str(ridged)):
         outputs.append(tmp_path / f"codes-{len(outputs)}.csv")
         assert cli_main(["code", "--model", path, "--input", input_path,
                          "--output", str(outputs[-1])]) == 0
-    assert outputs[0].read_bytes() == outputs[1].read_bytes()
+    assert outputs[0].read_bytes() == outputs[1].read_bytes() == outputs[2].read_bytes()
 
 
 @pytest.mark.parametrize("sparsity", [0, 7])

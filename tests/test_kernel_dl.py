@@ -14,7 +14,6 @@ from oracles import (kdl_train_two_arrays, rkdl_atom_sweep_running_sum, swept,
 from rkdl import kernel_dl, kernels, linear_dl, sparse_coding
 from rkdl.datasets import synth
 from rkdl.kernel_dl import (
-    KDD_RIDGE,
     METHODS,
     KdlConfig,
     KernelDictionary,
@@ -245,9 +244,7 @@ def test_sweep_matches_running_sum_oracle(inputs):
     stats, expected_stats = {}, {}
     A_ref, Z_ref = rkdl_atom_sweep_running_sum(k_dd, k_yd, A, Z, stats=expected_stats)
     A2, Z2 = swept(k_dd, k_yd, A, Z, stats=stats)
-    if k_yd is not k_dd:    # the kernel map drops dependent vectors where the reference ridges
-        stats.pop("kdd_rank_drop", None), expected_stats.pop("kdd_ridge", None)
-    assert stats == expected_stats
+    assert stats == expected_stats    # both drop the same dependent vectors
     # in the reduced shape, Z and K_DD A carry the map's and the reference
     # solve's round-off, eps * cond(K_DD), which exceeds 1e-10 only for
     # cond(K_DD) above 4.5e5
@@ -255,8 +252,8 @@ def test_sweep_matches_running_sum_oracle(inputs):
     tol = 1e-10 if k_yd is k_dd else max(1e-10, np.finfo(float).eps * cond)
     assert np.linalg.norm(Z2 - Z_ref) <= tol * np.linalg.norm(Z_ref)
     # the objective sees A only through K_DD A; where K_DD is numerically
-    # singular, the reference's Cholesky solve sets A's null-space part from
-    # round-off, and the map and kdl's factored sweep set it differently
+    # singular, the map folds A's part on the dropped vectors into the
+    # pivots', where the reference keeps it
     assert np.linalg.norm(k_dd @ (A2 - A_ref)) <= tol * np.linalg.norm(k_dd @ A_ref)
     if cond < 1e5:
         assert np.linalg.norm(A2 - A_ref) <= 1e-10 * np.linalg.norm(A_ref)
@@ -383,20 +380,26 @@ def test_train_reaches_the_sweep_through_its_module_binding(monkeypatch):
 @pytest.mark.parametrize("m", [30, 5])
 def test_chol_ridge_matches_explicit_identity_ridge(m):
     # kdl's factor: m = 5 signals of 20 give a rank-deficient linear Gram,
-    # factored at the first ridge; m = 30 a positive definite one, factored
-    # unridged. The factor is the lower one, in K's buffer, whose strict lower
-    # triangle (K's own, which the products read) is left as it was
+    # factored at its rank 5, the 15 dependent signals dropped, not ridged;
+    # m = 30 a positive definite one, at full rank. The factor is LAPACK's
+    # pivoted one of a copy of K in its first r rows and columns and
+    # [0; I] past them, in K's buffer, whose strict lower triangle and
+    # diagonal (K's own, which the products read) are as they were; the
+    # factor's diagonal is kept apart
     Y = np.random.default_rng(m).standard_normal((m, 20))
     K = gram(Y, Y, LINEAR)
     buffer = K.copy()
     stats: dict = {}
-    c, lower = kernel_dl.FactoredGram(buffer, stats).chol
-    ridge = KDD_RIDGE if m < 20 else 0.0
-    c_ref = scipy.linalg.cho_factor(K + ridge * np.eye(20), lower=True)[0]
-    assert lower is True and np.shares_memory(c, buffer)
-    np.testing.assert_array_equal(np.tril(c), np.tril(c_ref))
-    np.testing.assert_array_equal(np.tril(buffer, -1), np.tril(K, -1))
-    assert stats == ({"kdd_ridge": 1} if m < 20 else {})
+    k = kernel_dl.FactoredGram(buffer, stats)
+    c_ref, piv, r, _ = scipy.linalg.lapack.dpstrf(K.copy(), lower=1)
+    L = np.tril(k.factor, -1)
+    assert r == k.rank == min(m, 20) and np.shares_memory(k.factor, buffer)
+    np.testing.assert_array_equal(k.pivots, piv - 1)
+    np.testing.assert_array_equal(L[:r, :r], np.tril(c_ref, -1)[:r, :r])
+    assert not L[r:].any()
+    np.testing.assert_array_equal(k.l_diag, np.r_[np.diag(c_ref)[:r], np.ones(20 - r)])
+    np.testing.assert_array_equal(np.tril(buffer), np.tril(K))
+    assert stats == ({"kdd_rank_drop": 15} if m < 20 else {})
 
 
 @pytest.mark.parametrize("m", [30, 5])
@@ -426,12 +429,13 @@ def test_kernel_map_is_a_factor_of_k_dd_at_its_rank(m):
 @pytest.mark.parametrize("block", [3, 512])
 @pytest.mark.parametrize("m", [30, 5])
 def test_factored_gram_is_the_factor_of_k_and_multiplies_like_k(monkeypatch, block, m):
-    # in 3-row blocks the 20 x 20 Gram is built in 7 row blocks and mirrored,
-    # and the ridge retry restores it, in 3 x 3 tiles; in 512 in one each.
-    # m = 5 gives a singular Gram (rank-deficient linear, or RBF with a
-    # duplicated signal), restored and factored ridged: exactly K + r I, since
-    # gram(Y, Y) is bit-symmetric. Products read K's untouched triangle and
-    # its saved diagonal, so they are K's own, ridged or not
+    # in 3-row blocks the 20 x 20 Gram is built in 7 row blocks and mirrored
+    # in 3 x 3 tiles; in 512 in one each. m = 5 gives a singular Gram
+    # (rank-deficient linear, or RBF with a duplicated signal), factored at its
+    # rank: the factor of K[p][:, p] itself on the pivots, since gram(Y, Y) is
+    # bit-symmetric. Products read K's untouched triangle and diagonal, so
+    # they are K's own at any rank; the solve gives K x = v on K's range, with
+    # x 0 off the pivots
     monkeypatch.setattr(kernels, "GRAM_BLOCK", block)
     for spec in (LINEAR, KernelSpec("rbf", sigma=3.0)):
         rng = np.random.default_rng(m)
@@ -443,16 +447,23 @@ def test_factored_gram_is_the_factor_of_k_and_multiplies_like_k(monkeypatch, blo
         buffer = K.copy()
         stats: dict = {}
         k = kernel_dl.FactoredGram(buffer, stats)
-        assert stats == ({"kdd_ridge": 1} if m < 20 else {})
-        assert k.ridge == (KDD_RIDGE if m < 20 else 0.0)
-        L, lower = k.chol
-        assert lower and np.shares_memory(L, buffer)
-        L_ref = scipy.linalg.cho_factor(K + k.ridge * np.eye(20), lower=True)[0]
-        np.testing.assert_array_equal(np.tril(L), np.tril(L_ref))
+        drop = (15 if spec is LINEAR else 1) if m < 20 else 0
+        assert stats == ({"kdd_rank_drop": drop} if drop else {})
+        r = 20 - drop
+        q = k.pivots[:r]
+        L_ref = scipy.linalg.lapack.dpstrf(K.copy(), lower=1)[0]
+        assert np.shares_memory(k.factor, buffer)
+        np.testing.assert_array_equal(np.tril(k.factor, -1)[:r], np.tril(L_ref, -1)[:r])
+        np.testing.assert_array_equal(k.l_diag[:r], np.diag(L_ref)[:r])
         Z = rng.standard_normal((4, 20))
         for x in (rng.standard_normal(20), rng.standard_normal((20, 3)), Z.T):
             tol = 1e-13 * np.linalg.norm(K) * np.linalg.norm(x)
             assert np.linalg.norm(k @ x - K @ x) <= tol
+        v = K @ rng.standard_normal(20)
+        x = k.solve(v)
+        assert np.count_nonzero(x) == r and not np.delete(x, q).any()
+        np.testing.assert_allclose(K[np.ix_(q, q)] @ x[q], v[q], rtol=0,
+                                   atol=1e-10 * np.linalg.norm(v))
 
 
 # -------------------------------------------------------------------- trainers
@@ -539,9 +550,12 @@ def test_kdl_refuses_an_oversized_gram_before_building_anything(monkeypatch):
                                                (LINEAR, 8, True)])
 def test_kdl_factored_gram_matches_the_two_array_reference(spec, m, duplicates):
     # the factor written over K, and products through it, against the loop on
-    # K plus a factored copy of K, which reads the full square K. Duplicate
-    # signals (1 = 0, 7 = 3) give K equal rows, so its factor is ridged; the
-    # linear K of 8-dimensional signals is rank-deficient besides
+    # K plus a pivoted factor formed apart, which reads the full square K.
+    # Duplicate signals (1 = 0, 7 = 3) give K equal rows, so its factor drops
+    # them; the linear K of 8-dimensional signals and the quadratic one of
+    # 10-dimensional signals (66 features) are rank-deficient besides. The
+    # coefficients agree on K's null space as well, since both solves give the
+    # dropped signals no weight
     Y = np.random.default_rng(4).standard_normal((m, 120))
     if duplicates:
         Y[:, 1], Y[:, 7] = Y[:, 0], Y[:, 3]
@@ -549,9 +563,10 @@ def test_kdl_factored_gram_matches_the_two_array_reference(spec, m, duplicates):
     kdict, code, trace = kdl_train(Y, spec, cfg)
     A_ref, Z_ref, errors_ref, stats_ref = kdl_train_two_arrays(Y, spec, cfg)
     np.testing.assert_allclose(trace.errors, errors_ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(kdict.coefficients, A_ref, rtol=0, atol=1e-11 * np.abs(A_ref).max())
     np.testing.assert_array_equal(code.matrix != 0, Z_ref != 0)
     assert trace.warnings == stats_ref
-    assert ("kdd_ridge" in trace.warnings) == duplicates
+    assert ("kdd_rank_drop" in trace.warnings) == duplicates
     K = gram(Y, Y, spec)
     A = kdict.coefficients
     np.testing.assert_allclose(np.einsum("ij,ij->j", A, K @ A), 1.0, rtol=0, atol=1e-8)
@@ -563,7 +578,7 @@ def test_kdl_peak_allocation_is_one_n_by_n_array(spec, m):
     # gram builds K in the buffer of its product, K is factored in that buffer,
     # every product reads the factor and the finiteness check copies nothing,
     # so a run allocates one N x N array and N x n_a products; the
-    # rank-deficient linear Gram fails its first factor and retries ridged
+    # rank-deficient linear Gram is factored at its rank, m
     N = 1000
     Y = np.random.default_rng(m).standard_normal((m, N))
     cfg = KdlConfig(n_atoms=10, sparsity=3, iters=2, seed=0)
@@ -574,7 +589,7 @@ def test_kdl_peak_allocation_is_one_n_by_n_array(spec, m):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert trace.warnings.get("kdd_ridge", 0) == (1 if spec is LINEAR else 0)
+    assert trace.warnings.get("kdd_rank_drop", 0) == (N - m if spec is LINEAR else 0)
     assert peak <= 1.25 * 8 * N**2
 
 
@@ -1329,16 +1344,17 @@ def test_encode_names_both_dimensions():
 
 
 def test_exhausted_ridge_schedule_raises_at_both_factor_sites():
-    # an eigenvalue of -1 stays negative past kdl's last ridge, 1e-2: every
-    # attempt fails, and each of the 6 retries (1e-10 ... 1e-2, then past it)
-    # is counted. The kernel map, which never ridges, factors the positive
-    # part, rank 2, and counts the vector left past it as dropped, with weight
-    # 0 in every atom it maps back
+    # an eigenvalue of -1, which no ridge up to 1e-2 would lift, stops neither
+    # factor site: both factor the positive part, rank 2, and count the vector
+    # left past it as dropped. kdl's solve gives it weight 0 while its products
+    # stay K's own; the map gives it weight 0 in every atom it maps back
     K = np.diag([-1.0, 1.0, 2.0])
     stats: dict = {}
-    with pytest.raises(np.linalg.LinAlgError, match="not positive definite even after ridging"):
-        kernel_dl.FactoredGram(K.copy(), stats)
-    assert stats == {"kdd_ridge": 6}
+    k = kernel_dl.FactoredGram(K.copy(), stats)
+    assert stats == {"kdd_rank_drop": 1}
+    np.testing.assert_allclose(k.solve(np.array([5.0, 1.0, 4.0])), [0.0, 1.0, 2.0],
+                               rtol=1e-15, atol=0)
+    np.testing.assert_array_equal(k @ np.eye(3), K)
     stats = {}
     T, B = kernel_map(K, np.eye(3), stats)
     assert stats == {"kdd_rank_drop": 1} and T.shape == (3, 2) and not T[0].any()
