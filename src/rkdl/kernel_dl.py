@@ -190,36 +190,35 @@ def _check_finite(kernel: KernelSpec, when: str, k_dd, k_yd, kyy=None) -> None:
         raise FloatingPointError(f"signal self-kernels for {kernel} are not finite {when}")
 
 
-def _model_products(kdict: KernelDictionary, Y: np.ndarray) -> tuple:
-    """The atom products P and G of ``_atom_products`` and the self-kernels
-    k(y, y) of the signals Y under the model ``kdict``, from K_YD and K_DD
-    formed once each and checked finite."""
+def _model_grams(kdict: KernelDictionary, Y: np.ndarray) -> tuple:
+    """K_YD, the self-kernels k(y, y) and K_DD of the signals Y under the model
+    ``kdict``, each formed once and checked finite: ``kernel_omp_batch``'s order."""
     D, kernel = kdict.vectors.atoms, kdict.kernel
     if Y.shape[0] != D.shape[0]:
         raise ValueError(f"signals have dimension {Y.shape[0]}, the model's vectors {D.shape[0]}")
     k_yd, k_dd, kyy = gram(Y, D, kernel), gram(D, D, kernel), self_kernel_diag(Y, kernel)
     _check_finite(kernel, "for these signals; rescale the signals", k_dd, k_yd, kyy)
-    return (*_atom_products(k_yd, k_dd, kdict.coefficients), kyy)
+    return k_yd, kyy, k_dd
 
 
 def encode(kdict: KernelDictionary, Y, sparsity: int, stats: dict | None = None) -> SparseCode:
-    """Kernel OMP codes of the signals Y (columns) on the atoms of ``kdict``.
+    """Kernel OMP codes of the signals Y (columns) on the atoms of ``kdict``:
+    ``kernel_omp_batch`` on the model's K_YD, k(y, y), K_DD and coefficients A.
 
-    The pursuit runs on the atom products P = K_YD A and G = A^T K_DD A with
-    coefficients I, as the trainers' coding step does. Each signal's squared
-    feature-space residual is in ``residual_sq``, so ``residual_error(
-    code.residual_sq.sum(), Y.size)`` is the code's error with no further
-    product (an upper bound after a pick counted in ``stats["ridge"]``).
+    Each signal's squared feature-space residual is in ``residual_sq``, so
+    ``residual_error(code.residual_sq.sum(), Y.size)`` is the code's error with
+    no further product (an upper bound after a pick counted in ``stats["ridge"]``).
     """
-    P, G, kyy = _model_products(kdict, np.asarray(Y, dtype=float))
-    return kernel_omp_batch(P, kyy, G, np.eye(kdict.n_atoms), sparsity, stats)
+    grams = _model_grams(kdict, np.asarray(Y, dtype=float))
+    return kernel_omp_batch(*grams, kdict.coefficients, sparsity, stats)
 
 
 def error_metric(Y: np.ndarray, kdict: KernelDictionary, Z) -> float:
     """Representation error per signal element, ||phi(Y) - phi(D) A Z||_F / sqrt(mN)."""
     Y = np.asarray(Y, dtype=float)
     Zm = Z.matrix if isinstance(Z, SparseCode) else np.asarray(Z, dtype=float)
-    P, G, kyy = _model_products(kdict, Y)
+    k_yd, kyy, k_dd = _model_grams(kdict, Y)
+    P, G = _atom_products(k_yd, k_dd, kdict.coefficients)
     return residual_error(_residuals(kyy, P, G, Zm)[0].sum(), Y.size)
 
 
@@ -360,8 +359,8 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
                     X = None    # its last reader: not held through the steps or the next coding
             for step in range(cfg.grad_steps):
                 with timed("gradient"):
-                    grad = dictionary_gradient(Y, D, A, Z, kernel, k_yd=k_yd, k_dd=k_dd, yd=yd,
-                                               W=W, WWt=WWt)
+                    grad = dictionary_gradient(Y, D, W, kernel, k_yd=k_yd, k_dd=k_dd, yd=yd,
+                                               WWt=WWt)
                     if penalized:
                         grad = grad - 2.0 * cfg.penalty * (YXt - D @ XXt)
                     if not all_finite(grad):

@@ -201,38 +201,36 @@ def self_kernel_diag(X: np.ndarray, spec: KernelSpec) -> np.ndarray:
     return sq
 
 
-def _check_shapes(Y, D, A, Z):
-    (m, N), (md, n_d), (ad, n_a), (az, Nz) = Y.shape, D.shape, A.shape, Z.shape
+def _check_shapes(Y, D, W):
+    (m, N), (md, n_d) = Y.shape, D.shape
     if md != m:
         raise ValueError(f"signal and vector dimensions differ: {m} vs {md}")
-    if ad != n_d:
-        raise ValueError(f"coefficient rows ({ad}) do not match vector count ({n_d})")
-    if az != n_a or Nz != N:
-        raise ValueError(f"code matrix is {Z.shape}, expected ({n_a}, {N})")
+    if W.shape != (n_d, N):
+        raise ValueError(f"W = A Z is {W.shape}, expected ({n_d}, {N})")
 
 
 def dictionary_gradient(
     Y: np.ndarray,
     D: np.ndarray,
-    A: np.ndarray,
-    Z: np.ndarray,
+    W: np.ndarray,
     spec: KernelSpec,
     k_yd: np.ndarray | None = None,
     k_dd: np.ndarray | None = None,
     yd: np.ndarray | None = None,
-    W: np.ndarray | None = None, WWt: np.ndarray | None = None,
+    WWt: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Gradient of ||phi(Y) - phi(D) A Z||_F^2 in every kernel vector, (m, n_d).
+    """Gradient of ||phi(Y) - phi(D) W||_F^2 in every kernel vector, (m, n_d), at the
+    vectors' weights W = A Z (n_d, N): the objective reads the coefficients A and
+    the code Z only through W.
 
     Every column is evaluated at the same D (one Jacobi-style round), and the
     derivative Gram matrices are never formed. ``k_yd`` / ``k_dd`` may supply
-    the Grams at the current D, ``yd`` its ``inner_products(Y, D)`` and ``W`` /
-    ``WWt`` the products W = A Z and W W^T; stale ones give wrong gradients.
+    the Grams at the current D, ``yd`` its ``inner_products(Y, D)`` and ``WWt``
+    the product W W^T; stale ones give wrong gradients.
     """
-    Y, D, A, Z = (np.asarray(v, dtype=float) for v in (Y, D, A, Z))
-    _check_shapes(Y, D, A, Z)
+    Y, D, W = (np.asarray(v, dtype=float) for v in (Y, D, W))
+    _check_shapes(Y, D, W)
 
-    W = A @ Z if W is None else W
     M = W @ W.T if WWt is None else WWt
     if spec.family == RBF:
         k_dd = gram(D, D, spec) if k_dd is None else k_dd

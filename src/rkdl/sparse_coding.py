@@ -169,7 +169,9 @@ def omp_batch(D: np.ndarray, Y: np.ndarray, sparsity: int, stats: dict | None = 
 
 def kernel_omp_batch(k_yd, k_yy_diag, k_dd, A, sparsity, stats: dict | None = None) -> SparseCode:
     """Kernel OMP of all signals from the cross Gram ``k_yd`` (N, n_d), with
-    atoms A normalized so that a_j^T k_dd a_j = 1 (checked to 1e-8); the
+    atoms A normalized so that a_j^T k_dd a_j = 1, checked to 1e-8 or, where it
+    is larger, to the form's round-off 2 n eps |a_j|^T |k_dd| |a_j| at k_dd's order
+    n (Higham, Accuracy and Stability of Numerical Algorithms, section 3.1); the
     pursuit stops once the feature-space residual falls below
     ``KOMP_RESIDUAL_SQ_TOL``. Near-singular picks are counted in
     ``stats["ridge"]``. Raises FloatingPointError when ``k_yd`` A or
@@ -177,10 +179,14 @@ def kernel_omp_batch(k_yd, k_yy_diag, k_dd, A, sparsity, stats: dict | None = No
     of A^T k_dd A and fails the normalization check."""
     A, k_yd, k_dd, k_yy_diag = (np.asarray(v, dtype=float) for v in (A, k_yd, k_dd, k_yy_diag))
     G = A.T @ (k_dd @ A)
-    norms = np.diag(G)
-    if not np.all(np.abs(norms - 1.0) <= 1e-8):    # NaN fails it
-        j = int(np.argmax(np.abs(norms - 1.0)))    # the worst, or the first NaN
-        raise ValueError(f"kernel atom {j} is not Gram-normalized (a^T K a = {norms[j]:.6g})")
+    off = np.abs(np.diag(G) - 1.0)
+    if not np.all(off <= 1e-8):    # NaN fails it; a kernel map's A = T B carries eps cond(k_dd)
+        form = np.einsum("ij,ij->j", np.abs(A), np.abs(k_dd) @ np.abs(A))
+        bad = ~(off <= np.maximum(2 * len(k_dd) * np.finfo(float).eps * form, 1e-8))
+        bad |= ~np.isfinite(off)    # an infinite bound must not pass an infinite diagonal
+        j = int(np.argmax(bad))    # the first refused atom
+        if bad[j]:
+            raise ValueError(f"kernel atom {j} is not Gram-normalized (a^T K a = {G[j, j]:.6g})")
     proj = k_yd @ A
     if not (all_finite(proj) and all_finite(k_yy_diag)):
         raise FloatingPointError("kernel OMP inputs are not finite: k_yd A or k_yy_diag")

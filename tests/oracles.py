@@ -424,12 +424,12 @@ def kernel_vector_gradient(
     D = np.asarray(D, dtype=float)
     A = np.asarray(A, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    _check_shapes(Y, D, A, Z)
+    W = A @ Z
+    _check_shapes(Y, D, W)
     n_d = D.shape[1]
     if not 0 <= j < n_d:
         raise IndexError(f"vector index {j} out of range [0, {n_d})")
 
-    W = A @ Z
     w = W[j]            # per-signal weight of vector j in the reconstruction
     m_row = W @ w       # row j of M = W W^T
     d = D[:, j]

@@ -87,7 +87,7 @@ def test_criterion_1_gradient_correctness():
         else:
             lam = float(rng.uniform(0.3, 2.0))
             X = rng.standard_normal((n_d, N))
-            G = dictionary_gradient(Y, D, A, Z, spec) - 2.0 * lam * (Y - D @ X) @ X.T
+            G = dictionary_gradient(Y, D, A @ Z, spec) - 2.0 * lam * (Y - D @ X) @ X.T
             fd = central_difference(
                 lambda Dv: trace_objective(Y, Dv, A, Z, spec)
                 + lam * np.sum((Y - Dv @ X) ** 2), D)

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from oracles import (kdl_train_two_arrays, rkdl_atom_sweep_running_sum, swept,
                      trace_error_from_grams)
 from rkdl import kernel_dl, kernels, linear_dl, sparse_coding
-from rkdl.datasets import synth
+from rkdl.cli import main as cli_main
+from rkdl.datasets import load_csv, save_csv, synth
 from rkdl.kernel_dl import (
     METHODS,
     KdlConfig,
@@ -30,6 +31,7 @@ from rkdl.kernel_dl import (
 )
 from rkdl.kernels import KernelSpec, dictionary_gradient, gram, inner_products, self_kernel_diag
 from rkdl.linear_dl import Dictionary, DLConfig, aksvd_train, init_dictionary
+from rkdl.model_io import save_model
 from rkdl.sparse_coding import SparseCode, kernel_omp_batch, omp_batch
 
 LINEAR = KernelSpec("linear")
@@ -628,26 +630,53 @@ def test_rkdl_reduction_identity():
     np.testing.assert_allclose(full.errors, reduced.errors, atol=1e-9)
 
 
-@pytest.mark.parametrize("seed", [92, 576, 775, 1016, 1215, 1469])
-def test_reduced_trainers_code_their_own_atoms_on_an_ill_conditioned_k_dd(seed):
-    # four one-dimensional vectors under a cubic kernel: cond(K_DD) from 1.5e8
-    # to 6.8e11. The coder reads the atoms' Gram as B^T B in the kernel map,
-    # unit by construction; formed as A^T K_DD A from A it lost that to
-    # round-off and refused the trainer's own atoms ("not Gram-normalized"),
-    # and orkdl-d's refreshed K_DD exhausted the ridge schedule. orkdl-d steps
-    # at the feature oracle's rate: the default fixed step diverges from such
-    # a K_DD (a non-finite Gram after the first step)
+ILL_CONDITIONED_SPEC = KernelSpec("polynomial", alpha=0.5, beta=3)
+
+
+def ill_conditioned_draw(seed):
+    """Four one-dimensional vectors D under a cubic kernel, N signals Y and a
+    config: cond(K_DD) reaches 1e8-1e12 on the seeds below."""
     rng = np.random.default_rng(seed)
     N = int(rng.integers(4, 30))
     D = rng.standard_normal((1, 4))
     Y = rng.standard_normal((1, N))
     n_a = int(rng.integers(1, 5))
-    sp = int(rng.integers(1, n_a + 1))
-    spec = KernelSpec("polynomial", alpha=0.5, beta=3)
-    cfg = KdlConfig(n_a, sp, 3, seed=1)
+    return Y, D, KdlConfig(n_a, int(rng.integers(1, n_a + 1)), 3, seed=1)
+
+
+@pytest.mark.parametrize("seed", [92, 576, 775, 1016, 1215, 1469])
+def test_reduced_trainers_code_their_own_atoms_on_an_ill_conditioned_k_dd(seed):
+    # cond(K_DD) from 1.5e8 to 6.8e11. The coder reads the atoms' Gram as B^T B
+    # in the kernel map, unit by construction; formed as A^T K_DD A from A it
+    # lost that to round-off and refused the trainer's own atoms ("not
+    # Gram-normalized"), and orkdl-d's refreshed K_DD exhausted the ridge
+    # schedule. orkdl-d steps at the feature oracle's rate: the default fixed
+    # step diverges from such a K_DD (a non-finite Gram after the first step)
+    Y, D, cfg = ill_conditioned_draw(seed)
+    spec = ILL_CONDITIONED_SPEC
     for train, c in ((rkdl_train, cfg), (orkdl_train, dataclasses.replace(cfg, learning_rate=1e-6))):
         trace = train(Y, Dictionary(D), spec, c)[2]
         assert len(trace.errors) == 4 and np.all(np.isfinite(trace.errors)), train
+
+
+@pytest.mark.parametrize("seed", [75, 92, 576, 775, 1016, 1469, 1841, 2119, 2438])
+def test_encode_codes_reduced_models_of_an_ill_conditioned_k_dd(tmp_path, seed):
+    # cond(K_DD) from 6.3e9 to 6.8e11: the saved A = T B carries eps cond(K_DD),
+    # so a^T K_DD a is off 1 by 1.8e-8 to 3.4e-6, past 1e-8 but within the
+    # round-off of the form, which kernel OMP allows. encode and `rkdl code`
+    # once refused each of these models; an A scaled by 2 is still refused
+    Y, D, cfg = ill_conditioned_draw(seed)
+    kdict = rkdl_train(Y, Dictionary(D), ILL_CONDITIONED_SPEC, cfg)[0]
+    code = encode(kdict, Y, cfg.sparsity)
+    assert np.all(np.isfinite(code.residual_sq)) and code.residual_sq.min() > -1e-9
+    model, signals, out = (str(tmp_path / name) for name in ("m.json", "y.csv", "c.csv"))
+    save_model(model, kdict, "rkdl-d", dataclasses.asdict(cfg))
+    save_csv(Y, signals)
+    assert cli_main(["code", "--model", model, "--input", signals, "--output", out]) == 0
+    assert same_bits(load_csv(out).values, code.matrix.T)
+    doubled = dataclasses.replace(kdict, coefficients=2.0 * kdict.coefficients)
+    with pytest.raises(ValueError, match="kernel atom 0 is not Gram-normalized"):
+        encode(doubled, Y, cfg.sparsity)
 
 
 @pytest.mark.parametrize("spec", [KernelSpec("rbf", sigma=2.0), LINEAR,
@@ -730,7 +759,7 @@ def test_orkdl_gradient_phase_decreases_objective_at_small_rate():
         A, Z = swept(k_dd, k_yd, A, Z)
         before = objective(Y, D, A, Z, spec)
         for _ in range(3):
-            G = dictionary_gradient(Y, D, A, Z, spec, k_yd=k_yd, k_dd=k_dd)
+            G = dictionary_gradient(Y, D, A @ Z, spec, k_yd=k_yd, k_dd=k_dd)
             D = D - gamma * G
             k_dd = gram(D, D, spec)
             k_yd = gram(Y, D, spec)
@@ -784,7 +813,7 @@ def test_morkdl_mixed_gradient_finite_difference():
         lin = Y - Dv @ X
         return objective(Y, Dv, A, Z, spec) + lam * np.sum(lin * lin)
 
-    G = dictionary_gradient(Y, D, A, Z, spec) - 2.0 * lam * (Y - D @ X) @ X.T
+    G = dictionary_gradient(Y, D, A @ Z, spec) - 2.0 * lam * (Y - D @ X) @ X.T
     eps = 1e-6
     fd = np.zeros_like(G)
     for j in range(n_d):
@@ -1069,26 +1098,38 @@ def same_bits(a, b) -> bool:
 @pytest.mark.parametrize("spec", HELD_PRODUCT_SPECS.values(), ids=HELD_PRODUCT_SPECS)
 @pytest.mark.parametrize("method", ["orkdl-d", "morkdl-d"])
 def test_held_products_equal_fresh_ones_at_every_use(monkeypatch, method, spec):
-    # the trainers hand each gradient step the iteration's W = A Z and W W^T,
-    # and the current D's Y^T D to the steps and codings that read it (the
-    # polynomial gradient, the mixed coding); every such call returns what it
-    # returns when it forms them itself, bit for bit
+    # the trainers hand each gradient step the iteration's W = A Z (the loop's
+    # own A, written in place, and its swept code) and W W^T, and the current
+    # D's Y^T D to the steps and codings that read it (the polynomial gradient,
+    # the mixed coding); every such call returns what it returns when it forms
+    # them itself, bit for bit
     signals, _, _ = synth(10, 120, 8, 3, seed=7)
     Y = signals.values
     vectors = pretrained(Y, 8, 3, seed=2)
     cfg = KdlConfig(n_atoms=4, sparsity=2, iters=3, seed=3, grad_steps=2,
                     learning_rate=1e-4, penalty=1.0, dl_sparsity=3)
     real_gradient, real_omp = kernel_dl.dictionary_gradient, kernel_dl.omp_batch
-    uses, held_yd = [], []
+    real_init, real_komp = kernel_dl._init_coefficients, kernel_dl.kernel_omp_batch
+    uses, held_yd, loop = [], [], {}
 
-    def gradient(Y_, D, A, Z, kernel, **kwargs):
-        assert kwargs["W"] is not None and kwargs["WWt"] is not None
+    def init(*args):
+        loop["A"] = real_init(*args)
+        return loop["A"]
+
+    def kernel_coder(*args):
+        code = real_komp(*args)
+        loop["Z"] = code.matrix
+        return code
+
+    def gradient(Y_, D, W, kernel, **kwargs):
+        assert same_bits(W, loop["A"] @ loop["Z"])
+        assert same_bits(kwargs["WWt"], W @ W.T)
         held_yd.append(kwargs["yd"] is not None)
         if kwargs["yd"] is not None:
             assert same_bits(kwargs["yd"], inner_products(Y_, D))
-        own = {k: v for k, v in kwargs.items() if k not in ("yd", "W", "WWt")}
-        expected = real_gradient(Y_, D, A, Z, kernel, **own)
-        got = real_gradient(Y_, D, A, Z, kernel, **kwargs)
+        own = {k: v for k, v in kwargs.items() if k not in ("yd", "WWt")}
+        expected = real_gradient(Y_, D, W, kernel, **own)
+        got = real_gradient(Y_, D, W, kernel, **kwargs)
         assert same_bits(got, expected)
         uses.append("gradient")
         return got
@@ -1106,6 +1147,8 @@ def test_held_products_equal_fresh_ones_at_every_use(monkeypatch, method, spec):
         uses.append("coding")
         return got
 
+    monkeypatch.setattr(kernel_dl, "_init_coefficients", init)
+    monkeypatch.setattr(kernel_dl, "kernel_omp_batch", kernel_coder)
     monkeypatch.setattr(kernel_dl, "dictionary_gradient", gradient)
     monkeypatch.setattr(kernel_dl, "omp_batch", coder)
     run_trainer(method, Y, vectors, spec, cfg)
@@ -1136,7 +1179,7 @@ def test_each_kernel_vector_set_gets_one_signal_product(monkeypatch, spec):
     for module in (kernels, kernel_dl, sparse_coding):
         monkeypatch.setattr(module, "inner_products", spy)
     monkeypatch.setattr(kernel_dl, "dictionary_gradient",
-                        lambda *args, **kwargs: held.append((kwargs["W"], kwargs["WWt"]))
+                        lambda *args, **kwargs: held.append((args[2], kwargs["WWt"]))
                         or real_gradient(*args, **kwargs))
     for method in ("rkdl-d", "orkdl-d", "morkdl-d"):
         products.clear()
@@ -1324,8 +1367,8 @@ def test_encode_equals_the_four_call_sequence(method, kernel, full, Y):
 
 
 def test_encode_overflow_names_the_kernel():
-    # (x.y + 3)^3 of signals scaled by 1e110 overflows; kernel OMP alone
-    # would return NaN codes, since its Gram-normalization check cannot see NaN
+    # (x.y + 3)^3 of signals scaled by 1e110 overflows; encode's Gram check
+    # names the kernel before kernel OMP, which rejects non-finite inputs too
     signals, _, _ = synth(16, 200, 12, 3, seed=1, coeff_low=1.0, coeff_high=3.0)
     Y = signals.values
     spec = KernelSpec("polynomial", alpha=1.0, beta=3)

@@ -287,19 +287,39 @@ def test_vector_gradient_linear_closed_form():
         np.testing.assert_allclose(g, expected, atol=1e-10)
 
 
+GRADIENT_SPECS = {"rbf": KernelSpec("rbf", sigma=1.5, denom_factor=1.0),
+                  "polynomial": KernelSpec("polynomial", alpha=0.2, beta=2),
+                  "linear": KernelSpec("linear")}
+
+
 def test_dictionary_gradient_matches_per_vector():
     rng = np.random.default_rng(8)
     Y = rng.standard_normal((5, 9))
     D = rng.standard_normal((5, 4))
     A = rng.standard_normal((4, 3))
     Z = rng.standard_normal((3, 9))
-    for spec in (KernelSpec("rbf", sigma=1.5, denom_factor=1.0),
-                 KernelSpec("polynomial", alpha=0.2, beta=2),
-                 KernelSpec("linear")):
-        G = dictionary_gradient(Y, D, A, Z, spec)
+    for spec in GRADIENT_SPECS.values():
+        G = dictionary_gradient(Y, D, A @ Z, spec)
         for j in range(4):
             np.testing.assert_allclose(G[:, j], kernel_vector_gradient(Y, D, A, Z, j, spec),
                                        atol=1e-11)
+
+
+@pytest.mark.parametrize("spec", GRADIENT_SPECS.values(), ids=GRADIENT_SPECS)
+def test_dictionary_gradient_from_held_products_is_bit_equal(spec):
+    # the Grams, Y^T D and W W^T that a trainer holds at the current D and
+    # W = A Z give the gradient that it forms without them, bit for bit; a W
+    # whose shape is not (n_d, N) is refused
+    rng = np.random.default_rng(9)
+    Y = rng.standard_normal((5, 9))
+    D = rng.standard_normal((5, 4))
+    W = rng.standard_normal((4, 3)) @ rng.standard_normal((3, 9))
+    own = dictionary_gradient(Y, D, W, spec)
+    held = dictionary_gradient(Y, D, W, spec, k_yd=gram(Y, D, spec), k_dd=gram(D, D, spec),
+                               yd=inner_products(Y, D), WWt=W @ W.T)
+    assert own.shape == D.shape and own.tobytes() == held.tobytes()
+    with pytest.raises(ValueError, match=r"W = A Z is \(4, 8\), expected \(4, 9\)"):
+        dictionary_gradient(Y, D, W[:, :8], spec)
 
 
 def test_vector_gradient_index_and_shape_errors():

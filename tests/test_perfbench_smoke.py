@@ -36,7 +36,8 @@ print(json.dumps({"metrics": result["metrics"], "correct": result["correct"],
 def test_traced_reduced_round_sees_every_gram_gradient_and_linear_coding():
     # the trainers hold the products they reuse, yet every Gram refresh,
     # gradient step and linear coding is still one call through the module
-    # bindings that the tracer wraps
+    # bindings that the tracer wraps, as is every kernel coding and atom sweep,
+    # so a refactor that bypasses a wrapped entry point cannot zero its row
     proc = subprocess.run([sys.executable, "-c", TRACED_ROUND], cwd=ROOT, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
@@ -52,6 +53,9 @@ def test_traced_reduced_round_sees_every_gram_gradient_and_linear_coding():
         "kernels.dictionary_gradient.calls": 2 * steps,
         # the shared AK-SVD pretrain codes once per iteration, morkdl-d once per iteration
         "sparse_coding.omp_batch.calls": max(dl["iters"], 1) + kd["iters"],
+        # one kernel coding and one atom sweep per iteration of each method
+        "sparse_coding.kernel_omp_batch.calls": 3 * kd["iters"],
+        "kernel_dl.rkdl_atom_sweep.calls": 3 * kd["iters"],
     }
     got = {name: out["metrics"][name]["value"] for name in per_round}
     assert got == per_round
