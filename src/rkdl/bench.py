@@ -162,7 +162,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> RunResult:
                 res.failed = f"round {r}: {type(exc).__name__}: {exc}"
                 continue
             if on_vectors:
-                res.pretrain_traces.append(vectors.meta["trace"])
+                res.pretrain_traces.append(vectors.trace)
             res.traces.append(trace)
     return RunResult(config=cfg, methods=results)
 

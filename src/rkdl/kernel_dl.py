@@ -3,8 +3,8 @@
 The four methods differ only in where the kernel vectors D come from and how
 D is updated; ``METHODS`` maps each method to both and to its public trainer.
 All trainers run one alternating loop, ``_train``, on Gram matrices only;
-feature vectors are never formed. The atom sweep solves with ``kdl``'s K, or on
-the identity in the reduced trainers' ``kernel_map`` of D: two solves, not three.
+feature vectors are never formed. The atom sweep runs on the signals' rows:
+``kdl``'s K, with its solve, or F in the reduced trainers' ``kernel_map`` of D.
 A trainer's ``callback(it, D, A, Z, k_dd)`` receives the loop's own arrays after
 iteration ``it``; later iterations update A and Z in place, so a callback copies what it keeps.
 """
@@ -111,10 +111,10 @@ class FactoredGram:
 
     L is written over the F-ordered view K^T of the C-ordered K, so K's upper
     triangle becomes L^T and its strict lower one is untouched. Past the rank L
-    is [L_11, 0; 0, I], so ``solve`` weighs the signals dropped 0: their sweep
-    coefficients come from its formula alone. The buffer's diagonal is L's only
-    inside ``solve``, else K's, so ``k @ x`` (BLAS symm, symv for a vector) is K x:
-    a mend by diag(K) - diag(L) would lose K's digits where L's pivot dwarfs them.
+    is [L_11, 0; 0, I], so ``solve`` weighs the signals dropped 0. The buffer's
+    diagonal is L's only inside ``solve``, else K's, so ``k @ x`` (BLAS symm, symv
+    for a vector) is K x: a mend by diag(K) - diag(L) would lose K's digits where
+    L's pivot dwarfs them.
     """
 
     def __init__(self, K: np.ndarray, stats: dict):
@@ -148,26 +148,26 @@ class FactoredGram:
 
 
 def kernel_map(k_dd: np.ndarray, A: np.ndarray, stats: dict) -> tuple:
-    """(T, B) from the factor K_DD[p][:, p] = L L^T of rank r (``_pivoted_cholesky``
-    of a copy): T (n_d x r) is L_11^-T in the pivots' rows and 0 elsewhere, B = L^T A[p].
-    So A = T B gives A^T K_DD A = B^T B and K_YD A = F B, F = K_YD T: linear atoms B on
-    the signals' rows F ("virtual samples", Golts and Elad), dropped vectors weighing 0."""
+    """(T, B, scale) from the factor K_DD[p][:, p] = L L^T of rank r (``_pivoted_cholesky`` of
+    a copy): T (n_d x r) is L_11^-T in the pivots' rows, 0 elsewhere, and B = L^T A[p] / scale has
+    unit columns (norms floored at 1e-12). The atoms T B have Gram B^T B and cross Gram F B,
+    F = K_YD T: linear atoms on the signals' rows F ("virtual samples", Golts and Elad)."""
     L, p, r = _pivoted_cholesky(k_dd, stats)
     L = np.tril(L[:, :r])
     T = np.zeros((len(p), r))
     T[p[:r]] = scipy.linalg.solve_triangular(L[:r], np.eye(r), lower=True, check_finite=False).T
-    return T, L.T @ A[p]
+    B = L.T @ A[p]
+    scale = np.sqrt(np.maximum(np.einsum("ij,ij->j", B, B), 1e-24))
+    B /= scale
+    return T, B, scale
 
 
-def _atom_products(k_yd: np.ndarray, k_dd, A: np.ndarray) -> tuple:
-    """The atoms' cross Gram P = K_YD A (N, n_a) and Gram G = A^T K_DD A.
-
-    One pair serves an error evaluation and the coding that follows it. When
-    K_YD is K_DD (``kdl``), P is K_DD A itself: one N x N product, not two.
-    ``k_dd`` None is the identity Gram, as in a ``kernel_map``.
-    """
-    KA = A if k_dd is None else k_dd @ A
-    return (KA if k_yd is k_dd else k_yd @ A), A.T @ KA
+def _atom_products(rows, A: np.ndarray) -> tuple:
+    """The atoms' cross Gram P (N, n_a) and Gram G on the signals' ``rows``: ``kdl``'s
+    ``FactoredGram`` K, P = K A and G = A^T P, or a ``kernel_map``'s F, P = F B and
+    G = B^T B. One pair serves an error evaluation and the coding that follows it."""
+    P = rows @ A
+    return P, A.T @ (P if isinstance(rows, FactoredGram) else A)
 
 
 def _residuals(kyy: np.ndarray, P, G, Z) -> tuple[np.ndarray, np.ndarray]:
@@ -218,15 +218,16 @@ def error_metric(Y: np.ndarray, kdict: KernelDictionary, Z) -> float:
     Y = np.asarray(Y, dtype=float)
     Zm = Z.matrix if isinstance(Z, SparseCode) else np.asarray(Z, dtype=float)
     k_yd, kyy, k_dd = _model_grams(kdict, Y)
-    P, G = _atom_products(k_yd, k_dd, kdict.coefficients)
+    A = kdict.coefficients
+    P, G = k_yd @ A, A.T @ (k_dd @ A)
     return residual_error(_residuals(kyy, P, G, Zm)[0].sum(), Y.size)
 
 
-def rkdl_atom_sweep(k_dd, k_yd, A: np.ndarray, Z: np.ndarray, stats: dict | None = None) -> None:
+def rkdl_atom_sweep(rows, A: np.ndarray, Z: np.ndarray, stats: dict | None = None) -> None:
     """``linear_dl.atom_sweep`` in place on the caller's coefficients A and code Z
-    (fastest when Z is signal-major, as a coder's code is): on ``kdl``'s
-    ``FactoredGram`` K (``k_dd``, which is ``k_yd`` too) with its ``solve``,
-    or on the identity (``k_dd`` None) in a ``kernel_map``, ``k_yd`` its F, A its B.
+    (fastest when Z is signal-major, as a coder's code is) over the signals' ``rows``:
+    ``kdl``'s ``FactoredGram`` K, solving with it, or a ``kernel_map``'s F (N x r) on
+    the identity Gram, A its B.
 
     Unused and degenerate atoms are left untouched and counted in
     ``stats["unused_kernel_atom"]`` and ``stats["degenerate_kernel_atom"]``.
@@ -234,14 +235,12 @@ def rkdl_atom_sweep(k_dd, k_yd, A: np.ndarray, Z: np.ndarray, stats: dict | None
     for name, M in (("A", A), ("Z", Z)):    # np.asarray would sweep a copy, unseen
         if not (isinstance(M, np.ndarray) and M.dtype == np.float64 and M.flags.writeable):
             raise TypeError(f"{name} is swept in place, so it must be a writeable float64 ndarray")
-    if k_dd is not None and not isinstance(k_dd, FactoredGram):
-        raise TypeError("k_dd must be kdl's FactoredGram, or None for a kernel_map's identity Gram")
-    k_yd = np.asarray(k_yd, dtype=float) if k_dd is None else k_dd    # kdl's K is its K_YD
-    n_d, n_a = A.shape
-    if k_yd.shape[1] != n_d or Z.shape[0] != n_a:
+    kdl = isinstance(rows, FactoredGram)
+    rows = rows if kdl else np.asarray(rows, dtype=float)
+    if rows.shape[1] != A.shape[0] or Z.shape[0] != A.shape[1]:
         raise ValueError("Gram/coefficient/code shapes are inconsistent")
 
-    counts = atom_sweep(k_yd, A, Z, solve=None if k_dd is None else k_dd.solve)
+    counts = atom_sweep(rows, A, Z, solve=rows.solve if kdl else None)
     for key, count in zip(("unused_kernel_atom", "degenerate_kernel_atom"), counts):
         if count and stats is not None:
             stats[key] = stats.get(key, 0) + count
@@ -321,20 +320,26 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
     A = _init_coefficients(D.shape[1], cfg.n_atoms, np.diag(k_dd), rng)
     Z = np.zeros((N, cfg.n_atoms)).T    # signal-major, as every code the coder returns
     with timed("factor"):
-        if D is Y:    # kdl factors K in its own buffer and multiplies by its untouched triangle
-            K = k_dd = k_yd = FactoredGram(k_dd, stats)
-            B, T = A, None    # and sweeps A itself
+        if D is Y:    # kdl factors K in its own buffer and sweeps A itself on K's rows
+            k_dd = k_yd = FactoredGram(k_dd, stats)
+            if k_dd.rank < N:    # seed A on K's pivots, where the sweep keeps it
+                A[...] = k_dd.solve(k_dd @ A)
+                A /= np.sqrt(np.einsum("ij,ij->j", A, k_dd @ A))
+            T, B = None, A
         else:    # the reduced trainers sweep A's coordinates B in the kernel map of D
-            K, (T, B) = None, kernel_map(k_dd, A, stats)
-            B /= np.sqrt(np.maximum(np.einsum("ij,ij->j", B, B), 1e-24))    # diag(B^T B) = 1
+            T, B, _ = kernel_map(k_dd, A, stats)
 
     def rows():    # the signals' rows: kdl's K, or F = K_YD T, formed where read, never held
         return k_yd if T is None else k_yd @ T
 
-    with timed("error_eval"):    # each (P, G) serves one error and the next coding
-        P, G = _atom_products(rows(), K, B)
-        res, slack = _residuals(kyy, P, G, Z)
-        trace.record(residual_error(res.sum(), m * N, stats), t_start)
+    def evaluate():    # each (P, G) serves one error and the next coding
+        with timed("error_eval"):
+            P, G = _atom_products(rows(), B)
+            res, slack = _residuals(kyy, P, G, Z)
+            trace.record(residual_error(res.sum(), m * N, stats), t_start)
+        return P, G, res, slack
+
+    P, G, res, slack = evaluate()
     for it in range(cfg.iters):
         with timed("coding"):
             Z = code = None    # freed first; kernel OMP on the atoms (P, G, coefficients I)
@@ -346,7 +351,7 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
                 X = omp_batch(D, Y, cfg.dl_sparsity, stats=stats, norms_sq=y_sq, yd=yd)
 
         with timed("atom_sweep"):
-            rkdl_atom_sweep(K, rows(), B, Z, stats=stats)
+            rkdl_atom_sweep(rows(), B, Z, stats=stats)
             if T is not None:    # the loop's own A, read by the gradient, callback and model
                 np.matmul(T, B, out=A)
 
@@ -377,19 +382,12 @@ def _train(Y, vectors: Dictionary, kernel: KernelSpec, cfg: KdlConfig, *,
                 k_dd, k_yd, yd = grams(D, f"after gradient step {step}, iteration {it}; {lr_hint}")
             W = WWt = YXt = XXt = grad = None    # the steps' products, read by no later phase
             with timed("factor"):    # K_DD changed: its kernel map and A's coordinates in it
-                T, B = kernel_map(k_dd, A, stats)
-            with timed("gradient"):
-                # re-normalize atoms under the refreshed Gram; scaling the code
-                # rows inversely keeps phi(D) A Z (and the error) unchanged
-                scale = np.sqrt(np.maximum(np.einsum("ij,ij->j", B, B), 1e-24))
-                B /= scale
-                Z *= scale[:, None]
+                T, B, scale = kernel_map(k_dd, A, stats)
+            with timed("gradient"):    # the atoms renormalized: the code rows scaled inversely
+                Z *= scale[:, None]    # keep phi(D) A Z (and the error) unchanged
                 np.matmul(T, B, out=A)
 
-        with timed("error_eval"):
-            P, G = _atom_products(rows(), K, B)
-            res, slack = _residuals(kyy, P, G, Z)
-            trace.record(residual_error(res.sum(), m * N, stats), t_start)
+        P, G, res, slack = evaluate()
         if callback is not None:
             callback(it, D, A, Z, k_dd)
 
@@ -412,7 +410,7 @@ def kdl_train(Y: np.ndarray, kernel: KernelSpec, cfg: KdlConfig, callback=None):
     K is factored by rank, as every trainer's Gram is (``_pivoted_cholesky``, at
     LAPACK's default tolerance N * eps * max diag(K)): where K is numerically
     singular, each signal dependent on the pivots is counted in ``kdd_rank_drop``
-    and its coefficients come from the sweep's formula, not from a ridge's round-off.
+    and has coefficients 0: the atoms are seeded on the pivots, where the sweep keeps them.
     """
     Y = np.asarray(Y, dtype=float)
     N = Y.shape[1]

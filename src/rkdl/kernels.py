@@ -173,7 +173,7 @@ def gram(X: np.ndarray, Y: np.ndarray, spec: KernelSpec,
         xx = np.einsum("ij,ij->j", X, X) if x_sq is None else x_sq
         yy = xx if same else np.einsum("ij,ij->j", Y, Y)
     if not same:
-        # rows of K_YD are gathered per atom, so the output is C-ordered
+        # C-ordered, the layout the docstring promises and tests/test_kernels.py checks
         K = np.ascontiguousarray(inner_products(X, Y)) if xy is None else np.array(xy, order="C")
         _kernel_values(K, spec, xx, yy)
         return K

@@ -14,10 +14,11 @@ from .sparse_coding import SparseCode, _check_unit_columns, omp_batch
 
 @dataclass
 class Dictionary:
-    """Column dictionary ``atoms`` plus ``meta``; ``validate`` checks for unit atoms."""
+    """Column dictionary ``atoms`` plus its AK-SVD run's ``trace``, if any; ``validate``
+    checks for unit atoms."""
 
     atoms: np.ndarray
-    meta: dict = field(default_factory=dict)
+    trace: TrainTrace | None = None
 
     @property
     def n_atoms(self) -> int:
@@ -237,7 +238,7 @@ def aksvd_train(Y: np.ndarray, cfg: DLConfig, D_init: Dictionary | None = None,
     K-SVD sweep (``_aksvd_sweep``), from ``D_init`` (which must have
     ``cfg.n_atoms`` atoms) or ``init_dictionary``. Y is taken F-ordered once
     per run (a copy unless it already is), and its squared norms are formed once and serve
-    every OMP call and every re-seed. ``meta["trace"]`` is the run's
+    every OMP call and every re-seed. The dictionary's ``trace`` is the run's
     ``TrainTrace``: each coding pass's error from OMP's ``residual_sq`` and its
     elapsed seconds, the seconds of OMP (``coding``) and of the sweeps, re-seeds
     included (``sweep``), and the counters ``linear_ridge``, ``residual_clamp``,
@@ -283,5 +284,5 @@ def aksvd_train(Y: np.ndarray, cfg: DLConfig, D_init: Dictionary | None = None,
             callback(it, D, X)
 
     trace.total_seconds = time.perf_counter() - t_start
-    return (Dictionary(atoms=D, meta={**dictionary.meta, "trace": trace}),
+    return (Dictionary(atoms=D, trace=trace),
             SparseCode(matrix=X, sparsity=cfg.sparsity))

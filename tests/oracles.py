@@ -22,8 +22,8 @@ OMP are checked against plain linear algebra.
 import numpy as np
 import scipy.linalg
 
-from rkdl.kernel_dl import (CODE_RISE_RTOL, FactoredGram, _atom_products,
-                            _init_coefficients, _residuals, kernel_map, rkdl_atom_sweep)
+from rkdl.kernel_dl import (CODE_RISE_RTOL, FactoredGram, _init_coefficients, _residuals,
+                            kernel_map, rkdl_atom_sweep)
 from rkdl.kernels import POLYNOMIAL, RBF, KernelSpec, _check_shapes, gram, self_kernel_diag
 from rkdl.linear_dl import atom_sweep, residual_error
 from rkdl.sparse_coding import (KOMP_RESIDUAL_SQ_TOL, OMP_RESIDUAL_TOL, RIDGE, _check_unit_columns,
@@ -89,7 +89,7 @@ def pivoted_solve(K, stats):
     chol = scipy.linalg.cho_factor(K[np.ix_(q, q)], lower=True)
 
     def solve(v):
-        x = np.zeros(len(K))
+        x = np.zeros(v.shape)
         x[q] = scipy.linalg.cho_solve(chol, v[q])
         return x
     return solve
@@ -148,7 +148,8 @@ def swept(k_dd, k_yd, A, Z, stats=None):
 
     ``kdl``'s shape (``k_yd is k_dd``) sweeps on a ``FactoredGram`` of a copy of
     K. Otherwise the coefficients go through the library's ``kernel_map`` to
-    the coordinates B, which ``rkdl_atom_sweep`` sweeps on the identity Gram
+    their coordinates B (its unit columns times their scale, so that B Z is
+    A Z's), which ``rkdl_atom_sweep`` sweeps on the identity Gram
     over the signals' rows K_YD T, and back as T B, for the atoms the sweep
     changed: an atom it leaves untouched keeps its coefficients bit for bit,
     as in place."""
@@ -156,11 +157,12 @@ def swept(k_dd, k_yd, A, Z, stats=None):
     A, Z = np.array(A, dtype=float), np.array(Z, dtype=float, order="F")
     if k_yd is k_dd:
         K = FactoredGram(np.array(k_dd, dtype=float, order="C"), stats)
-        rkdl_atom_sweep(K, K, A, Z, stats=stats)
+        rkdl_atom_sweep(K, A, Z, stats=stats)
         return A, Z
-    T, B = kernel_map(np.asarray(k_dd, dtype=float), A, stats)
+    T, B, scale = kernel_map(np.asarray(k_dd, dtype=float), A, stats)
+    B *= scale
     B0 = B.copy()
-    rkdl_atom_sweep(None, np.asarray(k_yd, dtype=float) @ T, B, Z, stats=stats)
+    rkdl_atom_sweep(np.asarray(k_yd, dtype=float) @ T, B, Z, stats=stats)
     changed = np.any(B != B0, axis=0)
     A[:, changed] = (T @ B)[:, changed]
     return A, Z
@@ -193,8 +195,9 @@ def _rise_limit_on_k(K, kyy, W):
 
 def kdl_train_two_arrays(Y, kernel, cfg):
     """``kdl_train`` on K itself plus the solve of a pivoted factor formed apart
-    from it (``pivoted_solve``): every product with K reads the full square. The
-    reference for ``FactoredGram``, which holds K only as its factor.
+    from it (``pivoted_solve``): every product with K reads the full square, and
+    a rank-deficient K's initial atoms are folded onto its pivots by that solve.
+    The reference for ``FactoredGram``, which holds K only as its factor.
 
     Returns (A, Z, errors, warning counters). ``code_rise`` is counted from the
     codes' residuals formed on K itself.
@@ -206,8 +209,12 @@ def kdl_train_two_arrays(Y, kernel, cfg):
     kyy = self_kernel_diag(Y, kernel)
     solve = pivoted_solve(K, stats)
     A = _init_coefficients(N, cfg.n_atoms, np.diag(K).copy(), np.random.default_rng(cfg.seed))
+    if stats.get("kdd_rank_drop"):
+        A = solve(K @ A)
+        A /= np.sqrt(np.einsum("ij,ij->j", A, K @ A))
     Z = np.zeros((cfg.n_atoms, N))
-    P, G = _atom_products(K, K, A)
+    P = K @ A
+    G = A.T @ P
     errors = [residual_error(_residuals(kyy, P, G, Z)[0].sum(), m * N, stats)]
     for _ in range(cfg.iters):
         limit = _rise_limit_on_k(K, kyy, A @ Z)
@@ -220,7 +227,8 @@ def kdl_train_two_arrays(Y, kernel, cfg):
         for key, count in zip(("unused_kernel_atom", "degenerate_kernel_atom"), counts):
             if count:
                 stats[key] = stats.get(key, 0) + count
-        P, G = _atom_products(K, K, A)
+        P = K @ A
+        G = A.T @ P
         errors.append(residual_error(_residuals(kyy, P, G, Z)[0].sum(), m * N, stats))
     return A, Z, errors, stats
 

@@ -128,7 +128,7 @@ def test_summary_replaced_atoms_summed_over_rounds(tmp_path):
     Y = load_dataset(cfg.dataset).values
     expected: Counter = Counter()
     for r in range(cfg.rounds):
-        expected.update(pretrain(Y, cfg, cfg.base_seed + r).meta["trace"].warnings)
+        expected.update(pretrain(Y, cfg, cfg.base_seed + r).trace.warnings)
     assert expected["unused_atom"] > 0
     assert "pretrain" not in summary["methods"]["kdl"]
     for method in ("rkdl-d", "morkdl-d"):
@@ -192,11 +192,16 @@ def test_reduced_methods_share_round_dictionary():
                                   result.methods["orkdl-d"].errors)
 
 
-def test_empty_method_list_rejected():
+def test_empty_method_list_rejected(tmp_path):
     with pytest.raises(ValueError, match="empty"):
         ExperimentConfig.from_dict(base_config(methods=[]))
     with pytest.raises(ValueError, match="unknown method"):
         ExperimentConfig.from_dict(base_config(methods=["nkdl"]))
+    # a result without methods has no tables to write
+    empty = bench.RunResult(config=ExperimentConfig.from_dict(base_config()), methods={})
+    with pytest.raises(ValueError, match="^experiment result contains no methods$"):
+        emit_outputs(empty, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_repeated_method_rejected_by_name(tmp_path):
@@ -238,6 +243,8 @@ def test_missing_kernel_dl_block_is_named():
 def test_fractional_rounds_rejected_by_name():
     with pytest.raises(ValueError, match="rounds must be an integer, got 2.5"):
         ExperimentConfig.from_dict(base_config(rounds=2.5))
+    with pytest.raises(ValueError, match="^rounds must be >= 1$"):
+        ExperimentConfig.from_dict(base_config(rounds=0))
 
 
 def test_summary_config_loads_back_to_the_run_config(tmp_path):

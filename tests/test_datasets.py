@@ -77,10 +77,26 @@ def test_load_idx_shapes_and_values(tmp_path):
     sm.validate()
 
 
-def test_load_idx_bad_magic_names_offset(tmp_path):
+def test_load_idx_bad_magic_names_offset(tmp_path, monkeypatch):
     ip, lp, _, _ = make_idx_pair(tmp_path)
     with pytest.raises(FormatError, match="byte offset 0"):
         load_idx(str(lp), None)  # labels file has the wrong magic for images
+    # a header cut before its magic and size, or before its dimensions
+    short = tmp_path / "short.idx"
+    short.write_bytes(ip.read_bytes()[:5])
+    with pytest.raises(FormatError, match=r"short\.idx: IDX header truncated \(5 bytes\)$"):
+        load_idx(str(short))
+    short.write_bytes(ip.read_bytes()[:12])
+    with pytest.raises(FormatError, match=r"short\.idx: IDX dimension header truncated$"):
+        load_idx(str(short))
+    # the image magic fixes 3 dimensions; under a 2-D magic the loader still
+    # checks that it reads images
+    monkeypatch.setattr("rkdl.datasets.IDX_IMAGES_MAGIC", 2050)
+    flat = tmp_path / "flat.idx"
+    flat.write_bytes((2050).to_bytes(4, "big") + (2).to_bytes(4, "big") + (3).to_bytes(4, "big")
+                     + bytes(6))
+    with pytest.raises(FormatError, match=r"flat\.idx: expected 3 dimensions, found 2$"):
+        load_idx(str(flat))
 
 
 def test_load_idx_label_filter_matches_histogram(tmp_path):
@@ -258,6 +274,24 @@ def test_csv_signals_in_rows(tmp_path):
     path = tmp_path / "m.csv"
     save_csv(M, str(path))
     assert load_csv(str(path), signals_in="rows").values.shape == (4, 3)
+
+
+@pytest.mark.parametrize("load,reason", [
+    (lambda path: SignalMatrix(np.ones(5)).validate(),
+     "signal matrix must be 2-D with at least one column"),
+    (lambda path: SignalMatrix(np.ones((5, 0))).validate(),
+     "signal matrix must be 2-D with at least one column"),
+    (lambda path: load_csv(path, normalize="unit"),
+     r"unknown normalization 'unit'; choose one of \("),
+    (lambda path: load_csv(path, signals_in="signals"), "signals_in must be 'columns' or 'rows'"),
+    (lambda path: load_cifar10([path], grayscale="red"),
+     "grayscale must be 'mean' or 'luminance', got 'red'"),
+], ids=["1-D", "no-signal", "normalize", "signals_in", "grayscale"])
+def test_loaders_reject_a_setting_by_name(tmp_path, load, reason):
+    path = str(tmp_path / "m.csv")
+    save_csv(np.ones((3, 4)), path)
+    with pytest.raises(ValueError, match=f"^{reason}"):
+        load(path)
 
 
 def test_csv_rejects_ragged_and_non_numeric(tmp_path):

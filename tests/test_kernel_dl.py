@@ -95,7 +95,8 @@ def test_trace_error_counts_residual_clamps():
     A = rng.standard_normal((4, 3))
     Z = rng.standard_normal((3, 10))
     Y = D @ A @ Z
-    P, G = kernel_dl._atom_products(gram(Y, D, LINEAR), gram(D, D, LINEAR), A)
+    k_dd = gram(D, D, LINEAR)
+    P, G = gram(Y, D, LINEAR) @ A, A.T @ (k_dd @ A)
     kyy = np.einsum("ij,ij->j", Y, Y)    # each signal's shift below adds up to 1e-6
 
     def trace_error(kyy, stats):
@@ -277,7 +278,7 @@ def test_sweep_peak_allocation_stays_below_half_an_n_by_n_array():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        rkdl_atom_sweep(K, K, A, Z)
+        rkdl_atom_sweep(K, A, Z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -300,7 +301,7 @@ def test_kdl_sweep_peak_allocation_stays_below_a_tenth_of_an_n_by_n_array():
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        rkdl_atom_sweep(K, K, A, Z)
+        rkdl_atom_sweep(K, A, Z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -318,14 +319,14 @@ def test_sweep_on_the_coders_code_holds_no_second_code():
     spec = KernelSpec("rbf", sigma=4.0, denom_factor=1.0)
     k_dd, k_yd = gram(D, D, spec), gram(Y, D, spec)
     A = kernel_dl._init_coefficients(50, 20, np.diag(k_dd).copy(), np.random.default_rng(0))
-    T, B = kernel_map(k_dd, A, {})
+    T, B, _ = kernel_map(k_dd, A, {})
     F = k_yd @ T
-    P, G = kernel_dl._atom_products(F, None, B)
+    P, G = kernel_dl._atom_products(F, B)
     Z = kernel_omp_batch(P, np.ones(Y.shape[1]), G, np.eye(20), 4).matrix
     B0, Z0 = B.copy(), Z.copy()
     tracemalloc.start()
     try:
-        result = rkdl_atom_sweep(None, F, B, Z)
+        result = rkdl_atom_sweep(F, B, Z)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -350,7 +351,21 @@ def test_sweep_rejects_an_array_it_cannot_update_in_place(name, make):
     arrays[name] = make(arrays[name])
     with pytest.raises(TypeError, match=f"^{name} is swept in place, so it must be a writeable "
                                         "float64 ndarray$"):
-        rkdl_atom_sweep(k_dd, k_yd, arrays["A"], arrays["Z"])
+        rkdl_atom_sweep(k_yd, arrays["A"], arrays["Z"])
+
+
+def test_sweep_and_factor_reject_operands_they_cannot_use():
+    # the rows, coefficients and code must agree in shape; a Gram is factored
+    # in its own buffer, so it must be square and C-ordered
+    _, k_yd, A, Z = sweep_inputs(LINEAR, m=4, N=10, n_a=2, n_d=3, sparsity=1, seed=0)
+    for rows, A_, Z_ in ((k_yd[:, :2], A, Z), (k_yd, A, Z[:1]),
+                         (kernel_dl.FactoredGram(gram(k_yd.T, k_yd.T, LINEAR), {}), A, Z)):
+        with pytest.raises(ValueError, match="^Gram/coefficient/code shapes are inconsistent$"):
+            rkdl_atom_sweep(rows, A_, Z_)
+    for K in (np.ones((3, 4)), np.asfortranarray(k_yd @ k_yd.T)):
+        with pytest.raises(ValueError, match="^a kernel Gram is factored in place, so it must be "
+                                             "square, C-ordered$"):
+            kernel_dl.FactoredGram(K, {})
 
 
 def test_train_reaches_the_sweep_through_its_module_binding(monkeypatch):
@@ -416,7 +431,9 @@ def test_kernel_map_is_a_factor_of_k_dd_at_its_rank(m):
     k_dd, A = gram(D, D, LINEAR), rng.standard_normal((20, 3))
     k_before = k_dd.copy()
     stats: dict = {}
-    T, B = kernel_map(k_dd, A, stats)
+    T, B, scale = kernel_map(k_dd, A, stats)
+    np.testing.assert_allclose(np.einsum("ij,ij->j", B, B), 1.0, rtol=1e-14, atol=0)
+    B = B * scale    # the coordinates of A itself
     r = min(m, 20)
     assert T.shape == (20, r) and B.shape == (r, 3)
     assert stats == ({"kdd_rank_drop": 15} if m < 20 else {})
@@ -572,6 +589,26 @@ def test_kdl_factored_gram_matches_the_two_array_reference(spec, m, duplicates):
     K = gram(Y, Y, spec)
     A = kdict.coefficients
     np.testing.assert_allclose(np.einsum("ij,ij->j", A, K @ A), 1.0, rtol=0, atol=1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_kdl_coefficients_are_zero_on_the_signals_its_factor_drops(seed):
+    # copied signals, and more signals than the polynomial's features, make K
+    # rank-deficient: kdl folds its initial atoms onto K's pivots and the sweep
+    # keeps them there, so no signal that K's factor drops carries a coefficient
+    rng = np.random.default_rng(seed)
+    m, beta, N = (int(rng.integers(*bounds)) for bounds in ((1, 6), (1, 4), (4, 31)))
+    spec = KernelSpec("polynomial", alpha=float(rng.choice([0.0, 0.5, 1.0, 2.0])), beta=beta)
+    Y = rng.standard_normal((m, N))
+    for _ in range(rng.integers(1, N // 2 + 1)):
+        a, b = rng.integers(N, size=2)
+        Y[:, a] = Y[:, b]
+    n_a = int(rng.integers(1, 5))
+    cfg = KdlConfig(n_a, int(rng.integers(1, n_a + 1)), 3, seed=1)
+    K = kernel_dl.FactoredGram(gram(Y, Y, spec), {})
+    A = kdl_train(Y, spec, cfg)[0].coefficients
+    assert not A[K.pivots[K.rank:]].any()
 
 
 @pytest.mark.parametrize("spec,m", [(KernelSpec("rbf", sigma=4.0), 30), (LINEAR, 10),
@@ -1049,6 +1086,9 @@ def test_no_kernel_vectors_is_named_past_the_empty_gram_check():
         rkdl_train(Y, Dictionary(atoms=np.zeros((5, 0))), LINEAR, cfg)
     with pytest.raises(ValueError, match="cannot place 3 kernel atoms on 0 vectors"):
         kdl_train(np.zeros((5, 0)), LINEAR, cfg)
+    # three vectors, two of them zero: one atom's worth of nonzero self-kernels
+    with pytest.raises(ValueError, match="^not enough kernel vectors with nonzero self-kernel$"):
+        kdl_train(np.c_[Y[:, :1], np.zeros((5, 2))], LINEAR, cfg)
 
 
 def test_signal_norms_formed_once_reach_every_gram_and_code(monkeypatch):
@@ -1202,7 +1242,7 @@ def test_trace_matches_the_gram_oracle_from_one_product_step_per_iteration(monke
     # round-off (the trace sums each signal's residual, and a reduced trainer
     # reads its atoms' Gram as B^T B in the kernel map), while each run forms
     # its atom products once at start-up and once per iteration, through the
-    # module binding; kdl forms them from K_YD = K_DD itself
+    # module binding; kdl forms them on its factored K
     signals, _, _ = synth(10, 120, 8, 3, seed=7)
     Y = signals.values
     m, N = Y.shape
@@ -1214,9 +1254,9 @@ def test_trace_matches_the_gram_oracle_from_one_product_step_per_iteration(monke
     atom_products = kernel_dl._atom_products
     shared = []
 
-    def spy(k_yd, k_dd, A):
-        shared.append(k_yd is k_dd)
-        return atom_products(k_yd, k_dd, A)
+    def spy(rows, A):
+        shared.append(isinstance(rows, kernel_dl.FactoredGram))
+        return atom_products(rows, A)
 
     monkeypatch.setattr(kernel_dl, "_atom_products", spy)
     # entry 0 is the empty code's error, taken over no atoms
@@ -1308,6 +1348,9 @@ def test_each_gradient_step_refreshes_the_grams_once(monkeypatch, method):
 def test_kdl_config_validation():
     with pytest.raises(ValueError):
         KdlConfig(n_atoms=3, sparsity=4, iters=1)
+    for n_atoms, sparsity in ((0, 1), (3, 0)):
+        with pytest.raises(ValueError, match="^n_atoms and sparsity must be positive$"):
+            KdlConfig(n_atoms=n_atoms, sparsity=sparsity, iters=1)
     with pytest.raises(ValueError):
         KdlConfig(n_atoms=3, sparsity=2, iters=-1)
     with pytest.raises(ValueError):
@@ -1399,5 +1442,5 @@ def test_exhausted_ridge_schedule_raises_at_both_factor_sites():
                                rtol=1e-15, atol=0)
     np.testing.assert_array_equal(k @ np.eye(3), K)
     stats = {}
-    T, B = kernel_map(K, np.eye(3), stats)
+    T, B, _ = kernel_map(K, np.eye(3), stats)
     assert stats == {"kdd_rank_drop": 1} and T.shape == (3, 2) and not T[0].any()

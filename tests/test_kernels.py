@@ -49,6 +49,8 @@ def test_kernel_spec_validation():
         KernelSpec("polynomial", beta=0)
     with pytest.raises(ValueError):
         KernelSpec("sigmoid")
+    with pytest.raises(ValueError, match="^denom_factor must be positive$"):
+        KernelSpec("rbf", denom_factor=0.0)
     for family, name, value in (("rbf", "sigma", float("inf")), ("rbf", "sigma", float("nan")),
                                 ("rbf", "denom_factor", float("inf")),
                                 ("polynomial", "alpha", float("nan")),
@@ -147,6 +149,8 @@ def test_gram_on_held_products_matches_and_never_writes_them(spec, layout):
 def test_gram_row_count_mismatch():
     with pytest.raises(ValueError):
         gram(np.zeros((3, 2)), np.zeros((4, 2)), RBF)
+    with pytest.raises(ValueError, match="^gram expects 2-D column-major signal matrices$"):
+        gram(np.zeros(3), np.zeros((3, 2)), RBF)
 
 
 def test_gram_symmetry_and_rbf_diagonal():

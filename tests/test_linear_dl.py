@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -124,6 +125,8 @@ def test_init_dictionary_flags_duplicates():
 def test_init_dictionary_too_few_signals():
     with pytest.raises(ValueError):
         init_dictionary(np.ones((4, 3)), 5, seed=0)
+    with pytest.raises(ValueError, match="^not enough nonzero signals to initialize the dictionary$"):
+        init_dictionary(np.c_[np.ones((4, 2)), np.zeros((4, 4))], 3, seed=0)
 
 
 def test_aksvd_rejects_degenerate_input():
@@ -141,6 +144,9 @@ def test_aksvd_rejects_degenerate_input():
     with pytest.raises(ValueError, match="D_init has 12 atoms but the config asks for n_atoms = 5"):
         aksvd_train(rng.standard_normal((6, 40)), DLConfig(5, 2, 3),
                     D_init=Dictionary(atoms=D / np.linalg.norm(D, axis=0)))
+    # more atoms per signal than the signals have dimensions
+    with pytest.raises(ValueError, match="^sparsity cannot exceed the signal dimension$"):
+        aksvd_train(rng.standard_normal((6, 40)), DLConfig(8, 7, 3))
 
 
 def test_dictionary_validate():
@@ -323,7 +329,7 @@ def test_sweep_on_the_coders_buffer_equals_a_c_ordered_copy(inputs):
     k_dd, k_yd = gram(D, D, spec), gram(Y, D, spec)
     # RBF self-kernels are 1: the vectors are Gram-normalized atoms, whose
     # coordinates B the map's rows F code and sweep on the identity Gram
-    T, B = kernel_map(k_dd, np.eye(D.shape[1]), {})
+    T, B, _ = kernel_map(k_dd, np.eye(D.shape[1]), {})
     F = k_yd @ T
     Z = kernel_omp_batch(F, np.ones(Y.shape[1]), np.eye(B.shape[0]), B, sparsity).matrix
     Zc, Bc = np.array(Z, order="C"), B.copy()
@@ -335,20 +341,20 @@ def test_sweep_on_the_coders_buffer_equals_a_c_ordered_copy(inputs):
 def test_pretraining_phases_in_meta():
     signals, _, _ = synth(12, 150, 10, 3, seed=5)
     dictionary, _ = aksvd_train(signals.values, DLConfig(n_atoms=10, sparsity=3, iters=4, seed=4))
-    assert "phase_seconds" not in dictionary.meta
-    trace = dictionary.meta["trace"]
+    assert [f.name for f in dataclasses.fields(dictionary)] == ["atoms", "trace"]
+    trace = dictionary.trace
     phases = trace.phase_seconds
     assert set(phases) == {"coding", "sweep"}
     assert all(v > 0.0 for v in phases.values())
     assert sum(phases.values()) <= trace.total_seconds
     idle, _ = aksvd_train(signals.values, DLConfig(n_atoms=10, sparsity=3, iters=0, seed=4))
-    assert idle.meta["trace"].phase_seconds["sweep"] == 0.0
+    assert idle.trace.phase_seconds["sweep"] == 0.0
 
 
 @pytest.mark.parametrize("iters", [0, 4])
 def test_pretraining_elapsed_seconds_per_coding_pass(iters):
     signals, _, _ = synth(12, 150, 10, 3, seed=5)
-    trace = aksvd_train(signals.values, DLConfig(10, 3, iters, seed=4))[0].meta["trace"]
+    trace = aksvd_train(signals.values, DLConfig(10, 3, iters, seed=4))[0].trace
     assert len(trace.elapsed_seconds) == len(trace.errors) == max(iters, 1)
     assert 0.0 < trace.elapsed_seconds[0] and np.all(np.diff(trace.elapsed_seconds) > 0.0)
     assert trace.elapsed_seconds[-1] <= trace.total_seconds
@@ -364,7 +370,7 @@ def test_pretraining_errors_match_recoded_oracle(iters):
     dictionary, _ = aksvd_train(Y, DLConfig(n_atoms=10, sparsity=3, iters=iters, seed=4),
                                 callback=lambda it, D, X: coded.append(D.copy()))
     oracle = [frobenius_error(Y, D, omp_batch(D, Y, 3).matrix) for D in coded[:max(iters, 1)]]
-    np.testing.assert_allclose(dictionary.meta["trace"].errors, oracle, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(dictionary.trace.errors, oracle, rtol=1e-12, atol=0.0)
 
 
 def test_sweep_counts_planted_degenerate_atom():
@@ -389,11 +395,11 @@ def test_replaced_atom_counts_in_meta():
     atoms = np.concatenate([init_dictionary(Y, 4, seed=0).atoms, np.eye(8)[:, -1:]], axis=1)
     dictionary, _ = aksvd_train(Y, DLConfig(n_atoms=5, sparsity=2, iters=1, seed=0),
                                 D_init=Dictionary(atoms=atoms))
-    assert "replaced_atoms" not in dictionary.meta
-    assert dictionary.meta["trace"].warnings == {"unused_atom": 1}
+    assert [f.name for f in dataclasses.fields(dictionary)] == ["atoms", "trace"]
+    assert dictionary.trace.warnings == {"unused_atom": 1}
     assert abs(dictionary.atoms[-1, -1]) < 1e-15
     clean, _ = aksvd_train(Y, DLConfig(n_atoms=4, sparsity=2, iters=3, seed=0))
-    assert clean.meta["trace"].warnings == {}
+    assert clean.trace.warnings == {}
 
 
 def test_residual_error_keeps_nan_and_clamps_negative_sums():

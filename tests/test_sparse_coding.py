@@ -160,6 +160,8 @@ def test_batch_coders_reject_sparsity_above_atom_count():
     Y = np.random.default_rng(4).standard_normal((8, 5))
     with pytest.raises(ValueError, match="sparsity must be in"):
         omp_batch(D, Y, 5)
+    with pytest.raises(ValueError, match="^dictionary rows 8 do not match signal rows 7$"):
+        omp_batch(D, Y[:7], 2)
     spec = KernelSpec("linear")
     with pytest.raises(ValueError, match="sparsity must be in"):
         kernel_omp_batch(gram(Y, D, spec), np.ones(5), gram(D, D, spec), np.eye(4), 0)
